@@ -9,9 +9,9 @@ Subcommands:
   (``--stats-json`` exports the run's stats tree).
 - ``schemes``: list the registered schemes and array kinds.
 - ``overheads``: Vantage state-overhead accounting.
-- ``bench``: time the optimized simulation kernels against the
-  reference implementations and check the telemetry overhead budget
-  (writes ``BENCH_<tag>.json``).
+- ``bench``: time the fast simulation kernels against the object path
+  (``REPRO_FUSED=0``, the oracle) and check the telemetry overhead
+  budget (writes ``BENCH_<tag>.json``).
 - ``traces``: inspect (``--list``, the default) or delete
   (``--purge``) the on-disk trace-chunk store named by
   ``REPRO_TRACE_CACHE``.
@@ -43,6 +43,7 @@ import argparse
 from repro.analysis import required_unmanaged_fraction, vantage_overheads
 from repro.harness import mpki_curve, classify_curve, run_mix
 from repro.harness.classify import SWEEP_LINES
+from repro.harness.env import fastfwd_requested, fastfwd_tolerance
 from repro.sim import large_system, small_system
 from repro.workloads import APPS, CATEGORY_NAMES, make_mix
 
@@ -117,24 +118,28 @@ def _cmd_run_mix(args) -> int:
         mix = make_mix(
             args.mix_class, args.mix_index, apps_per_slot=apps_per_slot
         )
+        if args.fastfwd_report:
+            # Detection-only mode: the fast-forward detector runs and
+            # logs where it *would* trigger, but every access is still
+            # simulated exactly, so the run's numbers are
+            # bitwise-identical to a plain run-mix.
+            use_fastfwd, fastfwd_tol = True, 0.0
+        else:
+            # This command builds its run like a job does: the
+            # fast-forward knobs are read here, never in the simulator.
+            use_fastfwd, fastfwd_tol = fastfwd_requested(), fastfwd_tolerance()
     except ValueError as err:
         print(f"error: {err}")
         return 1
     print(f"mix {mix.name}: {[a.name for a in mix.apps]}")
-    fastfwd_kwargs = {}
-    if args.fastfwd_report:
-        # Detection-only mode: the fast-forward detector runs and logs
-        # where it *would* trigger, but every access is still simulated
-        # exactly, so the run's numbers are bitwise-identical to a plain
-        # run-mix.
-        fastfwd_kwargs = {"use_fastfwd": True, "fastfwd_tol": 0.0}
     run = run_mix(
         mix,
         args.scheme,
         config,
         args.instructions,
         seed=args.seed,
-        **fastfwd_kwargs,
+        use_fastfwd=use_fastfwd,
+        fastfwd_tol=fastfwd_tol,
     )
     result = run.result
     print(f"scheme {args.scheme}: throughput {result.throughput:.3f}")
@@ -273,6 +278,7 @@ def _cmd_bench(args) -> int:
     from pathlib import Path
 
     from repro.harness.bench import (
+        RATIO,
         compare_reports,
         run_bench,
         run_sweep_bench,
@@ -316,8 +322,8 @@ def _cmd_bench(args) -> int:
         )
         headline = report["kernels"][0]
         print(
-            f"headline: {headline['scheme']} optimized kernel is "
-            f"{headline['speedup']:.2f}x the reference"
+            f"headline: {headline['scheme']} fast path is "
+            f"{headline[RATIO]:.2f}x the object path"
         )
     if baseline is not None:
         regressions = compare_reports(report, baseline)
@@ -841,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "bench", help="time the optimized kernels against the reference"
+        "bench", help="time the fast kernels against the object path"
     )
     p.add_argument(
         "--smoke",

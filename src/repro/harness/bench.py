@@ -1,5 +1,5 @@
-"""``repro bench``: timed comparison of the optimized simulation
-kernels against the reference (pre-optimization) implementations.
+"""``repro bench``: timed comparison of the fast simulation kernels
+against the object path, the oracle they are pinned to.
 
 The pinned micro-benchmark is the paper's headline kernel: the
 ``sftn1`` 4-core mix on the 2 MB small system under Vantage-Z4/52 --
@@ -10,16 +10,17 @@ instructions per core is enough to take the L2 from cold through its
 high-occupancy steady state (including forced managed evictions)
 while keeping a bench run under a minute.
 
-Both sides of each kernel run in this process, best-of-``rounds``,
-and their :class:`~repro.sim.system.SystemResult`s are asserted
-*equal*: the optimizations are strength reductions, not behaviour
-changes, so any divergence fails the bench run loudly.
+Both sides of each kernel run in this process, best-of-``rounds``:
+the fast path (batch kernels, with the single-access fused closures
+for events they hand back) and the object path (the same cache with
+its fused kernels removed, as under ``REPRO_FUSED=0``).  Their
+:class:`~repro.sim.system.SystemResult`s are asserted *equal*: the
+fast path is a strength reduction, not a behaviour change, so any
+divergence fails the bench run loudly.
 
-:func:`bench_trace_pipeline` additionally pins the batched trace
-pipeline (see :mod:`repro.traces`): the full headline kernel with the
-chunk cursor versus the generator feed, and the trace path alone
-(generator production versus warm chunk replay), again with equality
-asserted on both.
+:func:`bench_trace_pipeline` additionally pins the trace feed (see
+:mod:`repro.traces`): generator production versus warm chunk replay,
+with equality asserted.
 
 The run also measures the telemetry overhead on the headline kernel
 (stats collection on vs off) and fails if it exceeds
@@ -38,14 +39,9 @@ from pathlib import Path
 from repro import telemetry
 from repro.harness.runner import build_policy
 from repro.harness.schemes import build_cache
-from repro.partitioning.base_cache import batch_default, fused_default
+from repro.partitioning.base_cache import fused_default
 from repro.sim import CMPSystem
 from repro.sim.configs import small_system
-from repro.sim.reference import (
-    as_reference_cache,
-    as_reference_policy,
-    reference_run,
-)
 from repro.workloads import make_mix
 
 #: The pinned micro-benchmark (do not change without re-baselining).
@@ -110,56 +106,42 @@ def _run_once(
     scheme: str,
     partitioned: bool,
     instructions: int,
-    reference: bool,
-    use_chunks: bool | None = None,
-    use_batch: bool | None = None,
-    use_fastfwd: bool | None = False,
+    object_path: bool,
+    use_fastfwd: bool = False,
 ):
     """Build a fresh system and time one simulation of the kernel.
 
-    Returns ``(elapsed, result, tree, policy)``; ``tree`` is the run's
-    stats tree for optimized runs and ``None`` for reference runs (the
-    reference wrappers predate the telemetry spine).  ``use_chunks``
-    pins the optimized loop's trace feed (chunk cursor vs generator);
-    reference runs always use the generator feed.  ``use_fastfwd``
-    defaults to *pinned off* (not the environment): every classic
-    bench section asserts bitwise equality between kernel paths, which
-    a stray ``REPRO_FASTFWD=1`` would silently break; only
-    :func:`bench_fastfwd` opts in.
+    ``object_path`` drops the cache's fused kernels before the run
+    (``cache._remove_fused()``, the per-instance equivalent of
+    ``REPRO_FUSED=0``), which also switches the batch layer off.
+    Returns ``(elapsed, result, tree, policy)`` with the run's stats
+    tree.  The simulation is exact unless ``use_fastfwd`` is set;
+    only :func:`bench_fastfwd` sets it.
     """
     config = small_system(epoch_cycles=BENCH_EPOCH_CYCLES)
     mix = make_mix(MIX_CLASS, MIX_INDEX)
     cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=SEED)
+    if object_path:
+        cache._remove_fused()
     policy = build_policy(cache, config, SEED) if partitioned else None
-    if reference:
-        as_reference_cache(cache)
-        if policy is not None:
-            as_reference_policy(policy)
     system = CMPSystem(
         cache,
         mix.trace_factories(SEED),
         config,
         policy=policy,
-        use_chunks=use_chunks,
-        use_batch=use_batch,
         use_fastfwd=use_fastfwd,
     )
-    tree = None
-    if not reference:
-        tree = telemetry.system_tree(cache=cache, system=system, policy=policy)
+    tree = telemetry.system_tree(cache=cache, system=system, policy=policy)
     start = time.perf_counter()
-    if reference:
-        result = reference_run(system, instructions)
-    else:
-        result = system.run(instructions)
+    result = system.run(instructions)
     return time.perf_counter() - start, result, tree, policy
 
 
-def _peak_kib(scheme: str, partitioned: bool, instructions: int, reference: bool):
+def _peak_kib(scheme: str, partitioned: bool, instructions: int, object_path: bool):
     """Peak traced allocation (KiB) of one untimed build+run."""
     tracemalloc.start()
     try:
-        _run_once(scheme, partitioned, instructions, reference)
+        _run_once(scheme, partitioned, instructions, object_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -169,17 +151,14 @@ def _peak_kib(scheme: str, partitioned: bool, instructions: int, reference: bool
 def bench_kernel(
     scheme: str, partitioned: bool, instructions: int, rounds: int
 ) -> dict:
-    """Best-of-``rounds`` times for both kernel implementations.
+    """Best-of-``rounds`` times for the fast path and the object path.
 
     A separate, untimed run of each side under :mod:`tracemalloc`
     records the peak allocation footprint (tracing slows execution far
-    too much to share a run with the timing loop).  The flat
-    structure-of-arrays slot state shows up here: the optimized side's
-    steady state is a handful of ``array('q')`` columns, while the
-    reference side churns Candidate lists on every miss.
+    too much to share a run with the timing loop).
     """
-    opt_best = ref_best = None
-    opt_result = ref_result = None
+    opt_best = obj_best = None
+    opt_result = obj_result = None
     opt_tree = None
     opt_policy = None
     for _ in range(rounds):
@@ -188,23 +167,22 @@ def bench_kernel(
         )
         if opt_best is None or elapsed < opt_best:
             opt_best = elapsed
-        elapsed, ref_result, _, _ = _run_once(
+        elapsed, obj_result, _, _ = _run_once(
             scheme, partitioned, instructions, True
         )
-        if ref_best is None or elapsed < ref_best:
-            ref_best = elapsed
-    identical = opt_result == ref_result
+        if obj_best is None or elapsed < obj_best:
+            obj_best = elapsed
     return {
         "scheme": scheme,
         "partitioned": partitioned,
         "instructions": instructions,
         "rounds": rounds,
         "optimized_s": round(opt_best, 4),
-        "reference_s": round(ref_best, 4),
-        "speedup": round(ref_best / opt_best, 3) if opt_best else 0.0,
+        "object_s": round(obj_best, 4),
+        "speedup_vs_object": round(obj_best / opt_best, 3) if opt_best else 0.0,
         "optimized_peak_kib": _peak_kib(scheme, partitioned, instructions, False),
-        "reference_peak_kib": _peak_kib(scheme, partitioned, instructions, True),
-        "identical": identical,
+        "object_peak_kib": _peak_kib(scheme, partitioned, instructions, True),
+        "identical": opt_result == obj_result,
         "last_allocation": (
             list(opt_policy.last_allocation) if opt_policy is not None else None
         ),
@@ -216,43 +194,17 @@ def bench_kernel(
 FEED_PAIRS = 50_000
 
 
-def bench_trace_pipeline(instructions: int, rounds: int) -> dict:
-    """The trace pipeline's two speedups on the pinned kernel.
+def bench_trace_pipeline(rounds: int) -> dict:
+    """The trace feed's speedup on the pinned mix.
 
-    ``kernel``: the full pinned simulation with the chunk cursor
-    (store warm, the sweep steady state) against the same optimized
-    loop fed by per-event generator calls -- both must produce *equal*
-    results.  This number is bounded by the trace feed's share of the
-    kernel (~25% after PR 1's miss-path work), so it is modest.
-
-    ``feed``: trace production/consumption alone -- pulling
-    ``FEED_PAIRS`` pairs per core of the pinned mix through fresh
-    generators versus walking warm chunk buffers.  This is the
-    trace-path speedup the chunk store delivers to every job in a
-    sweep after the first.
+    Pulls ``FEED_PAIRS`` pairs per core of the pinned mix through
+    fresh generators versus walking warm chunk buffers: the trace-path
+    speedup the chunk store delivers to every job in a sweep after the
+    first.  Both walks must produce the same checksum.
     """
     from repro import traces
 
-    scheme, partitioned = KERNELS[0]
     store = traces.get_store()
-
-    # Warm the store (untimed): sweeps compile each mix's chunks once.
-    _run_once(scheme, partitioned, instructions, False, use_chunks=True)
-
-    chunk_best = gen_best = None
-    chunk_result = gen_result = None
-    for _ in range(rounds):
-        elapsed, chunk_result, _, _ = _run_once(
-            scheme, partitioned, instructions, False, use_chunks=True
-        )
-        if chunk_best is None or elapsed < chunk_best:
-            chunk_best = elapsed
-        elapsed, gen_result, _, _ = _run_once(
-            scheme, partitioned, instructions, False, use_chunks=False
-        )
-        if gen_best is None or elapsed < gen_best:
-            gen_best = elapsed
-
     mix = make_mix(MIX_CLASS, MIX_INDEX)
     specs = [
         app.trace_spec(base=core << 44, seed=SEED * 1000 + core)
@@ -301,15 +253,8 @@ def bench_trace_pipeline(instructions: int, rounds: int) -> dict:
             feed_chunk_best = elapsed
 
     return {
-        "scheme": scheme,
-        "instructions": instructions,
+        "mix": f"{MIX_CLASS}{MIX_INDEX}",
         "rounds": rounds,
-        "kernel": {
-            "generator_s": round(gen_best, 4),
-            "chunk_s": round(chunk_best, 4),
-            "speedup": round(gen_best / chunk_best, 3) if chunk_best else 0.0,
-            "identical": chunk_result == gen_result,
-        },
         "feed": {
             "pairs_per_core": FEED_PAIRS,
             "generator_s": round(feed_gen_best, 4),
@@ -325,55 +270,19 @@ def bench_trace_pipeline(instructions: int, rounds: int) -> dict:
     }
 
 
-def bench_batch(instructions: int, rounds: int) -> dict:
-    """The batch kernel layer's speedup on the pinned headline kernel.
-
-    Times the optimized loop with the batch scheduling kernels on
-    (``REPRO_BATCH=1``, the default) against the same loop on the
-    single-access fused path (``REPRO_BATCH=0``); both must produce
-    *equal* results.  This isolates the batch layer's contribution
-    from the reference-vs-optimized headline numbers.
-    """
-    scheme, partitioned = KERNELS[0]
-    on_best = off_best = None
-    on_result = off_result = None
-    on_calls = 0
-    for _ in range(rounds):
-        elapsed, on_result, _, _ = _run_once(
-            scheme, partitioned, instructions, False, use_batch=True
-        )
-        if on_best is None or elapsed < on_best:
-            on_best = elapsed
-        elapsed, off_result, _, _ = _run_once(
-            scheme, partitioned, instructions, False, use_batch=False
-        )
-        if off_best is None or elapsed < off_best:
-            off_best = elapsed
-    return {
-        "scheme": scheme,
-        "instructions": instructions,
-        "rounds": rounds,
-        "batch_on_s": round(on_best, 4),
-        "batch_off_s": round(off_best, 4),
-        "speedup": round(off_best / on_best, 3) if on_best else 0.0,
-        "identical": on_result == off_result,
-    }
-
-
 def bench_fastfwd(instructions: int, rounds: int) -> dict:
     """The analytical fast-forward layer on the pinned headline kernel.
 
     Times the headline mix with fast-forward pinned on
-    (``use_fastfwd=True``) against the exact optimized path
-    (``use_fastfwd=False``) and against the reference implementation --
-    the headline number.  The reference lane is re-timed *here*, in
-    the same round loop, rather than reusing the kernel section's
-    number: on a shared host the minutes between bench sections are
-    enough for load drift to skew a ratio whose sides were measured
-    at different times, so every round times all three lanes
-    back-to-back and the best of each is compared.  Fast-forward
-    replays converged epoch tails
-    through the Vantage transfer-function model, so its output is
+    (``use_fastfwd=True``) against the exact fast path
+    (``use_fastfwd=False``) and against the object path.  The object
+    path is re-timed *here*, in the same round loop, rather than
+    reusing the kernel section's number: on a shared host the minutes
+    between bench sections are enough for load drift to skew a ratio
+    whose sides were measured at different times, so every round times
+    all three lanes back-to-back and the best of each is compared.
+    Fast-forward replays converged epoch tails through the Vantage
+    transfer-function model, so its output is
     *approximate by design*: instead of the equality assertion every
     other section carries, this one records the accuracy deltas the
     contract bounds (worst per-core miss-rate delta and final
@@ -402,7 +311,7 @@ def bench_fastfwd(instructions: int, rounds: int) -> dict:
         elapsed = time.perf_counter() - start
         return elapsed, (result, cache, policy, system)
 
-    on_best = off_best = ref_best = None
+    on_best = off_best = obj_best = None
     on = off = None
     for _ in range(rounds):
         elapsed, run = once(True)
@@ -411,11 +320,9 @@ def bench_fastfwd(instructions: int, rounds: int) -> dict:
         elapsed, run = once(False)
         if off_best is None or elapsed < off_best:
             off_best, off = elapsed, run
-        elapsed, _, _, _ = _run_once(
-            scheme, True, instructions, reference=True
-        )
-        if ref_best is None or elapsed < ref_best:
-            ref_best = elapsed
+        elapsed, _, _, _ = _run_once(scheme, True, instructions, object_path=True)
+        if obj_best is None or elapsed < obj_best:
+            obj_best = elapsed
 
     on_result, on_cache, on_policy, on_system = on
     off_result, _, off_policy, _ = off
@@ -438,15 +345,17 @@ def bench_fastfwd(instructions: int, rounds: int) -> dict:
         "instructions": instructions,
         "rounds": rounds,
         "enabled": bool(ff is not None and ff.enabled),
-        "decline_reason": ff.decline_reason if ff is not None else None,
+        "decline_reason": (
+            ff.decline_reason if ff is not None else "no batch kernel (REPRO_FUSED=0)"
+        ),
         "fastfwd_s": round(on_best, 4),
         "exact_s": round(off_best, 4),
         "speedup_vs_exact": (
             round(off_best / on_best, 3) if on_best else 0.0
         ),
-        "reference_s": round(ref_best, 4),
-        "speedup": (
-            round(ref_best / on_best, 3) if on_best else 0.0
+        "object_s": round(obj_best, 4),
+        "speedup_vs_object": (
+            round(obj_best / on_best, 3) if on_best else 0.0
         ),
         "windows": ff.windows if ff is not None else 0,
         "triggers": ff.triggers if ff is not None else 0,
@@ -460,77 +369,8 @@ def bench_fastfwd(instructions: int, rounds: int) -> dict:
     }
 
 
-def _run_lane(instructions: int, numpy_on: bool):
-    """One single-core sa-LRU run on the requested batch lane.
-
-    The vectorized kernels only engage on single-core systems, so the
-    lane micro-kernel runs the pinned mix's first app alone against
-    ``lru-sa16``.  Returns ``(elapsed, result, batch_kind)``.
-    """
-    config = small_system(num_cores=1)
-    mix = make_mix(MIX_CLASS, MIX_INDEX)
-    cache = build_cache("lru-sa16", config.l2_lines, 1, seed=SEED)
-    factories = [mix.apps[0].trace_factory(base=0, seed=SEED * 1000)]
-    prev = os.environ.get("REPRO_NUMPY")
-    os.environ["REPRO_NUMPY"] = "1" if numpy_on else "0"
-    try:
-        system = CMPSystem(cache, factories, config, use_fastfwd=False)
-        start = time.perf_counter()
-        result = system.run(instructions)
-        elapsed = time.perf_counter() - start
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_NUMPY", None)
-        else:
-            os.environ["REPRO_NUMPY"] = prev
-    return elapsed, result, system.batch_kind
-
-
-def bench_lanes(instructions: int, rounds: int) -> dict:
-    """Pure-python vs vectorized (``REPRO_NUMPY=1``) batch lanes.
-
-    Both lanes are timed separately on the single-core sa-LRU lane
-    kernel and recorded side by side; when numpy is unavailable the
-    vectorized entry is ``None`` and only the pure-python lane runs.
-    Results must be *equal* whenever both lanes ran.
-    """
-    try:
-        import numpy  # noqa: F401
-
-        numpy_available = True
-    except ImportError:  # pragma: no cover - numpy is present in CI
-        numpy_available = False
-
-    python_best = numpy_best = None
-    python_result = numpy_result = None
-    python_kind = numpy_kind = None
-    for _ in range(rounds):
-        elapsed, python_result, python_kind = _run_lane(instructions, False)
-        if python_best is None or elapsed < python_best:
-            python_best = elapsed
-        if numpy_available:
-            elapsed, numpy_result, numpy_kind = _run_lane(instructions, True)
-            if numpy_best is None or elapsed < numpy_best:
-                numpy_best = elapsed
-    report = {
-        "scheme": "lru-sa16 (1 core)",
-        "instructions": instructions,
-        "rounds": rounds,
-        "numpy_available": numpy_available,
-        "pure_python": {
-            "elapsed_s": round(python_best, 4),
-            "batch_kind": python_kind,
-        },
-        "numpy": None,
-        "identical": True,
-    }
-    if numpy_available:
-        report["numpy"] = {
-            "elapsed_s": round(numpy_best, 4),
-            "batch_kind": numpy_kind,
-        }
-        report["identical"] = python_result == numpy_result
-    return report
+#: The gated per-kernel ratio: object-path time over fast-path time.
+RATIO = "speedup_vs_object"
 
 
 def compare_reports(
@@ -538,11 +378,12 @@ def compare_reports(
 ) -> list[str]:
     """Compare two bench reports; return regression descriptions.
 
-    A kernel regresses when its reference-vs-optimized speedup drops
-    more than ``tolerance`` (fractional) below the baseline report's,
-    and likewise for the batch layer's on/off speedup.  Kernels
-    present in only one report are ignored (the suite may grow), as
-    are smoke-mode baselines (their ratios are timing noise).
+    A kernel regresses when its speedup over the object path drops
+    more than ``tolerance`` (fractional) below the baseline report's.
+    Kernels missing from the baseline, or recorded there without that
+    ratio (such as the retired reference-lane ``speedup`` rows in old
+    history entries), are ignored, as are smoke-mode baselines (their
+    ratios are timing noise).
     """
     regressions: list[str] = []
     if baseline.get("smoke"):
@@ -552,25 +393,14 @@ def compare_reports(
     }
     for row in current.get("kernels", []):
         base = base_kernels.get(row["scheme"])
-        if base is None or not base.get("speedup"):
+        if base is None or not base.get(RATIO):
             continue
-        floor = base["speedup"] * (1.0 - tolerance)
-        if row["speedup"] < floor:
+        floor = base[RATIO] * (1.0 - tolerance)
+        if row[RATIO] < floor:
             regressions.append(
-                f"{row['scheme']}: speedup {row['speedup']:.2f}x is more "
+                f"{row['scheme']}: speedup {row[RATIO]:.2f}x is more "
                 f"than {tolerance:.0%} below the baseline "
-                f"{base['speedup']:.2f}x"
-            )
-    base_batch = baseline.get("batch")
-    cur_batch = current.get("batch")
-    if base_batch and cur_batch and base_batch.get("speedup"):
-        floor = base_batch["speedup"] * (1.0 - tolerance)
-        if cur_batch["speedup"] < floor:
-            regressions.append(
-                f"batch layer ({cur_batch['scheme']}): speedup "
-                f"{cur_batch['speedup']:.2f}x is more than "
-                f"{tolerance:.0%} below the baseline "
-                f"{base_batch['speedup']:.2f}x"
+                f"{base[RATIO]:.2f}x"
             )
     base_sweep = baseline.get("sweep")
     cur_sweep = current.get("sweep")
@@ -593,10 +423,9 @@ _HISTORY_KERNEL_FIELDS = (
     "partitioned",
     "instructions",
     "optimized_s",
-    "reference_s",
-    "speedup",
+    "object_s",
+    RATIO,
 )
-_HISTORY_BATCH_FIELDS = ("scheme", "speedup", "batch_on_s", "batch_off_s")
 #: Fast-forward history is record-only (no gate): its headline ratio
 #: folds in convergence behaviour, so machine noise aside, a "drop"
 #: can be a legitimate accuracy-motivated tuning change.  The series
@@ -605,8 +434,8 @@ _HISTORY_FASTFWD_FIELDS = (
     "scheme",
     "fastfwd_s",
     "exact_s",
-    "reference_s",
-    "speedup",
+    "object_s",
+    RATIO,
     "skipped_fraction",
 )
 #: Sweep-fabric history: the gated jobs/sec ratio plus the raw
@@ -635,8 +464,7 @@ def update_history(
     per run.  Before appending, the report is compared (via
     :func:`compare_reports`) against a synthetic best-of baseline
     drawn from the last ``window`` non-smoke entries: per kernel
-    scheme the highest recorded speedup, and the highest batch-layer
-    speedup.  Comparing against the best of a window rather than the
+    scheme the highest recorded speedup over the object path.  Comparing against the best of a window rather than the
     previous run keeps one slow run from silently ratcheting the
     floor down across a sequence of runs.  Smoke reports are appended
     (so the record shows CI activity) but never compared in either
@@ -663,18 +491,12 @@ def update_history(
     regressions: list[str] = []
     if recent:
         best_kernels: dict[str, dict] = {}
-        best_batch: dict | None = None
         best_sweep: dict | None = None
         for entry in recent:
             for row in entry.get("kernels", []):
                 best = best_kernels.get(row["scheme"])
-                if best is None or row["speedup"] > best["speedup"]:
+                if best is None or row.get(RATIO, 0) > best.get(RATIO, 0):
                     best_kernels[row["scheme"]] = row
-            batch = entry.get("batch")
-            if batch and (
-                best_batch is None or batch["speedup"] > best_batch["speedup"]
-            ):
-                best_batch = batch
             sweep = entry.get("sweep")
             if sweep and sweep.get("shm_speedup") and (
                 best_sweep is None
@@ -684,7 +506,6 @@ def update_history(
         baseline = {
             "smoke": False,
             "kernels": list(best_kernels.values()),
-            "batch": best_batch,
             "sweep": best_sweep,
         }
         regressions = compare_reports(report, baseline, tolerance)
@@ -698,11 +519,6 @@ def update_history(
             for row in report.get("kernels", [])
         ],
     }
-    batch = report.get("batch")
-    if batch:
-        entry["batch"] = {
-            k: batch[k] for k in _HISTORY_BATCH_FIELDS if k in batch
-        }
     ffd = report.get("fastfwd")
     if ffd and ffd.get("enabled"):
         entry["fastfwd"] = {
@@ -796,23 +612,21 @@ def run_bench(
     if tag is None:
         tag = "smoke" if smoke else "local"
 
+    # Warm the trace store (untimed): sweeps compile each mix's chunks
+    # once, and every kernel below replays the same pinned traces.
+    _run_once(*KERNELS[0], instructions, object_path=False)
     kernels = [
         bench_kernel(scheme, partitioned, instructions, rounds)
         for scheme, partitioned in KERNELS
     ]
-    trace = bench_trace_pipeline(instructions, rounds)
-    batch = bench_batch(instructions, rounds)
+    trace = bench_trace_pipeline(rounds)
     fastfwd = bench_fastfwd(instructions, rounds)
-    lanes = bench_lanes(instructions, rounds)
     stats_overhead = bench_stats_overhead(instructions, rounds)
     budget = SMOKE_STATS_OVERHEAD_BUDGET if smoke else STATS_OVERHEAD_BUDGET
     report = {
         "tag": tag,
         "smoke": smoke,
         "fused": fused_default(),
-        "batch": batch,
-        "batch_default": batch_default(),
-        "lanes": lanes,
         "pinned": {
             "mix": f"{MIX_CLASS}{MIX_INDEX}",
             "system": "small (2MB L2, 4 cores)",
@@ -828,23 +642,21 @@ def run_bench(
 
     print(f"repro bench ({'smoke, ' if smoke else ''}{instructions} instrs/core, "
           f"best of {rounds}, fused={'on' if report['fused'] else 'off'})")
-    print(f"{'kernel':>16s} {'reference':>10s} {'optimized':>10s} "
+    print(f"{'kernel':>16s} {'object':>10s} {'optimized':>10s} "
           f"{'speedup':>8s} {'peak KiB':>18s} {'identical':>10s}")
     for row in kernels:
-        peaks = f"{row['reference_peak_kib']:.0f}/{row['optimized_peak_kib']:.0f}"
+        peaks = f"{row['object_peak_kib']:.0f}/{row['optimized_peak_kib']:.0f}"
         print(
-            f"{row['scheme']:>16s} {row['reference_s']:>9.3f}s "
-            f"{row['optimized_s']:>9.3f}s {row['speedup']:>7.2f}x "
+            f"{row['scheme']:>16s} {row['object_s']:>9.3f}s "
+            f"{row['optimized_s']:>9.3f}s {row[RATIO]:>7.2f}x "
             f"{peaks:>18s} {str(row['identical']):>10s}"
         )
-    kernel_part = trace["kernel"]
     feed_part = trace["feed"]
     print(
-        f"trace pipeline on {trace['scheme']}: kernel "
-        f"{kernel_part['speedup']:.2f}x (chunk {kernel_part['chunk_s']:.3f}s / "
-        f"generator {kernel_part['generator_s']:.3f}s), feed "
-        f"{feed_part['speedup']:.2f}x over {feed_part['pairs_per_core']} "
-        f"pairs/core"
+        f"trace feed on {trace['mix']}: {feed_part['speedup']:.2f}x "
+        f"(chunk {feed_part['chunk_s']:.3f}s / generator "
+        f"{feed_part['generator_s']:.3f}s) over "
+        f"{feed_part['pairs_per_core']} pairs/core"
     )
     store = trace["store"]
     print(
@@ -852,15 +664,10 @@ def run_bench(
         f"{store['disk_hits']} disk hits, {store['compiles']} compiles, "
         f"{store['bytes_written']} bytes written"
     )
-    print(
-        f"batch layer on {batch['scheme']}: {batch['speedup']:.2f}x "
-        f"(on {batch['batch_on_s']:.3f}s / off {batch['batch_off_s']:.3f}s), "
-        f"identical={batch['identical']}"
-    )
     if fastfwd["enabled"]:
         print(
             f"fast-forward on {fastfwd['scheme']}: "
-            f"{fastfwd['speedup']:.2f}x vs reference, "
+            f"{fastfwd[RATIO]:.2f}x vs object path, "
             f"{fastfwd['speedup_vs_exact']:.2f}x vs exact "
             f"(fastfwd {fastfwd['fastfwd_s']:.3f}s / "
             f"exact {fastfwd['exact_s']:.3f}s), skipped "
@@ -873,21 +680,6 @@ def run_bench(
         print(
             f"fast-forward on {fastfwd['scheme']}: declined "
             f"({fastfwd['decline_reason']})"
-        )
-    numpy_lane = lanes["numpy"]
-    if numpy_lane is not None:
-        print(
-            f"lanes on {lanes['scheme']}: pure-python "
-            f"{lanes['pure_python']['elapsed_s']:.3f}s "
-            f"({lanes['pure_python']['batch_kind']}), numpy "
-            f"{numpy_lane['elapsed_s']:.3f}s ({numpy_lane['batch_kind']}), "
-            f"identical={lanes['identical']}"
-        )
-    else:
-        print(
-            f"lanes on {lanes['scheme']}: pure-python "
-            f"{lanes['pure_python']['elapsed_s']:.3f}s "
-            f"(numpy unavailable)"
         )
     print(
         f"stats overhead on {stats_overhead['scheme']}: "
@@ -904,15 +696,7 @@ def run_bench(
     mismatched = [row["scheme"] for row in kernels if not row["identical"]]
     if mismatched:
         raise AssertionError(
-            f"optimized and reference kernels diverge on: {', '.join(mismatched)}"
-        )
-    if not batch["identical"]:
-        raise AssertionError(
-            f"batch and single-access kernels diverge on {batch['scheme']}"
-        )
-    if not lanes["identical"]:
-        raise AssertionError(
-            f"pure-python and numpy batch lanes diverge on {lanes['scheme']}"
+            f"fast and object-path kernels diverge on: {', '.join(mismatched)}"
         )
     for row in kernels:
         if row["partitioned"] and not row["last_allocation"]:
@@ -921,10 +705,6 @@ def run_bench(
                 f"(empty last_allocation): the bench no longer covers "
                 f"the allocation path"
             )
-    if not trace["kernel"]["identical"]:
-        raise AssertionError(
-            f"chunk-cursor and generator feeds diverge on {trace['scheme']}"
-        )
     if not trace["feed"]["identical"]:
         raise AssertionError(
             "chunk replay diverges from generator output in the feed kernel"
@@ -939,7 +719,8 @@ def run_bench(
             f"stats collection costs {stats_overhead['overhead']:.2%} on "
             f"{stats_overhead['scheme']}, above the {budget:.0%} budget"
         )
-    if not fastfwd["enabled"]:
+    # Fast-forward rides the batch kernels, which REPRO_FUSED=0 removes.
+    if report["fused"] and not fastfwd["enabled"]:
         raise AssertionError(
             f"fast-forward declined the pinned kernel "
             f"({fastfwd['decline_reason']}): the bench no longer "
@@ -957,7 +738,7 @@ def run_bench(
             f"{fastfwd['final_alloc_delta']:.4f} from the exact path "
             f"on {fastfwd['scheme']}, above the 1% accuracy contract"
         )
-    if not smoke and fastfwd["skipped_fraction"] <= 0.0:
+    if not smoke and fastfwd["enabled"] and fastfwd["skipped_fraction"] <= 0.0:
         raise AssertionError(
             f"fast-forward skipped no accesses on {fastfwd['scheme']} "
             f"({fastfwd['skips']} skips, {fastfwd['aborts']} aborts): "

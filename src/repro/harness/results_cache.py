@@ -32,7 +32,7 @@ import tempfile
 from pathlib import Path
 
 #: Bump when simulation behaviour changes (results would differ).
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _DEFAULT_DIR = Path("results") / "cache"
 

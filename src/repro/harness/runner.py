@@ -25,6 +25,7 @@ from repro.harness.schemes import (
     scheme_reuse_aware,
 )
 from repro.sim import CMPSystem, SystemConfig, SystemResult
+from repro.sim.fastfwd import DEFAULT_TOL
 from repro.telemetry import StatGroup
 from repro.workloads import Mix
 
@@ -101,8 +102,8 @@ def run_mix(
     size_sample_cycles: int | None = None,
     use_l1: bool = False,
     vantage_config=None,
-    use_fastfwd: bool | None = None,
-    fastfwd_tol: float | None = None,
+    use_fastfwd: bool = False,
+    fastfwd_tol: float = DEFAULT_TOL,
 ) -> MixRun:
     """Simulate ``mix`` under ``scheme``.
 
@@ -112,8 +113,9 @@ def run_mix(
     ``vantage_config`` overrides the Vantage parameters derived from
     the scheme name (Figure 9's unmanaged-region sweep).
     ``use_fastfwd`` / ``fastfwd_tol`` pass through to
-    :class:`~repro.sim.system.CMPSystem` (None = read the
-    ``REPRO_FASTFWD`` / ``REPRO_FASTFWD_TOL`` environment knobs).
+    :class:`~repro.sim.system.CMPSystem`; the run is exact unless
+    ``use_fastfwd`` is set (the environment is read where jobs are
+    built, see :class:`~repro.harness.parallel.SimJob`).
     """
     if mix.num_cores != config.num_cores:
         raise ValueError(

@@ -12,10 +12,8 @@ from repro.partitioning.selective import SelectiveAllocationCache
 from repro.partitioning.way_partitioning import WayPartitionedCache
 
 # Imported last, for its side effects: registers the fused access
-# kernels for the schemes defined above, and the vectorized batch
-# variants consulted under REPRO_NUMPY=1.
+# kernels for the schemes defined above.
 import repro.partitioning.fused  # noqa: E402,F401
-import repro.partitioning.vectorized  # noqa: E402,F401
 
 __all__ = [
     "BaselineCache",

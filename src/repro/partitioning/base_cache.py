@@ -28,11 +28,6 @@ from typing import Callable
 from repro.arrays.base import CacheArray, Candidate
 from repro.replacement.base import ReplacementPolicy
 
-try:  # The numpy lane is optional; everything else is pure python.
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _numpy = None
-
 #: ``part_of`` value for an empty slot.  Partition IDs are
 #: non-negative and Vantage's unmanaged region is -1, so -2 keeps
 #: ``owner >= 0`` as the "slot holds an owned line" test while still
@@ -87,72 +82,13 @@ def register_fused_kernel(cls: type):
     return decorator
 
 
-def batch_default() -> bool:
-    """Whether the event loop should drive whole trace segments
-    through batch kernels.
-
-    Read from ``REPRO_BATCH`` at run time ("0" disables); the
-    single-access fused/object path stays available as the fallback
-    and as the oracle the batch kernels are pinned against.
-    """
-    return os.environ.get("REPRO_BATCH", "1") != "0"
-
-
-def fastfwd_default() -> bool:
-    """Whether the event loop may fast-forward converged epoch tails.
-
-    Read from ``REPRO_FASTFWD`` at run time; *off* unless set to
-    ``1``.  Fast-forward replays the Vantage transfer-function model
-    instead of simulating every access, so unlike every other lane it
-    is modelled, not bitwise-exact -- the default keeps all existing
-    parity guarantees untouched.
-    """
-    return os.environ.get("REPRO_FASTFWD", "0") == "1"
-
-
-def fastfwd_tolerance() -> float:
-    """Convergence tolerance of the fast-forward detector.
-
-    Read from ``REPRO_FASTFWD_TOL`` (default 0.02: per-partition
-    miss-rate/churn/aperture window deltas within 2 %).  ``0`` selects
-    *detection-only* mode: the detector runs and logs where a replay
-    would engage, but every access is still simulated exactly.
-    """
-    raw = os.environ.get("REPRO_FASTFWD_TOL")
-    if raw is None:
-        return 0.02
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_FASTFWD_TOL must be a number, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"REPRO_FASTFWD_TOL must be >= 0, got {value}")
-    return value
-
-
-def numpy_default() -> bool:
-    """Whether the vectorized (numpy) batch-kernel lane is requested.
-
-    Off by default: ``REPRO_NUMPY=1`` enables it for the cache
-    classes that register a vectorized builder (sa-LRU, the generic
-    set-associative baseline, way partitioning).  Requesting the lane
-    without numpy installed silently falls back to the pure-python
-    batch kernels -- both lanes are bitwise-identical by contract.
-    """
-    return os.environ.get("REPRO_NUMPY", "0") == "1" and _numpy is not None
-
-
-#: Registries of batch access-kernel builders, keyed by concrete
-#: cache class.  A builder is called as ``builder(cache, ctx)`` with a
+#: Registry of batch access-kernel builders, keyed by concrete cache
+#: class.  A builder is called as ``builder(cache, ctx)`` with a
 #: :class:`BatchContext` and returns a segment kernel (see
 #: :meth:`PartitionedCache.build_batch_kernel` for the signature), or
 #: ``None`` when the cache's array/policy combination has no batch
-#: kernel.  ``_NUMPY_KERNELS`` holds the optional vectorized variants
-#: consulted first when ``REPRO_NUMPY=1``.
+#: kernel.
 _BATCH_KERNELS: dict[type, Callable] = {}
-_NUMPY_KERNELS: dict[type, Callable] = {}
 
 
 def register_batch_kernel(cls: type):
@@ -160,16 +96,6 @@ def register_batch_kernel(cls: type):
 
     def decorator(builder: Callable):
         _BATCH_KERNELS[cls] = builder
-        return builder
-
-    return decorator
-
-
-def register_numpy_kernel(cls: type):
-    """Class decorator registering a vectorized batch builder for ``cls``."""
-
-    def decorator(builder: Callable):
-        _NUMPY_KERNELS[cls] = builder
         return builder
 
     return decorator
@@ -209,12 +135,6 @@ class BatchContext:
     l1s: list | None
     collect: bool
     l1_hits: list
-    #: True when every latency in the run is an integer (hit latency,
-    #: memory latency and the controllers' service cycles), so all
-    #: event times are integer-valued floats and vectorized time sums
-    #: are bitwise-equal to the scalar chain of additions.  The numpy
-    #: builders refuse to build without it.
-    exact_int_times: bool
     #: -- scheduler state (shared with CMPSystem.run, mutated in place)
     num_cores: int
     target: int
@@ -506,26 +426,16 @@ class PartitionedCache(ABC):
         (``times``/``heap``) at its current time, so re-entry resumes
         it through the ordinary selection scan -- there is no hidden
         resume state.  Behaviour is pinned bitwise-identical to the
-        single-access loop (``REPRO_BATCH=0``).
-
-        When ``REPRO_NUMPY=1`` and a vectorized builder is registered
-        for this class, it is consulted first; a vectorized builder
-        that declines (unsupported array/policy/L1 combination) falls
-        back to the pure-python batch builder.
+        object path (``REPRO_FUSED=0``).
 
         Caches with measurement hooks installed decline batching:
-        hooks may read hoisted registers mid-segment.
+        hooks may read hoisted registers mid-segment, so hooked runs
+        take the single-access fused path instead.
         """
         if self.eviction_hook is not None:
             return None
         if getattr(self, "demotion_hook", None) is not None:
             return None
-        if numpy_default():
-            builder = _NUMPY_KERNELS.get(type(self))
-            if builder is not None:
-                kernel = builder(self, ctx)
-                if kernel is not None:
-                    return kernel
         builder = _BATCH_KERNELS.get(type(self))
         if builder is None:
             return None

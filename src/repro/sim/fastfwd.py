@@ -29,12 +29,12 @@ simulating it:
 - the skip ends at the next epoch (or size-sample) boundary, where
   the re-seeded concrete state resumes exact simulation.
 
-Fast-forward is *opt-in* (``REPRO_FASTFWD=1``): the default path stays
-bitwise-identical across the whole existing flag cube, and even when
+Fast-forward is *opt-in* (``SimJob.fastfwd``, defaulting from
+``REPRO_FASTFWD=1``): the default path stays bitwise-exact, and even when
 enabled the layer declines any configuration whose extra state it
 cannot model (shared-hit policies, L1 filtering, non-UCP observers,
 non-chunked cores, caches without a parking batch kernel).
-``REPRO_FASTFWD_TOL=0`` selects detection-only mode: the detector and
+A tolerance of 0 selects detection-only mode: the detector and
 planner run and log where a skip *would* happen, but every access is
 still simulated.  A plan whose validation fails (per-core access
 shares drifting from the converged window, or the measured churn
@@ -57,6 +57,9 @@ except ImportError:  # pragma: no cover - the container ships numpy
 WINDOWS_PER_EPOCH = 16
 #: Consecutive stable windows required before a skip.
 K_WINDOWS = 2
+#: Default detector tolerance: per-partition miss-rate / churn /
+#: aperture window deltas within 2 %.
+DEFAULT_TOL = 0.02
 #: Detector tolerance used when ``REPRO_FASTFWD_TOL=0`` selects
 #: detection-only mode (the tolerance itself must stay meaningful).
 DETECT_TOL = 0.02
@@ -271,7 +274,7 @@ class FastForward:
         cache = self.cache
         policy = self.policy
         if kernel is None:
-            return "no batch kernel (REPRO_BATCH/REPRO_FUSED off or unsupported cache)"
+            return "no batch kernel (REPRO_FUSED=0, a hook installed, or unsupported cache)"
         if not getattr(kernel, "parks_state", False):
             return "batch kernel does not guarantee parked state at service stops"
         builder = getattr(cache, "model_for_fastfwd", None)

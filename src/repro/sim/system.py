@@ -36,22 +36,16 @@ requester, and reuse-aware UCP classifies such accesses separately.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.analysis.stats import SizeTimeSeries
-from repro.partitioning.base_cache import (
-    BatchContext,
-    batch_default,
-    fastfwd_default,
-    fastfwd_tolerance,
-)
+from repro.partitioning.base_cache import BatchContext
 from repro.sim.configs import SystemConfig
+from repro.sim.fastfwd import DEFAULT_TOL
 from repro.sim.l1 import L1Cache
 from repro.sim.memory import MemoryModel
 from repro.traces import TraceSpec, get_store
-from repro.traces.chunks import chunk_array_view
 
 
 @dataclass
@@ -93,7 +87,9 @@ class CMPSystem:
         One iterable factory per core: calling ``factory()`` returns a
         fresh (infinite or restartable) iterator of ``(gap, addr)``
         pairs, ``gap`` being the instructions executed since the
-        previous item.
+        previous item.  Cores whose factory is a
+        :class:`~repro.traces.TraceSpec` are fed from the compiled
+        chunk store; plain callables keep the generator feed.
     config:
         A :class:`~repro.sim.configs.SystemConfig`.
     policy:
@@ -104,21 +100,14 @@ class CMPSystem:
         then memory instructions, not L2 accesses).
     size_series / size_sample_cycles:
         Optional :class:`SizeTimeSeries` sampled on the given period.
-    use_chunks:
-        Feed cores whose factory is a :class:`~repro.traces.TraceSpec`
-        from the compiled chunk store instead of calling their
-        generators per event.  ``None`` (default) reads
-        ``REPRO_TRACE_CHUNKS`` (on unless set to ``0``).  Both feeds
-        produce bitwise-identical results (asserted by the parity
-        tests); plain callables always use the generator path.
     use_fastfwd / fastfwd_tol:
         Analytical fast-forward of converged epoch tails (see
-        :mod:`repro.sim.fastfwd`).  ``use_fastfwd=None`` reads
-        ``REPRO_FASTFWD`` (*off* unless ``1``); ``fastfwd_tol=None``
-        reads ``REPRO_FASTFWD_TOL`` (detector tolerance; ``0`` =
-        detection-only mode that logs triggers but skips nothing).
-        Requires the batch layer; ineligible configurations decline
-        with a recorded reason instead of diverging.
+        :mod:`repro.sim.fastfwd`); off by default, so a run is exact
+        unless its caller asks otherwise.  ``fastfwd_tol`` is the
+        detector tolerance (``0`` = detection-only mode that logs
+        triggers but skips nothing).  Requires the batch layer;
+        ineligible configurations decline with a recorded reason
+        instead of diverging.
     """
 
     def __init__(
@@ -130,10 +119,8 @@ class CMPSystem:
         use_l1: bool = False,
         size_series: SizeTimeSeries | None = None,
         size_sample_cycles: int | None = None,
-        use_chunks: bool | None = None,
-        use_batch: bool | None = None,
-        use_fastfwd: bool | None = None,
-        fastfwd_tol: float | None = None,
+        use_fastfwd: bool = False,
+        fastfwd_tol: float = DEFAULT_TOL,
     ):
         self.cache = cache
         self.trace_factories = list(traces)
@@ -166,32 +153,20 @@ class CMPSystem:
         # is exactly the stall total); epoch/sample counters are
         # per-epoch and always maintained.
         self._collect = telemetry.enabled()
-        if use_chunks is None:
-            use_chunks = os.environ.get("REPRO_TRACE_CHUNKS", "1") != "0"
-        self._use_chunks = use_chunks
-        if use_batch is None:
-            use_batch = batch_default()
         # Batching layers on top of the fused kernels: with
         # ``REPRO_FUSED=0`` the object path stays the oracle, so the
         # batch layer switches off with it (and with caches that have
         # no fused kernel installed).
-        self._use_batch = use_batch and bool(getattr(cache, "fused", False))
-        # Analytical fast-forward (repro.sim.fastfwd): off by default;
-        # rides the batch layer, so it switches off with it.  The layer
-        # itself may still decline at run time (``fastfwd.decline_reason``).
-        if use_fastfwd is None:
-            use_fastfwd = fastfwd_default()
-        self._use_fastfwd = use_fastfwd and self._use_batch
-        self._fastfwd_tol = (
-            fastfwd_tol if fastfwd_tol is not None else fastfwd_tolerance()
-        )
+        self._batch_layer = bool(getattr(cache, "fused", False))
+        # Analytical fast-forward (repro.sim.fastfwd) rides the batch
+        # layer, so it switches off with it.  The layer itself may
+        # still decline at run time (``fastfwd.decline_reason``).
+        self._use_fastfwd = use_fastfwd and self._batch_layer
+        self._fastfwd_tol = fastfwd_tol
         #: The run's :class:`~repro.sim.fastfwd.FastForward` instance
         #: (None until a fast-forward-requested run starts).
         self.fastfwd = None
         self.batch_calls = 0
-        #: which batch lane the last run used: "numpy" (vectorized),
-        #: "python" (pure-python mega kernel) or None (no batching).
-        self.batch_kind: str | None = None
         self._final_times = [0.0] * config.num_cores
         self._instruction_counts = [0] * config.num_cores
         self.l1_hits = [0] * config.num_cores
@@ -344,18 +319,16 @@ class CMPSystem:
             EqualSharePolicy.observe,
         ):
             # Static allocators observe nothing; dropping the no-op
-            # call keeps the kernels' per-access path tight and lets
-            # the vectorized lane accept these configurations.
+            # call keeps the kernels' per-access path tight.
             observe = None
         if isinstance(policy, UCPPolicy) and type(policy).observe is UCPPolicy.observe:
             sample_gets = policy._sample_gets
             observed = policy.observed
             mon_accesses = [m.access for m in policy.monitors]
             observe = None
-        memory = self.memory
         ctx = BatchContext(
             hit_latency=self.config.l2_hit_latency,
-            memory=memory,
+            memory=self.memory,
             observe=observe,
             sample_gets=sample_gets,
             observed=observed,
@@ -363,7 +336,6 @@ class CMPSystem:
             l1s=self.l1s,
             collect=self._collect,
             l1_hits=self.l1_hits,
-            exact_int_times=float(memory.service_cycles).is_integer(),
             num_cores=self.config.num_cores,
             target=target,
             bufs=bufs,
@@ -399,10 +371,14 @@ class CMPSystem:
         instruction count; IPC is measured at each core's crossing
         point, as in the paper.
 
-        This is the optimized event loop (the original is preserved as
-        :func:`repro.sim.reference.reference_run`); both produce
-        identical results, which ``tests/sim/test_reference_parity.py``
-        asserts.  Three strength reductions over the reference:
+        The oracle is this loop on the object path (``REPRO_FUSED=0``:
+        no fused kernels, so no batch kernel, and every event goes
+        through ``cache.access``).  The fast path -- the batch kernel,
+        with the single-access fused closures for events it hands
+        back -- must match it bitwise, which the parity suites
+        (``tests/integration/``, ``tests/sim/test_reference_parity.py``)
+        assert.  The loop itself carries three strength reductions over
+        a plain ``(t, cid)`` heap:
 
         - cores with few peers are scheduled by a linear two-minimum
           scan instead of a heap -- strict ``<`` picks the lowest core
@@ -430,11 +406,8 @@ class CMPSystem:
 
         num_cores = config.num_cores
         trace_factories = self.trace_factories
-        store = get_store() if self._use_chunks else None
-        chunked = [
-            store is not None and isinstance(factory, TraceSpec)
-            for factory in trace_factories
-        ]
+        store = get_store()
+        chunked = [isinstance(factory, TraceSpec) for factory in trace_factories]
         iterators: list = [None] * num_cores
         nexts: list = [None] * num_cores
         bufs: list = [()] * num_cores
@@ -462,7 +435,7 @@ class CMPSystem:
         # core to the single-access path (reason 4).
         batched = [False] * num_cores
         batch_kernel = None
-        if self._use_batch and any(chunked):
+        if self._batch_layer and any(chunked):
             batch_kernel = self._build_batch_kernel(
                 instructions_per_core,
                 bufs,
@@ -478,16 +451,6 @@ class CMPSystem:
         if batch_kernel is not None:
             for cid in range(num_cores):
                 batched[cid] = chunked[cid]
-        self.batch_kind = (
-            None
-            if batch_kernel is None
-            else ("numpy" if getattr(batch_kernel, "vectorized", False) else "python")
-        )
-        # Vectorized kernels additionally read chunks as int64 ndarray
-        # views; their buffers are (list, ndarray) pairs.
-        need_arrays = batch_kernel is not None and getattr(
-            batch_kernel, "chunk_arrays", False
-        )
 
         ff = None
         if self._use_fastfwd:
@@ -527,13 +490,10 @@ class CMPSystem:
                 ) from None
             except ValueError as exc:
                 raise ValueError(f"trace for core {cid}: {exc}") from None
-            limit = len(buf)
-            if need_arrays:
-                buf = (buf, chunk_array_view(store.get_chunk(factory, index)))
             next_chunk[cid] += 1
             trace_chunks[cid] += 1
             bufs[cid] = buf
-            limits[cid] = limit
+            limits[cid] = len(buf)
             positions[cid] = 0
             return buf
 

@@ -70,17 +70,3 @@ def chunk_instructions(buf) -> int:
     """
     return len(buf) // 2 + sum(buf[0::2])
 
-
-def chunk_array_view(chunk: array):
-    """Zero-copy ``int64`` ndarray view of a compiled chunk.
-
-    The vectorized batch kernels (``REPRO_NUMPY=1``) slice gap/addr
-    columns out of this view; the list form stays the scalar cursor
-    format.  Returns ``None`` when numpy is unavailable (callers fall
-    back to the scalar kernels).
-    """
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is present in CI
-        return None
-    return numpy.frombuffer(chunk, dtype=numpy.int64)

@@ -8,10 +8,10 @@ lets the trace store (:mod:`repro.traces.store`) compile it once and
 replay it everywhere.
 
 A spec is itself callable and returns a fresh generator, so it is a
-drop-in trace factory for :class:`~repro.sim.system.CMPSystem`: the
-generator path (and the reference event loop) call ``spec()`` exactly
-as they called the old ``functools.partial`` factories, while the
-optimized loop recognises the spec and switches to the chunk cursor.
+drop-in trace factory for :class:`~repro.sim.system.CMPSystem`; the
+event loop recognises the spec and feeds that core from the chunk
+cursor, while plain callables (``spec.generator`` included) keep the
+generator cursor.
 
 Cache keys fold in a *generator-source fingerprint* (the digest of the
 generator functions a kind executes), mirroring how the scheme

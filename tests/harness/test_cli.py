@@ -88,8 +88,7 @@ class TestBenchCompare:
 
     REPORT = {
         "smoke": False,
-        "kernels": [{"scheme": "vantage-z4/52", "speedup": 9.0}],
-        "batch": {"scheme": "vantage-z4/52", "speedup": 2.0},
+        "kernels": [{"scheme": "vantage-z4/52", "speedup_vs_object": 9.0}],
     }
 
     def _stub_bench(self, monkeypatch):
@@ -106,10 +105,9 @@ class TestBenchCompare:
                 {
                     "smoke": False,
                     "kernels": [
-                        {"scheme": "vantage-z4/52", "speedup": speedup}
+                        {"scheme": "vantage-z4/52", "speedup_vs_object": speedup}
                     ],
-                    "batch": {"scheme": "vantage-z4/52", "speedup": 2.0},
-                }
+                            }
             )
         )
         return str(path)
@@ -204,16 +202,10 @@ class TestBenchHistory:
                     "partitioned": True,
                     "instructions": 1000,
                     "optimized_s": 1.0,
-                    "reference_s": speedup,
-                    "speedup": speedup,
+                    "object_s": speedup,
+                    "speedup_vs_object": speedup,
                 }
             ],
-            "batch": {
-                "scheme": "vantage-z4/52",
-                "speedup": 2.0,
-                "batch_on_s": 0.5,
-                "batch_off_s": 1.0,
-            },
         }
         monkeypatch.setattr(bench, "run_bench", lambda **kw: dict(report))
 
@@ -229,7 +221,7 @@ class TestBenchHistory:
         assert "appended to" in capsys.readouterr().out
         entries = self._entries(history)
         assert len(entries) == 1
-        assert entries[0]["kernels"][0]["speedup"] == 9.0
+        assert entries[0]["kernels"][0]["speedup_vs_object"] == 9.0
         # Entries are slimmed: raw timings kept, peak-memory and
         # identical flags dropped.
         assert "identical" not in entries[0]["kernels"][0]
@@ -268,7 +260,7 @@ class TestBenchHistory:
                         "tag": "ci",
                         "smoke": True,
                         "kernels": [
-                            {"scheme": "vantage-z4/52", "speedup": 99.0}
+                            {"scheme": "vantage-z4/52", "speedup_vs_object": 99.0}
                         ],
                     }
                 ]
@@ -290,14 +282,14 @@ class TestBenchHistory:
             {
                 "tag": "old",
                 "smoke": False,
-                "kernels": [{"scheme": "vantage-z4/52", "speedup": 50.0}],
+                "kernels": [{"scheme": "vantage-z4/52", "speedup_vs_object": 50.0}],
             }
         ]
         entries += [
             {
                 "tag": f"run{i}",
                 "smoke": False,
-                "kernels": [{"scheme": "vantage-z4/52", "speedup": 5.0}],
+                "kernels": [{"scheme": "vantage-z4/52", "speedup_vs_object": 5.0}],
             }
             for i in range(5)
         ]

@@ -6,7 +6,8 @@ The guarantees under test:
   each job serially through ``run_mix``;
 - a cache hit returns the same outcome as a fresh simulation;
 - duplicate jobs (and a baseline repeated inside a scheme list) are
-  simulated only once.
+  simulated only once;
+- fast-forward (approximate) and exact outcomes never share a key.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.harness import SimJob, relative_throughputs, run_jobs, run_mix
 from repro.harness import results_cache
+from repro.harness.parallel import execute_job
 from repro.sim import small_system
 from repro.workloads import make_mix
 
@@ -87,10 +89,42 @@ def test_job_key_distinguishes_inputs():
         SimJob(mix, "lru-sa16", config, INSTRUCTIONS, seed=1),
         SimJob(mix, "lru-sa16", config, INSTRUCTIONS + 1, seed=0),
         SimJob(make_mix("ttnn", 1), "lru-sa16", config, INSTRUCTIONS, seed=0),
+        SimJob(mix, "lru-sa16", config, INSTRUCTIONS, seed=0, fastfwd=True),
+        SimJob(mix, "lru-sa16", config, INSTRUCTIONS, seed=0, fastfwd_tol=0.5),
     ]
     keys = {results_cache.job_key(v) for v in variants}
     assert results_cache.job_key(base) not in keys
     assert len(keys) == len(variants)
+
+
+def _fastfwd_probe_job() -> SimJob:
+    """A job on which fast-forward skips work (so its outcome differs
+    from the exact one); the fast-forward fields come from the
+    environment, as for any job built in a sweep script."""
+    return SimJob(
+        make_mix("sftn", 1),
+        "vantage-z4/52",
+        small_system(epoch_cycles=150_000),
+        30_000,
+        seed=0,
+    )
+
+
+def test_fastfwd_sweep_does_not_poison_exact_results(cache_dir, monkeypatch):
+    """A ``REPRO_FASTFWD=1`` sweep, then an exact sweep in the same
+    results cache: the exact sweep gets the exact outcome, not the
+    approximate one the first sweep stored."""
+    monkeypatch.setenv("REPRO_FASTFWD", "1")
+    fast = run_jobs([_fastfwd_probe_job()], workers=1)[0]
+
+    monkeypatch.setenv("REPRO_FASTFWD", "0")
+    exact_job = _fastfwd_probe_job()
+    inline = execute_job(exact_job)
+    assert fast.result != inline.result, "fast-forward skipped nothing"
+
+    served = run_jobs([exact_job], workers=1)[0]
+    assert served.result == inline.result
+    assert len(list(cache_dir.rglob("*.pkl"))) == 2
 
 
 def test_relative_throughputs_reuses_baseline(cache_dir):

@@ -1,39 +1,36 @@
 """Cross-path parity for the batch access kernel layer.
 
-The batch kernels (``REPRO_BATCH``, on by default) run whole segments
-of compiled trace chunks inside one closure call, returning to the
-event loop only at epoch/sample boundaries, chunk refills, and run
-completion.  They are strength reductions over the fused single-access
-path, which is itself a strength reduction over the object path -- so
-every flag combination must produce bitwise-identical results:
+The batch kernels run whole segments of compiled trace chunks inside
+one closure call, returning to the event loop only at epoch/sample
+boundaries, chunk refills, non-chunked cores and run completion.  They
+are strength reductions over the object path (``REPRO_FUSED=0``: no
+fused kernels, hence no batch kernel, every event through
+``cache.access``), the oracle -- so both lanes must produce
+bitwise-identical results:
 
-* ``REPRO_BATCH`` on/off across every scheme family,
-* randomized combinations of ``REPRO_BATCH`` x ``REPRO_FUSED`` x
-  ``REPRO_TRACE_CHUNKS`` x ``REPRO_NUMPY``,
-* mid-run ``set_allocations`` (epoch repartitions land *between*
+* across every scheme family, on randomly drawn mixes and seeds,
+* with mid-run ``set_allocations`` (epoch repartitions land *between*
   batched segments: the kernel parks at the service boundary and the
   loop re-enters it),
-* the heap scheduler path (``num_cores > 8``), which has its own run
-  continuation,
-* the optional vectorized lane (``REPRO_NUMPY=1``) inside and outside
-  its support envelope.
+* on the heap scheduler path (``num_cores > 8``), which has its own
+  run continuation,
+* with plain-callable cores mixed in, whose events the kernel hands
+  back to the single-access fused path (reason 4).
 """
 
 import random
 
 import pytest
 
-from repro.arrays.set_assoc import SetAssociativeArray
-from repro.allocation.static import StaticPolicy
+from repro import telemetry
 from repro.harness.env import require_bitwise
-from repro.harness.runner import build_cache, run_mix
+from repro.harness.runner import build_cache, build_policy, run_mix
 from repro.harness.schemes import scheme_partitioned
-from repro.partitioning.base_cache import BaselineCache
-from repro.replacement.lru import PerfectLRUPolicy
 from repro.sim import CMPSystem
 from repro.sim.configs import small_system
+from repro.traces import TraceSpec
 from repro.workloads import make_mix
-from repro.workloads.mixes import Mix, mix_classes
+from repro.workloads.mixes import mix_classes
 
 @pytest.fixture(autouse=True)
 def _bitwise_guard():
@@ -60,13 +57,6 @@ SCHEMES = [
     "pipp-sa64",
 ]
 
-FLAG_NAMES = ("REPRO_BATCH", "REPRO_FUSED", "REPRO_TRACE_CHUNKS", "REPRO_NUMPY")
-
-
-def _clear_flags(monkeypatch):
-    for name in FLAG_NAMES:
-        monkeypatch.delenv(name, raising=False)
-
 
 def _config(scheme: str, **overrides):
     if scheme_partitioned(scheme) and not scheme.startswith("pipp"):
@@ -86,54 +76,58 @@ def _draw_combos():
 COMBOS = _draw_combos()
 
 
+def _both_lanes(monkeypatch, mix, scheme, config, seed):
+    """``(fast, object)`` runs of one mix: the default lane, then the
+    object path under ``REPRO_FUSED=0``."""
+    monkeypatch.delenv("REPRO_FUSED", raising=False)
+    fast = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
+    monkeypatch.setenv("REPRO_FUSED", "0")
+    plain = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
+    assert plain.system.batch_calls == 0
+    return fast, plain
+
+
 @pytest.mark.parametrize("scheme,mix_class,mix_index,seed", COMBOS)
 def test_batch_matches_single_access(monkeypatch, scheme, mix_class, mix_index, seed):
-    """Whole-segment dispatch vs the per-access loop, every scheme."""
+    """Whole-segment dispatch vs the object path's per-access loop,
+    every scheme."""
     mix = make_mix(mix_class, mix_index)
-    config = _config(scheme)
-
-    _clear_flags(monkeypatch)
-    batched = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
-    assert batched.system.batch_kind == "python"
+    batched, plain = _both_lanes(monkeypatch, mix, scheme, _config(scheme), seed)
     assert batched.system.batch_calls > 0
-
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    plain = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
-    assert plain.system.batch_kind is None
-    assert plain.system.batch_calls == 0
 
     assert batched.result == plain.result
     assert batched.stats() == plain.stats()
 
 
-def _draw_flag_combos():
-    """Random points in the flag cube, baseline excluded; the draw is
-    seeded so failures reproduce."""
-    rng = random.Random(0xF1A65)
-    classes = mix_classes()
-    combos = []
-    for scheme in ("lru-sa16", "vantage-z4/52", "waypart-sa16"):
-        for _ in range(3):
-            flags = {name: rng.choice(("0", "1")) for name in FLAG_NAMES}
-            combos.append(
-                (
-                    scheme,
-                    rng.choice(classes),
-                    rng.randrange(1000),
-                    tuple(sorted(flags.items())),
-                )
-            )
-    return combos
+#: More (scheme, mix class, seed) sample points on the three scheme
+#: families with distinct batch kernels, each compared against the
+#: object path.
+SAMPLE_POINTS = [
+    ("lru-sa16", "tttn", 304),
+    ("lru-sa16", "tnnn", 284),
+    ("lru-sa16", "fttn", 930),
+    ("vantage-z4/52", "ssft", 768),
+    ("vantage-z4/52", "fftn", 48),
+    ("vantage-z4/52", "tnnn", 608),
+    ("waypart-sa16", "nnnn", 581),
+    ("waypart-sa16", "sftt", 367),
+    ("waypart-sa16", "nnnn", 903),
+]
+
+#: The lane switch that selects the object path.
+OBJECT_PATH = (("REPRO_FUSED", "0"),)
 
 
-@pytest.mark.parametrize("scheme,mix_class,seed,flags", _draw_flag_combos())
+@pytest.mark.parametrize(
+    "scheme,mix_class,seed,flags", [(*point, OBJECT_PATH) for point in SAMPLE_POINTS]
+)
 def test_random_flag_combinations(monkeypatch, scheme, mix_class, seed, flags):
-    """Every point in the REPRO_BATCH x REPRO_FUSED x
-    REPRO_TRACE_CHUNKS x REPRO_NUMPY cube is the same simulation."""
+    """``REPRO_FUSED`` is the only lane switch: setting it (``flags``)
+    selects the same simulation as the default fast path."""
     mix = make_mix(mix_class, 1)
     config = _config(scheme)
 
-    _clear_flags(monkeypatch)
+    monkeypatch.delenv("REPRO_FUSED", raising=False)
     baseline = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
 
     for name, value in flags:
@@ -141,13 +135,7 @@ def test_random_flag_combinations(monkeypatch, scheme, mix_class, seed, flags):
     variant = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
 
     assert variant.result == baseline.result
-    expected = baseline.stats()
-    actual = variant.stats()
-    # Feed telemetry, not simulation output: chunk counts are zero by
-    # construction when REPRO_TRACE_CHUNKS=0 disables the chunk feed.
-    expected["sim"].pop("trace_chunks", None)
-    actual["sim"].pop("trace_chunks", None)
-    assert actual == expected
+    assert variant.stats() == baseline.stats()
 
 
 @pytest.mark.parametrize("scheme", ["waypart-sa16", "vantage-sa16"])
@@ -157,16 +145,10 @@ def test_set_allocations_mid_batch_segment(monkeypatch, scheme):
     partition registers it captured as closure cells, and resume
     bitwise-identically to the per-access loop."""
     mix = make_mix("nftt", 2)
-    config = _config(scheme)
-
-    _clear_flags(monkeypatch)
-    batched = run_mix(mix, scheme, config, INSTRUCTIONS, seed=11)
+    batched, plain = _both_lanes(monkeypatch, mix, scheme, _config(scheme), 11)
     # At least one service boundary split the run into multiple
     # kernel entries -- otherwise this test exercises nothing.
     assert batched.system.batch_calls >= 2
-
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    plain = run_mix(mix, scheme, config, INSTRUCTIONS, seed=11)
 
     assert batched.result == plain.result
     assert batched.stats() == plain.stats()
@@ -181,116 +163,50 @@ def test_heap_scheduler_batch_parity(monkeypatch, scheme):
     mix = make_mix("nfts", 1, apps_per_slot=3)  # 12 cores
     assert mix.num_cores == 12
     config = _config(scheme, num_cores=12)
-
-    _clear_flags(monkeypatch)
-    batched = run_mix(mix, scheme, config, INSTRUCTIONS, seed=5)
+    batched, plain = _both_lanes(monkeypatch, mix, scheme, config, 5)
     assert batched.system.batch_calls > 0
-
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    plain = run_mix(mix, scheme, config, INSTRUCTIONS, seed=5)
 
     assert batched.result == plain.result
     assert batched.stats() == plain.stats()
 
 
-# -- the vectorized lane (REPRO_NUMPY=1) --------------------------------
-
-numpy = pytest.importorskip("numpy")
-
-NUMPY_INSTRUCTIONS = 60_000
-
-
-def _solo_mix():
-    m = make_mix("nftt", 1)
-    return Mix(name="solo", class_letters="n", apps=(m.apps[0],))
-
-
-def test_numpy_lane_matches_python_lane(monkeypatch):
-    """Single-core sa-LRU is inside the vectorized envelope; the lane
-    must engage (``batch_kind == "numpy"``) and agree bitwise."""
-    mix = _solo_mix()
-    config = small_system(num_cores=1)
-
-    _clear_flags(monkeypatch)
-    python = run_mix(mix, "lru-sa16", config, NUMPY_INSTRUCTIONS, seed=7)
-    assert python.system.batch_kind == "python"
-
-    monkeypatch.setenv("REPRO_NUMPY", "1")
-    vector = run_mix(mix, "lru-sa16", config, NUMPY_INSTRUCTIONS, seed=7)
-    assert vector.system.batch_kind == "numpy"
-
-    assert vector.result == python.result
-    assert vector.stats() == python.stats()
+def _mixed_feed_run(scheme: str, seed: int):
+    """Cores 0 and 2 keep their :class:`TraceSpec` (chunk-fed); cores 1
+    and 3 get the same streams as plain callables (generator-fed)."""
+    mix = make_mix("sftn", 1)
+    config = _config(scheme)
+    cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=seed)
+    policy = (
+        build_policy(cache, config, seed) if scheme_partitioned(scheme) else None
+    )
+    specs = mix.trace_factories(seed)
+    factories = [
+        spec if cid % 2 == 0 else spec.generator for cid, spec in enumerate(specs)
+    ]
+    system = CMPSystem(cache, factories, config, policy=policy)
+    tree = telemetry.system_tree(cache=cache, system=system, policy=policy)
+    result = system.run(INSTRUCTIONS)
+    return result, tree.snapshot(), system
 
 
-def test_numpy_lane_declines_multicore(monkeypatch):
-    """Outside the envelope (multiple cores) the lane must fall back
-    to the scalar batch kernel, not engage incorrectly."""
-    mix = make_mix("nftt", 1)
-    config = small_system()
+@pytest.mark.parametrize("scheme", ["vantage-z4/52", "lru-sa16"])
+def test_plain_callable_cores_bounce_through_reason_4(monkeypatch, scheme):
+    """Plain-callable cores have no chunks: the batch kernel hands each
+    of their events back to the event loop (reason 4), which runs it
+    on the single-access fused closure.  The interleaving must match
+    the object path bitwise."""
+    monkeypatch.delenv("REPRO_FUSED", raising=False)
+    result, stats, system = _mixed_feed_run(scheme, seed=21)
+    assert all(isinstance(f, TraceSpec) for f in system.trace_factories[::2])
+    assert system.trace_chunks[1] == system.trace_chunks[3] == 0
+    # More kernel entries than epoch services (reason 1), refills
+    # (reason 2) and the final return (reason 3) account for: the rest
+    # are reason-4 bounces.
+    assert system.batch_calls > system.epochs + sum(system.trace_chunks) + 1
 
-    _clear_flags(monkeypatch)
-    monkeypatch.setenv("REPRO_NUMPY", "1")
-    r = run_mix(mix, "lru-sa16", config, INSTRUCTIONS, seed=3)
-    assert r.system.batch_kind == "python"
+    monkeypatch.setenv("REPRO_FUSED", "0")
+    plain_result, plain_stats, plain = _mixed_feed_run(scheme, seed=21)
+    assert plain.batch_calls == 0
 
-
-def _numpy_state(cache):
-    return {
-        "tags": list(cache.array._tags),
-        "state": list(cache.policy.state),
-        "accesses": list(cache.stats.accesses),
-        "hits": list(cache.stats.hits),
-        "misses": list(cache.stats.misses),
-        "evictions": list(cache.stats.evictions),
-    }
-
-
-def test_numpy_lane_perfect_lru(monkeypatch):
-    """PerfectLRUPolicy (monotone clock) drives the second stamp
-    column of the vectorized kernel."""
-    config = small_system(num_cores=1)
-    mix = _solo_mix()
-    lines = config.l2_lines
-
-    def run(numpy_on):
-        monkeypatch.setenv("REPRO_NUMPY", "1" if numpy_on else "0")
-        cache = BaselineCache(
-            SetAssociativeArray(lines, 16, seed=3), PerfectLRUPolicy(lines)
-        )
-        system = CMPSystem(
-            cache, [mix.apps[0].trace_factory(base=0, seed=7000)], config
-        )
-        result = system.run(NUMPY_INSTRUCTIONS)
-        return result, _numpy_state(cache), system.batch_kind
-
-    scalar_result, scalar_state, _ = run(False)
-    vector_result, vector_state, kind = run(True)
-    assert kind == "numpy"
-    assert vector_result == scalar_result
-    assert vector_state == scalar_state
-
-
-def test_numpy_lane_waypart_static(monkeypatch):
-    """Way-partitioned caches with a static allocation policy stay
-    inside the envelope (no-op ``observe`` is dropped)."""
-    config = small_system(num_cores=1)
-    mix = _solo_mix()
-
-    def run(numpy_on):
-        monkeypatch.setenv("REPRO_NUMPY", "1" if numpy_on else "0")
-        cache = build_cache("waypart-sa16", config.l2_lines, 1, seed=7)
-        system = CMPSystem(
-            cache,
-            [mix.apps[0].trace_factory(base=0, seed=7000)],
-            config,
-            policy=StaticPolicy([16]),
-        )
-        result = system.run(NUMPY_INSTRUCTIONS)
-        return result, _numpy_state(cache), system.batch_kind
-
-    scalar_result, scalar_state, _ = run(False)
-    vector_result, vector_state, kind = run(True)
-    assert kind == "numpy"
-    assert vector_result == scalar_result
-    assert vector_state == scalar_state
+    assert result == plain_result
+    assert stats == plain_stats

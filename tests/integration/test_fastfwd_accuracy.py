@@ -1,6 +1,6 @@
 """Fast-forward accuracy contract on a fig-6 mix sample.
 
-The tentpole's promise: with ``REPRO_FASTFWD=1``, per-partition miss
+The layer's promise: with fast-forward on, per-partition miss
 rates and final Lookahead allocations stay within 1% of the exact
 path while a nonzero fraction of accesses is skipped.  This suite
 enforces exactly that on a sample of the fig-6 4-core mixes (the
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness import SimJob
+from repro.harness.parallel import execute_job
 from repro.harness.runner import run_mix
 from repro.sim.configs import small_system
 from repro.workloads import make_mix
@@ -89,18 +91,30 @@ def test_fastfwd_within_one_percent(mix_class, mix_index):
 
 def test_fastfwd_env_knobs(monkeypatch):
     """``REPRO_FASTFWD=1`` in the environment (the knob CI and users
-    set) engages the layer through the default ``use_fastfwd=None``
-    plumbing, and ``REPRO_FASTFWD_TOL=0`` selects detection-only."""
-    monkeypatch.setenv("REPRO_FASTFWD", "1")
+    set) becomes the default of jobs built under it, and
+    ``REPRO_FASTFWD_TOL=0`` selects detection-only; the simulator
+    itself never reads either knob."""
     config = small_system(epoch_cycles=EPOCH_CYCLES)
     mix = make_mix("sftn", 1)
-    run = run_mix(mix, "vantage-z4/52", config, 30_000, seed=SEED)
-    ff = run.system.fastfwd
-    assert ff is not None and ff.enabled and not ff.detect_only
-    assert ff.skips > 0
+
+    monkeypatch.setenv("REPRO_FASTFWD", "1")
+    job = SimJob(mix, "vantage-z4/52", config, 30_000, seed=SEED)
+    assert job.fastfwd is True
+    ff = execute_job(job).stats["sim"]["fastfwd"]
+    assert ff["active"] and not ff["detect_only"]
+    assert ff["skips"] > 0
 
     monkeypatch.setenv("REPRO_FASTFWD_TOL", "0")
-    run2 = run_mix(mix, "vantage-z4/52", config, 30_000, seed=SEED)
-    ff2 = run2.system.fastfwd
-    assert ff2 is not None and ff2.enabled and ff2.detect_only
-    assert ff2.skips == 0 and ff2.would_skip_accesses > 0
+    job2 = SimJob(mix, "vantage-z4/52", config, 30_000, seed=SEED)
+    assert job2.fastfwd_tol == 0.0
+    ff2 = execute_job(job2).stats["sim"]["fastfwd"]
+    assert ff2["active"] and ff2["detect_only"]
+    assert ff2["skips"] == 0 and ff2["would_skip_accesses"] > 0
+
+    # A run built without a job stays exact whatever the environment.
+    run = run_mix(mix, "vantage-z4/52", config, 30_000, seed=SEED)
+    assert run.system.fastfwd is None
+
+    monkeypatch.setenv("REPRO_FASTFWD_TOL", "-1")
+    with pytest.raises(ValueError, match="REPRO_FASTFWD_TOL"):
+        SimJob(mix, "vantage-z4/52", config, 30_000, seed=SEED)

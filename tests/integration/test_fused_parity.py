@@ -1,16 +1,16 @@
 """Randomized cross-path parity for the fused access kernels.
 
-Every cache scheme runs through up to three per-access paths:
+Every cache scheme runs through up to three access paths:
 
-* the fused kernel (``REPRO_FUSED`` unset, the default),
-* the object path (``REPRO_FUSED=0``: Candidate lists and
-  ``select_victim``), and
-* -- where a reference twin exists -- the pre-optimization reference
-  implementation from :mod:`repro.sim.reference`.
+* the batch kernel (``REPRO_FUSED`` unset, the default),
+* the single-access fused closure, which serves runs the batch kernel
+  declines -- measurement-hooked runs (Fig 1, the Fig 8 heat map),
+  direct ``cache.access`` callers and plain-callable cores -- and
+* the object path (``REPRO_FUSED=0``: ``Candidate`` lists and
+  ``select_victim``), the reference both fast paths are pinned to.
 
 The fused kernels are strength reductions, not behaviour changes, so
 all paths must produce bitwise-identical :class:`SystemResult`s and
-(for the two optimized paths, which share the telemetry spine)
 identical stats trees.  Combinations of scheme, mix and seed are drawn
 from a seeded RNG: the point is cross-path identity on inputs nobody
 hand-picked, with the golden-stats suite pinning the hand-picked ones.
@@ -20,17 +20,12 @@ import random
 
 import pytest
 
+from repro import telemetry
 from repro.harness.env import require_bitwise
 from repro.harness.runner import build_policy, run_mix
 from repro.harness.schemes import build_cache, scheme_partitioned
 from repro.sim import CMPSystem
 from repro.sim.configs import small_system
-from repro.sim.reference import (
-    REFERENCE_CACHE_CLASSES,
-    as_reference_cache,
-    as_reference_policy,
-    reference_run,
-)
 from repro.workloads import make_mix
 from repro.workloads.mixes import mix_classes
 
@@ -77,10 +72,15 @@ def _draw_combos():
 COMBOS = _draw_combos()
 
 
-def _config(scheme: str):
+def _config(scheme: str, **overrides):
     if scheme_partitioned(scheme) and not scheme.startswith("pipp"):
-        return small_system(epoch_cycles=EPOCH_CYCLES)
-    return small_system()
+        return small_system(epoch_cycles=EPOCH_CYCLES, **overrides)
+    return small_system(**overrides)
+
+
+#: L2 size for the hooked runs: small enough to fill (and so evict,
+#: firing the hooks) within ``INSTRUCTIONS``.
+HOOKED_L2_BYTES = 8 * 1024
 
 
 @pytest.mark.parametrize("scheme,mix_class,mix_index,seed", COMBOS)
@@ -100,29 +100,41 @@ def test_fused_matches_object_path(monkeypatch, scheme, mix_class, mix_index, se
     assert fused.stats() == plain.stats()
 
 
-@pytest.mark.parametrize(
-    "scheme,mix_class,mix_index,seed",
-    [c for c in COMBOS if type(
-        build_cache(c[0], small_system().l2_lines, 4, seed=0)
-    ) in REFERENCE_CACHE_CLASSES],
-)
+def _hooked_run(scheme, mix, config, seed):
+    """One run with recording eviction (and, for Vantage, demotion)
+    hooks installed: the batch kernel declines hooked caches, so every
+    event takes the single-access path.  Returns the result, the stats
+    snapshot, the hook log and the system."""
+    cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=seed)
+    policy = build_policy(cache, config, seed) if scheme_partitioned(scheme) else None
+    log = []
+    cache.eviction_hook = lambda slot, part: log.append(("evict", slot, part))
+    if hasattr(cache, "demotion_hook"):
+        cache.demotion_hook = lambda slot, part: log.append(("demote", slot, part))
+    system = CMPSystem(cache, mix.trace_factories(seed), config, policy=policy)
+    tree = telemetry.system_tree(cache=cache, system=system, policy=policy)
+    result = system.run(INSTRUCTIONS)
+    return result, tree.snapshot(), log, system
+
+
+@pytest.mark.parametrize("scheme,mix_class,mix_index,seed", COMBOS)
 def test_fused_matches_reference(monkeypatch, scheme, mix_class, mix_index, seed):
+    """Hooked runs: the single-access fused closures against the
+    reference object path, down to the order of hooked evictions."""
     mix = make_mix(mix_class, mix_index)
-    config = _config(scheme)
+    config = _config(scheme, l2_bytes=HOOKED_L2_BYTES)
 
     monkeypatch.delenv("REPRO_FUSED", raising=False)
-    fused = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
+    *fused, system = _hooked_run(scheme, mix, config, seed)
+    assert system.cache.fused and system.batch_calls == 0
+    _result, _stats, log = fused
+    assert any(event[0] == "evict" for event in log)
 
-    cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=seed)
-    partitioned = scheme_partitioned(scheme)
-    policy = build_policy(cache, config, seed) if partitioned else None
-    as_reference_cache(cache)
-    if policy is not None:
-        as_reference_policy(policy)
-    system = CMPSystem(cache, mix.trace_factories(seed), config, policy=policy)
-    reference = reference_run(system, INSTRUCTIONS)
+    monkeypatch.setenv("REPRO_FUSED", "0")
+    *reference, system = _hooked_run(scheme, mix, config, seed)
+    assert not system.cache.fused
 
-    assert fused.result == reference
+    assert fused == reference
 
 
 def _valid_units(cache):

@@ -6,19 +6,13 @@ is dormant on every multiprogrammed mix: the per-line ``touched_by``
 bitmask, the on-shared-hit policies (keep-owner / migrate-to-requester
 / promote-to-shared), Vantage's unmanaged parking for promoted lines,
 and the reuse-aware UCP stack.  All of it is replicated across the
-object, fused and batch execution paths, so the same flag-cube
-guarantee that covers private mixes must hold here:
+object path (``REPRO_FUSED=0``, the reference) and the fast path (batch
+kernels plus single-access fused closures), so the parity guarantee
+that covers private mixes must hold here:
 
-* randomized ``REPRO_BATCH`` x ``REPRO_FUSED`` x ``REPRO_TRACE_CHUNKS``
-  x ``REPRO_NUMPY`` points on the ``reuse-aware`` scheme, for every
-  sharing shape,
-* every shared-hit policy on every scheme family, object vs fused vs
-  batch,
-* the vectorized lane declining (not engaging incorrectly) when
-  shared-hit bookkeeping is on.
+* the ``reuse-aware`` scheme on both lanes, for every sharing shape,
+* every shared-hit policy on every scheme family, object vs fast.
 """
-
-import random
 
 import pytest
 
@@ -48,14 +42,14 @@ INSTRUCTIONS = 6_000
 #: (splitting batched segments at service boundaries).
 EPOCH_CYCLES = 20_000
 
-FLAG_NAMES = ("REPRO_BATCH", "REPRO_FUSED", "REPRO_TRACE_CHUNKS", "REPRO_NUMPY")
-
 KINDS = ("producer-consumer", "shared-table", "migratory")
+
+#: The lane switch that selects the object path.
+OBJECT_PATH = (("REPRO_FUSED", "0"),)
 
 
 def _clear_flags(monkeypatch):
-    for name in FLAG_NAMES:
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_FUSED", raising=False)
 
 
 def _shared_spec(kind, fraction=0.3):
@@ -65,29 +59,29 @@ def _shared_spec(kind, fraction=0.3):
     return SharedRegionSpec(kind=kind, lines=512, fraction=fraction, window=100)
 
 
-def _strip_chunks(stats):
-    stats.get("sim", {}).pop("trace_chunks", None)
-    return stats
-
-
 # -- reuse-aware scheme through the full harness ------------------------
 
 
-def _draw_flag_combos():
-    """Random points in the flag cube per sharing shape; the draw is
-    seeded so failures reproduce."""
-    rng = random.Random(0x5AAED)
-    combos = []
-    for kind in KINDS:
-        for _ in range(3):
-            flags = {name: rng.choice(("0", "1")) for name in FLAG_NAMES}
-            combos.append((kind, rng.randrange(1000), tuple(sorted(flags.items()))))
-    return combos
+#: (sharing shape, seed) sample points, each compared across lanes.
+SAMPLE_POINTS = [
+    ("producer-consumer", 302),
+    ("producer-consumer", 70),
+    ("producer-consumer", 522),
+    ("shared-table", 391),
+    ("shared-table", 254),
+    ("shared-table", 954),
+    ("migratory", 342),
+    ("migratory", 60),
+    ("migratory", 123),
+]
 
 
-@pytest.mark.parametrize("kind,seed,flags", _draw_flag_combos())
+@pytest.mark.parametrize(
+    "kind,seed,flags", [(*point, OBJECT_PATH) for point in SAMPLE_POINTS]
+)
 def test_reuse_aware_flag_cube(monkeypatch, kind, seed, flags):
-    """Every flag-cube point is the same simulation on shared mixes."""
+    """The object path (``flags``) is the same simulation as the fast
+    path on shared mixes."""
     mix = make_shared_mix("sftn", 1, _shared_spec(kind))
     config = small_system(epoch_cycles=EPOCH_CYCLES)
 
@@ -102,7 +96,7 @@ def test_reuse_aware_flag_cube(monkeypatch, kind, seed, flags):
     variant = run_mix(mix, "reuse-aware-z4/52", config, INSTRUCTIONS, seed=seed)
 
     assert variant.result == baseline.result
-    assert _strip_chunks(variant.stats()) == _strip_chunks(baseline.stats())
+    assert variant.stats() == baseline.stats()
 
 
 def test_reuse_aware_classification_is_live(monkeypatch):
@@ -171,27 +165,24 @@ def _run_direct(family, policy_name, flags, monkeypatch, seed):
     system = CMPSystem(cache, mix.trace_factories(seed), config)
     tree = telemetry.system_tree(cache=cache, system=system, policy=None)
     result = system.run(INSTRUCTIONS)
-    return result, _strip_chunks(tree.snapshot()), cache
+    return result, tree.snapshot(), cache
 
 
 @pytest.mark.parametrize("policy_name", POLICIES)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_shared_policy_paths_agree(monkeypatch, family, policy_name):
-    """Object vs fused vs batch, for each (scheme family, policy)."""
-    object_path = {"REPRO_FUSED": "0", "REPRO_BATCH": "0"}
+    """Object vs fast path, for each (scheme family, policy)."""
     base_result, base_stats, base_cache = _run_direct(
-        family, policy_name, object_path, monkeypatch, seed=9
+        family, policy_name, dict(OBJECT_PATH), monkeypatch, seed=9
     )
     assert sum(base_cache.shared_hits) > 0
     if policy_name == "migrate-to-requester":
         assert sum(base_cache.shared_moves) > 0
 
-    for flags in ({"REPRO_BATCH": "0"}, {}):
-        result, stats, _cache = _run_direct(
-            family, policy_name, flags, monkeypatch, seed=9
-        )
-        assert result == base_result
-        assert stats == base_stats
+    result, stats, cache = _run_direct(family, policy_name, {}, monkeypatch, seed=9)
+    assert cache.fused
+    assert result == base_result
+    assert stats == base_stats
 
 
 def test_promote_to_shared_parks_in_unmanaged(monkeypatch):
@@ -204,29 +195,3 @@ def test_promote_to_shared_parks_in_unmanaged(monkeypatch):
     assert sum(cache.shared_moves) > 0
     # Parked lines are no longer charged to any partition.
     assert cache.unmanaged_size > 0
-
-
-# -- the vectorized lane declines under sharing -------------------------
-
-numpy = pytest.importorskip("numpy")
-
-
-def test_numpy_lane_declines_when_sharing(monkeypatch):
-    """Single-core sa-LRU is inside the vectorized envelope, but the
-    lane does not vectorize ``touched_by`` stamps: with a shared-hit
-    policy configured it must fall back to the scalar batch kernel."""
-    config = small_system(num_cores=1)
-    mix = make_shared_mix("sftn", 1, _shared_spec("producer-consumer"))
-    lines = config.l2_lines
-
-    _clear_flags(monkeypatch)
-    monkeypatch.setenv("REPRO_NUMPY", "1")
-    cache = BaselineCache(
-        SetAssociativeArray(lines, 16, hashed=True, seed=3),
-        make_policy("lru", lines),
-        1,
-        shared_policy="keep-owner",
-    )
-    system = CMPSystem(cache, [mix.trace_factories(7)[0]], config)
-    system.run(INSTRUCTIONS)
-    assert system.batch_kind == "python"

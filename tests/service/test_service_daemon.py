@@ -178,6 +178,38 @@ class TestResults:
                 svc._request({"op": "frobnicate"}, "ok")
 
 
+class TestFastForwardKeys:
+    def test_fastfwd_outcome_never_served_for_exact_job(
+        self, single_worker_daemon, monkeypatch
+    ):
+        """The daemon caches and dedupes by job key, which covers the
+        job's fast-forward fields: an exact submission after a
+        fast-forward one of the same mix is simulated exactly."""
+        from repro.harness.parallel import execute_job
+
+        def probe():
+            # Fast-forward skips work on this job; its fast-forward
+            # fields come from the environment at build time.
+            return SimJob(
+                make_mix("sftn", 1),
+                "vantage-z4/52",
+                small_system(epoch_cycles=150_000),
+                30_000,
+                seed=0,
+            )
+
+        monkeypatch.setenv("REPRO_FASTFWD", "1")
+        fast_job = probe()
+        monkeypatch.setenv("REPRO_FASTFWD", "0")
+        exact_job = probe()
+        with single_worker_daemon.client() as svc:
+            fast = svc.submit(fast_job)
+            served = svc.submit(exact_job)
+        inline = execute_job(exact_job)
+        assert fast.result != inline.result, "fast-forward skipped nothing"
+        assert served.result == inline.result
+
+
 class TestConcurrentClients:
     def test_duplicate_submissions_coalesce_once(self, single_worker_daemon):
         """Two clients submit the identical job while the single

@@ -116,7 +116,12 @@ class TestConvergenceDetector:
             ConvergenceDetector(4, k=0)
 
 
-def _run(use_fastfwd, fastfwd_tol=None, monkeypatch=None, instructions=INSTRUCTIONS):
+def _run(
+    use_fastfwd,
+    fastfwd_tol=fastfwd_mod.DEFAULT_TOL,
+    monkeypatch=None,
+    instructions=INSTRUCTIONS,
+):
     config = small_system(epoch_cycles=EPOCH_CYCLES)
     mix = make_mix(*MIX)
     return run_mix(

@@ -1,6 +1,9 @@
 """The optimized kernels are pure strength reductions: every
-simulation must produce results identical to the reference
-(pre-optimization) implementations in :mod:`repro.sim.reference`.
+simulation must produce results identical to the reference, the object
+path (``REPRO_FUSED=0``: no fused or batch kernels, every event through
+``cache.access``).  The array-level walk parity tests at the end pin
+the fast ``candidate_slots`` walk to the full ``candidates`` list the
+same way.
 """
 
 from __future__ import annotations
@@ -15,11 +18,6 @@ from repro.harness.env import require_bitwise
 from repro.harness import build_policy
 from repro.harness.schemes import build_cache
 from repro.sim import CMPSystem, small_system
-from repro.sim.reference import (
-    as_reference_cache,
-    as_reference_policy,
-    reference_run,
-)
 from repro.workloads import make_mix
 
 @pytest.fixture(autouse=True)
@@ -37,21 +35,22 @@ def _simulate(
     scheme: str,
     partitioned: bool,
     reference: bool,
-    use_chunks: bool | None = None,
+    plain_callables: bool = False,
 ):
+    """One run; ``reference`` drops the fused kernels (the object
+    path), ``plain_callables`` hands every core its trace as a plain
+    callable instead of a :class:`~repro.traces.TraceSpec`, so the
+    generator feed replaces the chunk cursor."""
     config = small_system()
     mix = make_mix("sftn", 1)
     cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=0)
+    if reference:
+        cache._remove_fused()
     policy = build_policy(cache, config, 0) if partitioned else None
-    if reference:
-        as_reference_cache(cache)
-        if policy is not None:
-            as_reference_policy(policy)
-    system = CMPSystem(
-        cache, mix.trace_factories(0), config, policy=policy, use_chunks=use_chunks
-    )
-    if reference:
-        return reference_run(system, INSTRUCTIONS)
+    factories = mix.trace_factories(0)
+    if plain_callables:
+        factories = [spec.generator for spec in factories]
+    system = CMPSystem(cache, factories, config, policy=policy)
     return system.run(INSTRUCTIONS)
 
 
@@ -78,10 +77,10 @@ def test_reference_and_optimized_results_identical(scheme, partitioned):
 def test_chunk_and_generator_feeds_identical(scheme, partitioned):
     """The chunk-cursor feed is a pure re-encoding of the generator
     feed: same events in the same order, so bitwise-equal results --
-    and both equal the reference event loop."""
-    chunked = _simulate(scheme, partitioned, reference=False, use_chunks=True)
-    generated = _simulate(scheme, partitioned, reference=False, use_chunks=False)
-    reference = _simulate(scheme, partitioned, reference=True)
+    and both equal the reference."""
+    chunked = _simulate(scheme, partitioned, reference=False)
+    generated = _simulate(scheme, partitioned, reference=False, plain_callables=True)
+    reference = _simulate(scheme, partitioned, reference=True, plain_callables=True)
     assert chunked == generated
     assert chunked == reference
 
@@ -93,15 +92,15 @@ def test_chunk_feed_cold_and_warm_disk_cache_identical(tmp_path, monkeypatch):
 
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
     reset_store()
-    no_disk = _simulate("vantage-z4/52", True, reference=False, use_chunks=True)
+    no_disk = _simulate("vantage-z4/52", True, reference=False)
 
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     reset_store()
-    cold = _simulate("vantage-z4/52", True, reference=False, use_chunks=True)
+    cold = _simulate("vantage-z4/52", True, reference=False)
     assert get_store().bytes_written > 0  # the cold run populated disk
 
     reset_store()  # fresh memory: the warm run must come from disk
-    warm = _simulate("vantage-z4/52", True, reference=False, use_chunks=True)
+    warm = _simulate("vantage-z4/52", True, reference=False)
     assert get_store().disk_hits > 0
     assert get_store().compiles == 0
 

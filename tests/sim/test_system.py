@@ -1,5 +1,8 @@
 """Tests for the CMP simulation loop."""
 
+import heapq
+from itertools import cycle
+
 import pytest
 
 from repro.allocation import StaticPolicy
@@ -81,6 +84,81 @@ class TestTimingMath:
         result = system.run(2_000)
         assert result.cores[0].instructions == pytest.approx(2_000, abs=20)
         assert result.cores[0].ipc > 0.4
+
+
+class _RecordingCache(BaselineCache):
+    """Logs every L2 access as ``(core, addr)`` and always hits, so an
+    event's cost is exactly ``gap + 1 + hit_latency``.  A subclass gets
+    no fused kernel (and so no batch kernel): every event runs on the
+    event loop's own scheduler."""
+
+    def __init__(self, config):
+        array = SetAssociativeArray(config.l2_lines, 4, hashed=False)
+        super().__init__(array, make_policy("lru", config.l2_lines), config.num_cores)
+        self.log = []
+
+    def access(self, addr, part=0):
+        self.log.append((part, addr))
+        return True
+
+
+def _gap_trace(cid, gaps):
+    """Infinite trace cycling through ``gaps``; addresses tag the core
+    and the event's position so the service order is readable."""
+
+    def factory():
+        return ((gap, (cid << 20) | i) for i, gap in enumerate(cycle(gaps)))
+
+    return factory
+
+
+def _heap_order(gap_lists, hit_latency, target):
+    """Service order of a plain ``(t, cid)`` heap over the same
+    traces, plus how many pops had a time tie with the next core."""
+    traces = [_gap_trace(cid, gaps)() for cid, gaps in enumerate(gap_lists)]
+    heap = [(0.0, cid) for cid in range(len(gap_lists))]
+    heapq.heapify(heap)
+    counts = [0] * len(gap_lists)
+    finished = [False] * len(gap_lists)
+    unfinished = len(gap_lists)
+    order = []
+    ties = 0
+    while unfinished:
+        now, cid = heapq.heappop(heap)
+        if heap and heap[0][0] == now:
+            ties += 1
+        gap, addr = next(traces[cid])
+        order.append((cid, addr))
+        counts[cid] += gap + 1
+        if counts[cid] >= target and not finished[cid]:
+            finished[cid] = True
+            unfinished -= 1
+        heapq.heappush(heap, (now + gap + 1 + hit_latency, cid))
+    return order, ties
+
+
+class TestSchedulingOrder:
+    #: Per-core gap cycles chosen so event times collide often: cores
+    #: with equal gap sums tie at every cycle boundary.
+    GAPS = ([1, 1, 5], [3, 0, 4], [1, 1, 5], [7], [0, 2, 5], [2, 2, 3])
+
+    @pytest.mark.parametrize("cores", [2, 4, 8])
+    def test_scan_serves_cores_in_heap_order(self, cores):
+        """The <=8-core two-minimum scan and its run continuation serve
+        cores in exactly the ``(t, cid)`` order of a heap, ties to the
+        lowest core ID included."""
+        config = tiny_config(cores=cores)
+        gap_lists = [self.GAPS[cid % len(self.GAPS)] for cid in range(cores)]
+        cache = _RecordingCache(config)
+        system = CMPSystem(
+            cache,
+            [_gap_trace(cid, gaps) for cid, gaps in enumerate(gap_lists)],
+            config,
+        )
+        system.run(2_000)
+        expected, ties = _heap_order(gap_lists, config.l2_hit_latency, 2_000)
+        assert ties > 0, "the traces produced no time ties to order"
+        assert cache.log == expected
 
 
 class TestDeterminism:
@@ -169,16 +247,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="core 1"):
             system.run(1_000)
 
-    def test_empty_trace_raises_in_reference_loop_too(self):
-        from repro.sim.reference import reference_run
-
+    def test_empty_trace_raises_in_reference_loop_too(self, monkeypatch):
+        """The same error on the reference object path (``REPRO_FUSED=0``)."""
+        monkeypatch.setenv("REPRO_FUSED", "0")
         config = tiny_config(cores=2)
         cache = build_baseline(config)
+        assert not cache.fused
         system = CMPSystem(
             cache, [lambda: iter(()), constant_trace(3, [1, 2])], config
         )
         with pytest.raises(ValueError, match="core 0"):
-            reference_run(system, 1_000)
+            system.run(1_000)
 
     def test_exhausted_trace_mid_segment_on_batch_path(self, monkeypatch):
         """A chunked trace that ends mid-run surfaces through the batch
@@ -198,8 +277,7 @@ class TestValidation:
 
         monkeypatch.setenv("REPRO_TRACE_CHUNK_PAIRS", "64")
         monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        monkeypatch.delenv("REPRO_TRACE_CHUNKS", raising=False)
+        monkeypatch.delenv("REPRO_FUSED", raising=False)
         reset_store()
         try:
             config = tiny_config(cores=2)
@@ -217,7 +295,6 @@ class TestValidation:
                 system.run(100_000)
             # The failure must have come out of the batch path, not a
             # silent fallback to the generator cursor.
-            assert system.batch_kind == "python"
             assert system.batch_calls > 0
         finally:
             monkeypatch.undo()
