@@ -1,17 +1,19 @@
 """repro.federation: a gateway/scheduler over N experiment daemons.
 
-PR-5 made the simulator resident (:mod:`repro.service`); this package
-makes it a *fleet*.  A :class:`FederationGateway` speaks the same v1
-JSON-lines protocol as a single daemon, so existing clients work
-unchanged, but routes jobs across nodes by consistent-hashing their
-content keys (duplicate submissions from any client coalesce on one
-node), health-checks the membership, fails work over when a node dies
-mid-sweep, and federates results through a gateway-side read-through
+:mod:`repro.service` made the simulator resident; this package makes
+it a *fleet*.  A :class:`FederationGateway` is the daemon's own
+protocol server (:class:`~repro.service.server.ExperimentDaemon`, one
+job queue, the same v1 JSON-lines ops, so existing clients work
+unchanged) with a node-routing backend in place of local workers: it
+routes jobs across nodes by consistent-hashing their content keys
+(duplicate submissions from any client coalesce on one node),
+health-checks the membership, fails work over when a node dies
+mid-sweep, and federates results through the server's read-through
 results cache.
 
 - :mod:`~repro.federation.ring`: rendezvous hashing + membership;
-- :mod:`~repro.federation.gateway`: the asyncio gateway process
-  (``repro gateway`` in the CLI);
+- :mod:`~repro.federation.gateway`: the :class:`NodePool` backend and
+  the gateway server (``repro gateway`` in the CLI);
 - :mod:`~repro.federation.client`: :class:`FederatedClient` facade
   (``repro fed-submit`` / ``repro fed-status`` in the CLI).
 
@@ -24,12 +26,12 @@ including across a mid-sweep node kill).
 from repro.federation.client import (
     ENV_GATEWAY,
     FederatedClient,
-    federation_enabled,
     resolve_gateway,
 )
 from repro.federation.gateway import (
     FederationGateway,
     GatewayConfig,
+    NodePool,
     default_gateway_socket,
     parse_node,
     serve_gateway,
@@ -44,8 +46,8 @@ __all__ = [
     "HashRing",
     "Membership",
     "NodeInfo",
+    "NodePool",
     "default_gateway_socket",
-    "federation_enabled",
     "parse_node",
     "resolve_gateway",
     "serve_gateway",

@@ -41,12 +41,6 @@ def resolve_gateway(
     return None, addr
 
 
-def federation_enabled() -> bool:
-    """True when ``REPRO_FED_GATEWAY`` asks harness fan-out paths to
-    route sweeps through a gateway."""
-    return bool(os.environ.get(ENV_GATEWAY))
-
-
 class FederatedClient(ServiceClient):
     """One connection to a federation gateway.
 

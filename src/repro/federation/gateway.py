@@ -1,36 +1,40 @@
 """The federation gateway: one scheduler over N experiment daemons.
 
-A :class:`FederationGateway` speaks the same v1 JSON-lines protocol
-as :class:`~repro.service.server.ExperimentDaemon` -- every existing
-client op (``submit`` / ``submit_batch`` / ``status`` / ``watch`` /
-``cancel`` / ``stats`` / ``ping`` / ``shutdown``) works against a
-gateway unchanged -- but instead of running workers it *routes*:
+A :class:`FederationGateway` is the same protocol server as a daemon
+-- :class:`~repro.service.server.ExperimentDaemon`, one
+:class:`~repro.service.jobqueue.JobQueue`, every client op (``submit``
+/ ``submit_batch`` / ``status`` / ``watch`` / ``cancel`` / ``stats`` /
+``ping`` / ``shutdown``) -- with a different execution backend:
+instead of local workers, a :class:`NodePool` drains the queue by
+*routing* jobs to a fleet of daemons:
 
 - **placement**: jobs are consistent-hash routed by their content key
   (:func:`~repro.harness.results_cache.job_key`) through the
   rendezvous ring (:mod:`repro.federation.ring`), so duplicate
   submissions from any client land on the same node and coalesce in
-  that node's queue;
-- **dedupe, three layers deep**: the gateway's own read-through
-  results cache first (a job computed on node A is a hit when
-  resubmitted anywhere, even if node A is gone), then gateway-level
-  coalescing of concurrently in-flight identical jobs, then the
-  target node's queue dedupe;
+  that node's queue; at most ``per_node_inflight`` jobs are forwarded
+  to one node at a time;
+- **dedupe, three layers deep**: the server's results-cache check
+  first (a job computed on node A is a hit when resubmitted anywhere,
+  even if node A is gone), then the gateway queue's coalescing of
+  identical queued/in-flight jobs, then the target node's queue;
 - **failover**: a connection that dies mid-job marks the node dead
   and requeues the job to the next node in the ring -- the same
   bounded-retry discipline :class:`~repro.service.workers.WorkerPool`
   applies to crashed workers, one level up.  Health probes (periodic
   ``ping`` + ``status``) drive the membership table for new work and
   revive nodes that come back;
-- **federated stores**: outcomes returned by any node are written
-  through to the gateway's on-disk results cache (the standard
-  ``REPRO_CACHE_DIR`` format), so the fleet's results federate
-  without the nodes sharing a filesystem.
+- **federated stores**: outcomes returned by any node are persisted
+  by the server into the gateway's on-disk results cache (the
+  standard ``REPRO_CACHE_DIR`` format), so the fleet's results
+  federate without the nodes sharing a filesystem.
 
-Telemetry is a ``federation`` stats group in the PR-2 tree (routed /
-dedupe / failover counters, ring state, per-node queue depth), and a
-``watch`` with no ``id`` streams periodic snapshots of it over the
-existing event channel.
+The gateway's queue is unbounded, so it never answers ``queue_full``
+itself: backpressure stays at the nodes, and a node's ``queue_full``
+fails the job over like a dead connection.  Telemetry is a
+``federation`` stats group in the PR-2 tree (routed / dedupe /
+failover counters, ring state, per-node queue depth); an id-less
+``watch`` streams periodic snapshots of it, as on a daemon.
 """
 
 from __future__ import annotations
@@ -38,16 +42,17 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
-import signal
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.federation.ring import ALIVE, DEAD, Membership, NodeInfo
-from repro.harness import results_cache
-from repro.harness.parallel import SimJob
+from repro.federation.ring import ALIVE, Membership, NodeInfo
 from repro.service import protocol
+from repro.service.jobqueue import QueueClosed
+from repro.service.server import ExperimentDaemon, ServiceConfig
 from repro.telemetry import StatGroup
+
+#: Seconds to wait for a node to accept a connection or answer a probe.
+CONNECT_TIMEOUT = 10.0
 
 
 def default_gateway_socket() -> Path:
@@ -96,54 +101,10 @@ class GatewayConfig:
     #: Failover hops tolerated per job before it is failed.
     max_retries: int = 2
     use_cache: bool = True
-    connect_timeout: float = 10.0
-    #: Terminal entries remembered for status/watch queries.
-    history: int = 2048
 
 
-@dataclass
-class FedEntry:
-    """One deduplicated federated job and everything observing it."""
-
-    id: int
-    key: str
-    job: SimJob
-    packed: str
-    priority: int
-    state: str = protocol.QUEUED
-    node: str | None = None
-    retries: int = 0
-    refs: int = 1
-    error: str | None = None
-    #: Packed outcome (base64 pickle) -- passed through to clients
-    #: without a decode/encode round-trip.
-    outcome_packed: str | None = None
-    submitted_at: float = field(default_factory=time.monotonic)
-    started_at: float | None = None
-    finished_at: float | None = None
-    future: asyncio.Future = field(default_factory=asyncio.Future)
-    watchers: list[asyncio.Queue] = field(default_factory=list)
-
-    def describe(self) -> dict:
-        return {
-            "id": self.id,
-            "key": self.key,
-            "state": self.state,
-            "priority": self.priority,
-            "node": self.node,
-            "retries": self.retries,
-            "refs": self.refs,
-            "error": self.error,
-            "wall_time_s": (
-                self.finished_at - self.started_at
-                if self.finished_at is not None and self.started_at is not None
-                else None
-            ),
-        }
-
-
-class FederationGateway:
-    """Scheduler/router fronting a fleet of experiment daemons."""
+class NodePool:
+    """Execution backend that forwards queued jobs to daemon nodes."""
 
     def __init__(self, config: GatewayConfig):
         if not config.nodes:
@@ -160,49 +121,56 @@ class FederationGateway:
             node.name: asyncio.Semaphore(config.per_node_inflight)
             for node in nodes
         }
-        self.started_at = time.monotonic()
-        self._servers: list[asyncio.base_events.Server] = []
-        self._shutdown = asyncio.Event()
+        self.queue = None
+        self._dispatch_task: asyncio.Task | None = None
         self._health_task: asyncio.Task | None = None
         self._entry_tasks: set[asyncio.Task] = set()
-        self._entries: dict[int, FedEntry] = {}
-        self._active: dict[str, FedEntry] = {}
-        self._next_id = 1
         # Telemetry counters (pulled by the federation stats group).
-        self.connections_total = 0
-        self.connections_open = 0
-        self.protocol_errors = 0
         self.routed = 0
-        self.dedupe_hits = 0
-        self.cache_hits = 0
         self.failover_requeues = 0
-        self.completed = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.batches = 0
-        self.batch_jobs = 0
         self.health_probes = 0
 
-    # -- telemetry ------------------------------------------------------
+    # -- backend interface ----------------------------------------------
+
+    async def start(self, queue) -> None:
+        """Probe every node once, then start the health loop and the
+        dispatcher serving ``queue``."""
+        self.queue = queue
+        await asyncio.gather(
+            *(self._probe(n) for n in self.membership.nodes()),
+            return_exceptions=True,
+        )
+        self._health_task = asyncio.create_task(
+            self._health_loop(), name="federation-health"
+        )
+        self._dispatch_task = asyncio.create_task(
+            self._dispatch(), name="federation-dispatch"
+        )
+
+    async def stop(self) -> None:
+        tasks = [self._health_task, self._dispatch_task, *self._entry_tasks]
+        for task in tasks:
+            if task is not None:
+                task.cancel()
+        await asyncio.gather(
+            *(t for t in tasks if t is not None), return_exceptions=True
+        )
+        self._health_task = self._dispatch_task = None
+
+    def summary(self) -> dict:
+        """Backend fields of the server's ``status`` summary."""
+        return {
+            "nodes": self.membership.rows(),
+            "routed": self.routed,
+            "failover_requeues": self.failover_requeues,
+        }
 
     def register_stats(self, group: StatGroup) -> None:
-        """Register the ``federation`` stats group (PR-2 schema)."""
-        group.stat("uptime_s", lambda: time.monotonic() - self.started_at, "seconds since gateway start")
-        group.stat("connections_total", lambda: self.connections_total, "client connections accepted")
-        group.stat("connections_open", lambda: self.connections_open, "client connections currently open")
-        group.stat("protocol_errors", lambda: self.protocol_errors, "malformed request lines answered with errors")
+        """Routing, ring and per-node stats of the ``federation`` group."""
         group.stat("routed", lambda: self.routed, "jobs forwarded to a federation node")
-        group.stat("dedupe_hits", lambda: self.dedupe_hits, "submissions coalesced onto an in-flight federated job")
-        group.stat("cache_hits", lambda: self.cache_hits, "submissions served from the gateway's read-through results cache")
         group.stat("failover_requeues", lambda: self.failover_requeues, "jobs requeued to another node after theirs died")
-        group.stat("completed", lambda: self.completed, "federated jobs finished successfully")
-        group.stat("failed", lambda: self.failed, "federated jobs that exhausted failover or raised")
-        group.stat("cancelled", lambda: self.cancelled, "federated jobs cancelled before forwarding")
-        group.stat("batches", lambda: self.batches, "submit_batch requests accepted")
-        group.stat("batch_jobs", lambda: self.batch_jobs, "job slots carried by submit_batch requests")
         group.stat("health_probes", lambda: self.health_probes, "node health probes performed")
         group.stat("in_flight", lambda: sum(n.in_flight for n in self.membership.nodes()), "jobs currently forwarded to nodes")
-        group.stat("active", lambda: len(self._active), "deduplicated jobs queued or in flight")
         ring = group.group("ring", "rendezvous ring and membership")
         ring.stat("nodes", lambda: len(self.membership), "configured federation nodes")
         ring.stat("alive", self.membership.alive, "nodes whose last health probe succeeded")
@@ -217,181 +185,73 @@ class FederationGateway:
             sub.stat("queue_depth", lambda n=node: n.summary.get("queue_depth", -1), "node queue depth at the last probe (-1 before any)")
             sub.stat("workers_alive", lambda n=node: n.summary.get("workers_alive", -1), "node worker processes at the last probe (-1 before any)")
 
-    def stats_tree(self) -> StatGroup:
-        root = StatGroup("root", "federation gateway statistics")
-        self.register_stats(
-            root.group("federation", "gateway scheduler over N daemons")
-        )
-        return root
-
-    def _summary(self) -> dict:
-        return {
-            "op": "status",
-            "role": "gateway",
-            "uptime_s": time.monotonic() - self.started_at,
-            "nodes": self.membership.rows(),
-            "routed": self.routed,
-            "dedupe_hits": self.dedupe_hits,
-            "cache_hits": self.cache_hits,
-            "failover_requeues": self.failover_requeues,
-            "completed": self.completed,
-            "failed": self.failed,
-            "in_flight": sum(n.in_flight for n in self.membership.nodes()),
-            "active": len(self._active),
-        }
-
-    # -- entry lifecycle ------------------------------------------------
-
-    def _notify(self, entry: FedEntry) -> None:
-        event = entry.describe()
-        for watcher in entry.watchers:
-            watcher.put_nowait(event)
-
-    def _finish(self, entry: FedEntry, state: str) -> None:
-        entry.state = state
-        entry.finished_at = time.monotonic()
-        self._active.pop(entry.key, None)
-        self._notify(entry)
-
-    def _finish_done(self, entry: FedEntry, packed_outcome: str) -> None:
-        entry.outcome_packed = packed_outcome
-        self.completed += 1
-        self._finish(entry, protocol.DONE)
-        if not entry.future.done():
-            entry.future.set_result(packed_outcome)
-        if self.config.use_cache:
-            try:
-                results_cache.store(
-                    entry.key, protocol.unpack(packed_outcome)
-                )
-            except protocol.ProtocolError:
-                pass  # a node answered garbage; the client still sees it
-
-    def _finish_failed(self, entry: FedEntry, message: str) -> None:
-        entry.error = message
-        self.failed += 1
-        self._finish(entry, protocol.FAILED)
-        if not entry.future.done():
-            entry.future.set_exception(RuntimeError(message))
-        entry.future.exception()  # fire-and-forget submits must not warn
-
-    def _prune_history(self) -> None:
-        if len(self._entries) <= self.config.history:
-            return
-        for entry_id in sorted(self._entries):
-            entry = self._entries[entry_id]
-            if entry.state in protocol.TERMINAL_STATES and not entry.watchers:
-                del self._entries[entry_id]
-                if len(self._entries) <= self.config.history:
-                    return
-
-    def _admit(self, job: SimJob, packed: str, priority: int):
-        """Cache-check, coalesce or enqueue one job; returns
-        ``(ticket, entry, packed_cached_outcome)``."""
-        key = results_cache.job_key(job)
-        if self.config.use_cache:
-            cached = results_cache.load(key)
-            if cached is not None:
-                self.cache_hits += 1
-                ticket = {
-                    "id": 0,
-                    "key": key,
-                    "state": protocol.DONE,
-                    "deduped": False,
-                    "cached": True,
-                }
-                return ticket, None, protocol.pack(cached)
-        active = self._active.get(key)
-        if active is not None:
-            self.dedupe_hits += 1
-            active.refs += 1
-            ticket = {
-                "id": active.id,
-                "key": key,
-                "state": active.state,
-                "deduped": True,
-                "cached": False,
-            }
-            return ticket, active, None
-        entry = FedEntry(
-            id=self._next_id, key=key, job=job, packed=packed,
-            priority=priority,
-        )
-        self._next_id += 1
-        self._entries[entry.id] = entry
-        self._active[key] = entry
-        task = asyncio.ensure_future(self._run_entry(entry))
-        self._entry_tasks.add(task)
-        task.add_done_callback(self._entry_tasks.discard)
-        self._prune_history()
-        ticket = {
-            "id": entry.id,
-            "key": key,
-            "state": entry.state,
-            "deduped": False,
-            "cached": False,
-        }
-        return ticket, entry, None
-
     # -- routing and forwarding -----------------------------------------
 
-    async def _run_entry(self, entry: FedEntry) -> None:
+    async def _dispatch(self) -> None:
+        """Hand every dequeued entry to its own routing task; the
+        per-node slots, not the queue, bound what is forwarded."""
+        while True:
+            try:
+                entry = await self.queue.next()
+            except QueueClosed:
+                return
+            task = asyncio.create_task(self._run_entry(entry))
+            self._entry_tasks.add(task)
+            task.add_done_callback(self._entry_tasks.discard)
+
+    async def _run_entry(self, entry) -> None:
         """Drive one job to a terminal state, failing over across
         nodes under the bounded-retry discipline."""
+        queue = self.queue
         tried: set[str] = set()
         while True:
             if entry.state == protocol.CANCELLED:
                 return
             name = self.membership.route(entry.key, exclude=tried)
             if name is None:
-                self._finish_failed(
+                queue.mark_failed(
                     entry,
                     f"no live federation nodes (of {len(self.membership)})",
                 )
                 return
             node = self.membership.node(name)
-            entry.node = name
             async with self._sems[name]:
                 if entry.state == protocol.CANCELLED:
                     return
                 node.in_flight += 1
                 node.routed += 1
                 self.routed += 1
-                entry.state = protocol.RUNNING
-                if entry.started_at is None:
-                    entry.started_at = time.monotonic()
-                self._notify(entry)
+                entry.node = name
+                queue.mark_running(entry)
                 try:
-                    packed_outcome = await self._forward(node, entry)
+                    outcome = await self._forward(node, entry)
                 except NodeUnavailable as exc:
                     failure = exc
                 except NodeRejected as exc:
-                    self._finish_failed(entry, str(exc))
+                    queue.mark_failed(entry, str(exc))
                     return
-                except asyncio.CancelledError:
-                    raise
                 else:
-                    self._finish_done(entry, packed_outcome)
+                    queue.mark_done(entry, outcome)
                     return
                 finally:
                     node.in_flight -= 1
             # Node died under the job: requeue to the next in the
             # ring, same bounded discipline as WorkerPool retries.
             self.failover_requeues += 1
-            entry.retries += 1
             tried.add(name)
             self.membership.note_failure(name, fatal=True)
-            entry.state = protocol.QUEUED
             entry.node = None
-            self._notify(entry)
+            queue.requeue(entry, push=False)
             if entry.retries > self.config.max_retries:
-                self._finish_failed(
+                queue.mark_failed(
                     entry,
                     f"{failure} (gave up after {entry.retries} failovers)",
                 )
                 return
 
-    async def _open(self, node: NodeInfo):
+    @contextlib.asynccontextmanager
+    async def _connect(self, node: NodeInfo):
+        """A dedicated connection to ``node``, closed on exit."""
         if isinstance(node.addr, tuple):
             host, port = node.addr
             coro = asyncio.open_connection(
@@ -401,55 +261,48 @@ class FederationGateway:
             coro = asyncio.open_unix_connection(
                 path=str(node.addr), limit=protocol.MAX_LINE_BYTES
             )
-        return await asyncio.wait_for(coro, self.config.connect_timeout)
-
-    async def _forward(self, node: NodeInfo, entry: FedEntry) -> str:
-        """Run one job on ``node`` over a dedicated connection and
-        return the packed outcome (no unpickle on the hot path)."""
+        reader, writer = await asyncio.wait_for(coro, CONNECT_TIMEOUT)
         try:
-            reader, writer = await self._open(node)
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise NodeUnavailable(
-                f"{node.name} ({node.addr_text()}) unreachable: {exc}"
-            ) from None
-        try:
-            writer.write(protocol.encode({
-                "op": "submit",
-                "job": entry.packed,
-                "priority": entry.priority,
-                "wait": True,
-            }))
-            await writer.drain()
-            submitted = await self._read_node_line(node, reader)
-            if submitted["op"] == "error":
-                self._raise_node_error(node, submitted)
-            if submitted["op"] != "submitted":
-                raise NodeRejected(
-                    f"{node.name} answered {submitted['op']!r} to submit"
-                )
-            result = await self._read_node_line(node, reader)
-            if result["op"] == "error":
-                self._raise_node_error(node, result)
-            if result["op"] != "result":
-                raise NodeRejected(
-                    f"{node.name} answered {result['op']!r}, expected result"
-                )
-            return result["outcome"]
-        except (ConnectionResetError, BrokenPipeError) as exc:
-            raise NodeUnavailable(f"{node.name} reset: {exc}") from None
+            yield reader, writer
         finally:
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _read_node_line(self, node: NodeInfo, reader) -> dict:
+    async def _forward(self, node: NodeInfo, entry):
+        """Run one job on ``node`` over a dedicated connection and
+        return its outcome."""
+        try:
+            async with self._connect(node) as (reader, writer):
+                writer.write(protocol.encode({
+                    "op": "submit",
+                    "job": protocol.pack(entry.job),
+                    "priority": entry.priority,
+                    "wait": True,
+                }))
+                await writer.drain()
+                await self._read_node_line(node, reader, "submitted")
+                result = await self._read_node_line(node, reader, "result")
+        except (OSError, asyncio.TimeoutError) as exc:
+            # Refused, reset or timed out: the node, not the job.
+            raise NodeUnavailable(
+                f"{node.name} ({node.addr_text()}) unreachable: {exc!r}"
+            ) from None
+        try:
+            return protocol.unpack(result.get("outcome"))
+        except (protocol.ProtocolError, AttributeError) as exc:
+            raise NodeRejected(f"{node.name} answered garbage: {exc}") from None
+
+    @staticmethod
+    async def _read_node_line(node: NodeInfo, reader, op: str) -> dict:
+        """The node's next line, which must be an ``op`` reply."""
         line = await reader.readline()
         if not line:
             raise NodeUnavailable(
                 f"{node.name} dropped the connection mid-job"
             )
         try:
-            return protocol.decode(line)
+            msg = protocol.decode(line)
         except protocol.VersionMismatch as exc:
             raise NodeRejected(
                 f"{node.name} speaks protocol v{exc.peer_version!r}, "
@@ -457,45 +310,36 @@ class FederationGateway:
             ) from None
         except protocol.ProtocolError as exc:
             raise NodeRejected(f"{node.name} answered garbage: {exc}") from None
-
-    @staticmethod
-    def _raise_node_error(node: NodeInfo, msg: dict) -> None:
-        error = msg.get("error", "unknown error")
-        # Backpressure and shutdown are the node's problem, not the
-        # job's: fail over instead of failing the client.
-        if error in ("queue_full", "shutting_down"):
-            raise NodeUnavailable(f"{node.name}: {error}")
-        raise NodeRejected(f"{node.name}: {error}")
+        if msg["op"] == "error":
+            error = msg.get("error", "unknown error")
+            # Backpressure and shutdown are the node's problem, not the
+            # job's: fail over instead of failing the client.
+            if error in ("queue_full", "shutting_down"):
+                raise NodeUnavailable(f"{node.name}: {error}")
+            raise NodeRejected(f"{node.name}: {error}")
+        if msg["op"] != op:
+            raise NodeRejected(
+                f"{node.name} answered {msg['op']!r}, expected {op!r}"
+            )
+        return msg
 
     # -- health ---------------------------------------------------------
 
     async def _probe(self, node: NodeInfo) -> None:
         self.health_probes += 1
         try:
-            reader, writer = await self._open(node)
-        except (OSError, asyncio.TimeoutError):
-            self.membership.note_failure(node.name)
-            return
-        try:
-            writer.write(protocol.encode({"op": "ping"}))
-            writer.write(protocol.encode({"op": "status"}))
-            await writer.drain()
-            pong = await asyncio.wait_for(
-                reader.readline(), self.config.connect_timeout
-            )
-            status = await asyncio.wait_for(
-                reader.readline(), self.config.connect_timeout
-            )
+            async with self._connect(node) as (reader, writer):
+                writer.write(protocol.encode({"op": "ping"}))
+                writer.write(protocol.encode({"op": "status"}))
+                await writer.drain()
+                pong = await asyncio.wait_for(reader.readline(), CONNECT_TIMEOUT)
+                status = await asyncio.wait_for(reader.readline(), CONNECT_TIMEOUT)
             if not pong or protocol.decode(pong)["op"] != "pong":
                 raise OSError("bad ping reply")
             summary = protocol.decode(status) if status else {}
         except (OSError, asyncio.TimeoutError, protocol.ProtocolError):
             self.membership.note_failure(node.name)
             return
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
         self.membership.mark_alive(
             node.name,
             {
@@ -513,350 +357,37 @@ class FederationGateway:
             )
             await asyncio.sleep(self.config.health_interval)
 
-    # -- request handlers -----------------------------------------------
 
-    async def _reply(self, writer: asyncio.StreamWriter, msg: dict) -> None:
-        writer.write(protocol.encode(msg))
-        await writer.drain()
+class FederationGateway(ExperimentDaemon):
+    """The protocol server over a :class:`NodePool` backend."""
 
-    async def _handle_submit(self, msg: dict, writer) -> None:
-        packed = msg.get("job")
-        job = None
-        if isinstance(packed, str):
-            try:
-                job = protocol.unpack(packed)
-            except protocol.ProtocolError:
-                job = None
-        if not isinstance(job, SimJob):
-            await self._reply(
-                writer, protocol.error("submit carries no SimJob payload")
-            )
-            return
-        wait = bool(msg.get("wait", True))
-        priority = int(msg.get("priority", 0))
-        ticket, entry, cached_packed = self._admit(job, packed, priority)
-        await self._reply(writer, {"op": "submitted", **ticket})
-        if not wait:
-            return
-        if cached_packed is not None:
-            await self._reply(
-                writer, {"op": "result", "id": 0, "outcome": cached_packed}
-            )
-            return
-        try:
-            packed_outcome = await asyncio.shield(entry.future)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            await self._reply(
-                writer,
-                protocol.error(str(exc), id=entry.id, state=entry.state),
-            )
-            return
-        await self._reply(
-            writer,
-            {"op": "result", "id": entry.id, "outcome": packed_outcome},
+    role = "gateway"
+    stats_group = ("federation", "gateway scheduler over N daemons")
+
+    def __init__(self, config: GatewayConfig):
+        super().__init__(
+            ServiceConfig(
+                socket_path=config.socket_path,
+                tcp=config.tcp,
+                queue_size=None,
+                use_cache=config.use_cache,
+            ),
+            pool=NodePool(config),
         )
 
-    async def _handle_submit_batch(self, msg: dict, writer) -> None:
-        packed_jobs = msg.get("jobs")
-        if not isinstance(packed_jobs, list) or not packed_jobs:
-            await self._reply(
-                writer, protocol.error("submit_batch carries no job list")
-            )
-            return
-        jobs = []
-        for i, blob in enumerate(packed_jobs):
-            try:
-                job = protocol.unpack(blob)
-            except protocol.ProtocolError:
-                job = None
-            if not isinstance(job, SimJob):
-                await self._reply(
-                    writer,
-                    protocol.error(f"submit_batch slot {i} is not a SimJob"),
-                )
-                return
-            jobs.append(job)
-        wait = bool(msg.get("wait", True))
-        priority = int(msg.get("priority", 0))
-        self.batches += 1
-        self.batch_jobs += len(jobs)
-        ids, cached_flags, deduped_flags = [], [], []
-        ready: dict[int, str] = {}
-        entries: dict[int, FedEntry] = {}
-        for i, (job, blob) in enumerate(zip(jobs, packed_jobs)):
-            ticket, entry, cached_packed = self._admit(job, blob, priority)
-            ids.append(ticket["id"])
-            cached_flags.append(ticket["cached"])
-            deduped_flags.append(ticket["deduped"])
-            if cached_packed is not None:
-                ready[i] = cached_packed
-            else:
-                entries[i] = entry
-        await self._reply(
-            writer,
-            {
-                "op": "batch_submitted",
-                "count": len(jobs),
-                "ids": ids,
-                "cached": cached_flags,
-                "deduped": deduped_flags,
-            },
-        )
-        if not wait:
-            return
-        completed = failed = 0
-        for i in sorted(ready):
-            completed += 1
-            await self._reply(
-                writer,
-                {"op": "result", "index": i, "id": ids[i], "outcome": ready[i]},
-            )
-        shields = {i: asyncio.shield(e.future) for i, e in entries.items()}
-        remaining = dict(entries)
-        while remaining:
-            await asyncio.wait(
-                set(shields[i] for i in remaining),
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            for i in [i for i, e in remaining.items() if e.future.done()]:
-                entry = remaining.pop(i)
-                try:
-                    packed_outcome = entry.future.result()
-                except Exception as exc:
-                    failed += 1
-                    await self._reply(
-                        writer,
-                        {
-                            "op": "result",
-                            "index": i,
-                            "id": entry.id,
-                            "error": str(exc),
-                        },
-                    )
-                else:
-                    completed += 1
-                    await self._reply(
-                        writer,
-                        {
-                            "op": "result",
-                            "index": i,
-                            "id": entry.id,
-                            "outcome": packed_outcome,
-                        },
-                    )
-        await self._reply(
-            writer,
-            {"op": "batch_done", "completed": completed, "failed": failed},
-        )
-
-    async def _handle_watch(self, msg: dict, writer) -> None:
-        if "id" not in msg:
-            await self._handle_watch_federation(msg, writer)
-            return
-        entry = self._entries.get(int(msg.get("id", -1)))
-        if entry is None:
-            await self._reply(writer, protocol.error("unknown_job"))
-            return
-        events: asyncio.Queue = asyncio.Queue()
-        entry.watchers.append(events)
-        try:
-            event = entry.describe()
-            await self._reply(writer, {"op": "event", **event})
-            while event["state"] not in protocol.TERMINAL_STATES:
-                event = await events.get()
-                await self._reply(writer, {"op": "event", **event})
-        finally:
-            entry.watchers.remove(events)
-
-    async def _handle_watch_federation(self, msg: dict, writer) -> None:
-        """``watch`` without an id: stream periodic federation stats
-        snapshots (``count`` bounds them; ``interval`` seconds apart)."""
-        count = msg.get("count")
-        count = None if count is None else max(1, int(count))
-        interval = float(msg.get("interval", self.config.health_interval))
-        sent = 0
-        while count is None or sent < count:
-            await self._reply(
-                writer,
-                {
-                    "op": "event",
-                    "kind": "federation",
-                    "tree": self.stats_tree().snapshot(),
-                },
-            )
-            sent += 1
-            if count is not None and sent >= count:
-                return
-            await asyncio.sleep(max(0.05, interval))
-
-    def _cancel_entry(self, entry_id: int) -> FedEntry:
-        entry = self._entries.get(entry_id)
-        if entry is None:
-            raise KeyError(entry_id)
-        if entry.state != protocol.QUEUED:
-            raise ValueError(f"job {entry_id} is {entry.state}, not queued")
-        entry.error = "cancelled"
-        self.cancelled += 1
-        self._finish(entry, protocol.CANCELLED)
-        if not entry.future.done():
-            entry.future.set_exception(
-                RuntimeError(f"job {entry_id} cancelled")
-            )
-        entry.future.exception()
-        return entry
-
-    async def _handle_one(self, msg: dict, writer) -> bool:
-        op = msg["op"]
-        if op == "submit":
-            await self._handle_submit(msg, writer)
-        elif op == "submit_batch":
-            await self._handle_submit_batch(msg, writer)
-        elif op == "status":
-            if "id" in msg:
-                entry = self._entries.get(int(msg["id"]))
-                if entry is None:
-                    await self._reply(writer, protocol.error("unknown_job"))
-                else:
-                    await self._reply(
-                        writer, {"op": "status", **entry.describe()}
-                    )
-            else:
-                await self._reply(writer, self._summary())
-        elif op == "watch":
-            await self._handle_watch(msg, writer)
-        elif op == "cancel":
-            try:
-                entry = self._cancel_entry(int(msg.get("id", -1)))
-            except KeyError:
-                await self._reply(writer, protocol.error("unknown_job"))
-            except ValueError as exc:
-                await self._reply(writer, protocol.error(str(exc)))
-            else:
-                await self._reply(writer, {"op": "ok", "id": entry.id})
-        elif op == "stats":
-            await self._reply(
-                writer, {"op": "stats", "tree": self.stats_tree().snapshot()}
-            )
-        elif op == "ping":
-            await self._reply(writer, {"op": "pong", "role": "gateway"})
-        elif op == "shutdown":
-            await self._reply(writer, {"op": "ok"})
-            self.request_shutdown()
-            return False
-        else:
-            self.protocol_errors += 1
-            await self._reply(writer, protocol.error(f"unknown op {op!r}"))
-        return True
-
-    async def _handle_client(self, reader, writer) -> None:
-        self.connections_total += 1
-        self.connections_open += 1
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._reply(
-                        writer, protocol.error("line exceeds the protocol cap")
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    msg = protocol.decode(line)
-                except protocol.VersionMismatch as exc:
-                    self.protocol_errors += 1
-                    await self._reply(
-                        writer,
-                        protocol.error(
-                            str(exc),
-                            code="version_mismatch",
-                            client_version=exc.peer_version,
-                            server_version=exc.our_version,
-                        ),
-                    )
-                    continue
-                except protocol.ProtocolError as exc:
-                    self.protocol_errors += 1
-                    await self._reply(writer, protocol.error(str(exc)))
-                    continue
-                if not await self._handle_one(msg, writer):
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self.connections_open -= 1
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    # -- lifecycle ------------------------------------------------------
-
-    def request_shutdown(self) -> None:
-        self._shutdown.set()
-
-    async def start(self) -> None:
-        """Bind sockets, start the health loop (no blocking wait)."""
-        path = self.config.socket_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            path.unlink()
-        self._servers.append(
-            await asyncio.start_unix_server(
-                self._handle_client, path=str(path),
-                limit=protocol.MAX_LINE_BYTES,
-            )
-        )
-        if self.config.tcp is not None:
-            host, port = self.config.tcp
-            self._servers.append(
-                await asyncio.start_server(
-                    self._handle_client, host=host, port=port,
-                    limit=protocol.MAX_LINE_BYTES,
-                )
-            )
-        await asyncio.gather(
-            *(self._probe(n) for n in self.membership.nodes()),
-            return_exceptions=True,
-        )
-        self._health_task = asyncio.create_task(
-            self._health_loop(), name="federation-health"
-        )
-
-    async def stop(self) -> None:
-        for server in self._servers:
-            server.close()
-            await server.wait_closed()
-        self._servers.clear()
-        if self._health_task is not None:
-            self._health_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._health_task
-            self._health_task = None
-        for task in list(self._entry_tasks):
-            task.cancel()
-        await asyncio.gather(*self._entry_tasks, return_exceptions=True)
-        for entry in list(self._active.values()):
-            self._finish_failed(entry, "gateway shutting down")
-        with contextlib.suppress(OSError):
-            self.config.socket_path.unlink()
-
-    async def serve(self, install_signals: bool = True) -> None:
-        """Run until ``shutdown`` (op, SIGTERM or SIGINT)."""
-        await self.start()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError, ValueError):
-                    loop.add_signal_handler(signum, self.request_shutdown)
-        try:
-            await self._shutdown.wait()
-        finally:
-            await self.stop()
+    def register_stats(self, group: StatGroup) -> None:
+        """Register the ``federation`` stats group (PR-2 schema)."""
+        queue = self.queue
+        self._register_server_stats(group)
+        group.stat("dedupe_hits", lambda: queue.dedupe_hits, "submissions coalesced onto an in-flight federated job")
+        group.stat("cache_hits", lambda: self.cache_hits, "submissions served from the gateway's read-through results cache")
+        group.stat("completed", lambda: queue.completed, "federated jobs finished successfully")
+        group.stat("failed", lambda: queue.failed, "federated jobs that exhausted failover or raised")
+        group.stat("cancelled", lambda: queue.cancelled, "federated jobs cancelled before forwarding")
+        group.stat("batches", lambda: self.batches, "submit_batch requests accepted")
+        group.stat("batch_jobs", lambda: self.batch_jobs, "job slots carried by submit_batch requests")
+        group.stat("active", queue.active, "deduplicated jobs queued or in flight")
+        self.pool.register_stats(group)
 
 
 def serve_gateway(config: GatewayConfig) -> None:

@@ -232,10 +232,6 @@ def execute_job(job: SimJob) -> SimOutcome:
     )
 
 
-#: Backwards-compatible alias (pre-service name).
-_execute = execute_job
-
-
 def plan_jobs(
     jobs: list[SimJob], use_cache: bool = True
 ) -> tuple[list[str], dict[str, SimOutcome], list[tuple[str, SimJob]]]:

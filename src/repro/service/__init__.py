@@ -6,14 +6,18 @@ simulator resident and multi-client, the way the related cache-QoS
 work assumes a shared service arbitrating partitioning studies:
 
 - :mod:`~repro.service.protocol`: versioned JSON-lines wire format
-  (``submit`` / ``status`` / ``watch`` / ``cancel`` / ``stats`` /
-  ``shutdown``) over a Unix socket, TCP via ``REPRO_SERVICE_ADDR``;
-- :mod:`~repro.service.jobqueue`: bounded priority queue that dedupes
+  (``submit`` / ``submit_batch`` / ``status`` / ``watch`` / ``cancel``
+  / ``stats`` / ``ping`` / ``shutdown``) over a Unix socket, TCP via
+  ``REPRO_SERVICE_ADDR``;
+- :mod:`~repro.service.jobqueue`: priority queue that dedupes
   submissions through the harness's content-addressed job keys;
-- :mod:`~repro.service.workers`: supervised persistent worker
-  processes (warm trace store and fused kernels, per-job timeouts,
-  bounded crash retries);
-- :mod:`~repro.service.server`: the asyncio daemon;
+- :mod:`~repro.service.workers`: the local execution backend --
+  supervised persistent worker processes (warm trace store and fused
+  kernels, per-job timeouts, bounded crash retries, shared-memory
+  trace publishing);
+- :mod:`~repro.service.server`: the one asyncio protocol server,
+  shared by the daemon (over the worker pool) and the federation
+  gateway (over :class:`~repro.federation.gateway.NodePool`);
 - :mod:`~repro.service.client`: the synchronous
   :class:`~repro.service.client.ServiceClient`.
 

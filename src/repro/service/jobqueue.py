@@ -14,7 +14,8 @@ line by someone else's backlog.
 Capacity is bounded: submissions beyond ``maxsize`` raise
 :class:`QueueFull`, which the server surfaces as a ``queue_full``
 error -- backpressure the client can see, instead of an unbounded
-daemon heap.
+daemon heap.  A gateway's queue is unbounded (``maxsize=None``): its
+backpressure stays at the nodes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import asyncio
 import heapq
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.harness import results_cache
 from repro.service import protocol
@@ -49,7 +51,8 @@ class JobEntry:
     #: Client submissions coalesced onto this entry (>= 1).
     refs: int = 1
     error: str | None = None
-    outcome: object | None = None
+    #: The federation node running the entry (gateway queues only).
+    node: str | None = None
     submitted_at: float = field(default_factory=time.monotonic)
     started_at: float | None = None
     finished_at: float | None = None
@@ -65,6 +68,7 @@ class JobEntry:
             "key": self.key,
             "state": self.state,
             "priority": self.priority,
+            "node": self.node,
             "retries": self.retries,
             "refs": self.refs,
             "error": self.error,
@@ -79,11 +83,20 @@ class JobEntry:
 class JobQueue:
     """Bounded priority queue of :class:`JobEntry` objects."""
 
-    def __init__(self, maxsize: int = 256, history: int = 1024):
-        if maxsize < 1:
+    def __init__(
+        self,
+        maxsize: int | None = 256,
+        history: int = 1024,
+        on_done: Callable[[JobEntry, object], None] | None = None,
+    ):
+        if maxsize is not None and maxsize < 1:
             raise ValueError("queue maxsize must be positive")
         self.maxsize = maxsize
         self.history = history
+        #: Called with ``(entry, outcome)`` before the entry's waiters
+        #: wake; the server persists outcomes to the results cache
+        #: here, so a resubmission never misses both cache and queue.
+        self.on_done = on_done
         self._heap: list[tuple[int, int, int]] = []  # (priority, seq, id)
         self._entries: dict[int, JobEntry] = {}  # every known id
         self._active: dict[str, JobEntry] = {}  # key -> queued/running entry
@@ -116,7 +129,7 @@ class JobQueue:
             self.dedupe_hits += 1
             active.refs += 1
             return active, True
-        if self.depth() >= self.maxsize:
+        if self.maxsize is not None and self.depth() >= self.maxsize:
             self.rejected += 1
             raise QueueFull
         entry = JobEntry(
@@ -140,11 +153,16 @@ class JobQueue:
         heapq.heappush(self._heap, (entry.priority, seq, entry.id))
         self._wakeup.set()
 
-    def requeue(self, entry: JobEntry) -> None:
-        """Put a crash-retried entry back at the head of its class."""
+    def requeue(self, entry: JobEntry, push: bool = True) -> None:
+        """Put a retried entry back in the queued state: at the head of
+        its class, or (``push=False``) left to the caller that keeps
+        driving it -- the gateway's failover loop waits for a node
+        slot, not for the heap."""
         entry.state = protocol.QUEUED
         entry.retries += 1
-        self._push(entry, front=True)
+        self._notify(entry)
+        if push:
+            self._push(entry, front=True)
 
     # -- dispatch -------------------------------------------------------
 
@@ -175,28 +193,41 @@ class JobQueue:
             entry.started_at = time.monotonic()
         self._notify(entry)
 
-    def _finish(self, entry: JobEntry, state: str) -> None:
+    def _finish(
+        self, entry: JobEntry, state: str, outcome=None,
+        error: BaseException | None = None,
+    ) -> None:
+        """Move ``entry`` to terminal ``state`` and resolve its future
+        with ``outcome``, or with ``error`` for waiters to raise."""
         entry.state = state
         entry.finished_at = time.monotonic()
         self._active.pop(entry.key, None)
         self._notify(entry)
+        if not entry.future.done():
+            if error is None:
+                entry.future.set_result(outcome)
+            else:
+                entry.future.set_exception(error)
+        if error is not None:
+            # A future nobody awaits (fire-and-forget submit) must not
+            # warn at teardown.
+            entry.future.exception()
 
     def mark_done(self, entry: JobEntry, outcome) -> None:
-        entry.outcome = outcome
+        if self.on_done is not None:
+            self.on_done(entry, outcome)
         self.completed += 1
-        self._finish(entry, protocol.DONE)
-        if not entry.future.done():
-            entry.future.set_result(outcome)
+        self._finish(entry, protocol.DONE, outcome=outcome)
 
     def mark_failed(self, entry: JobEntry, message: str) -> None:
         entry.error = message
         self.failed += 1
-        self._finish(entry, protocol.FAILED)
-        if not entry.future.done():
-            entry.future.set_exception(RuntimeError(message))
-        # A future nobody awaits (fire-and-forget submit) must not
-        # warn at teardown.
-        entry.future.exception()
+        self._finish(entry, protocol.FAILED, error=RuntimeError(message))
+
+    def _cancel(self, entry: JobEntry, message: str, error) -> None:
+        entry.error = message
+        self.cancelled += 1
+        self._finish(entry, protocol.CANCELLED, error=error)
 
     def cancel(self, entry_id: int) -> JobEntry:
         """Cancel a queued entry; running/terminal entries refuse."""
@@ -205,37 +236,24 @@ class JobQueue:
             raise KeyError(entry_id)
         if entry.state != protocol.QUEUED:
             raise ValueError(f"job {entry_id} is {entry.state}, not queued")
-        entry.error = "cancelled"
-        self.cancelled += 1
-        self._finish(entry, protocol.CANCELLED)
-        if not entry.future.done():
-            entry.future.set_exception(
-                RuntimeError(f"job {entry_id} cancelled")
-            )
-        entry.future.exception()
+        self._cancel(
+            entry, "cancelled", RuntimeError(f"job {entry_id} cancelled")
+        )
         return entry
 
-    def fail_running(self, message: str) -> list[JobEntry]:
-        """Fail every running entry (daemon shutdown mid-job)."""
-        dropped = []
+    def fail_running(self, message: str) -> None:
+        """Fail every running entry (shutdown mid-job)."""
         for entry in list(self._active.values()):
             if entry.state == protocol.RUNNING:
                 self.mark_failed(entry, message)
-                dropped.append(entry)
-        return dropped
 
-    def close(self) -> list[JobEntry]:
+    def close(self, reason: str = "daemon shutting down") -> list[JobEntry]:
         """Stop accepting work; cancel and return queued entries."""
         self._closed = True
         dropped = []
         for entry in list(self._entries.values()):
             if entry.state == protocol.QUEUED:
-                entry.error = "daemon shutting down"
-                self.cancelled += 1
-                self._finish(entry, protocol.CANCELLED)
-                if not entry.future.done():
-                    entry.future.set_exception(QueueClosed())
-                entry.future.exception()
+                self._cancel(entry, reason, QueueClosed())
                 dropped.append(entry)
         self._wakeup.set()
         return dropped
@@ -252,6 +270,10 @@ class JobQueue:
             for e in self._active.values()
             if e.state == protocol.QUEUED
         )
+
+    def active(self) -> int:
+        """Deduplicated entries queued or running."""
+        return len(self._active)
 
     def in_flight(self) -> int:
         return sum(

@@ -14,9 +14,12 @@ version under ``"v"`` and the operation under ``"op"``.  Requests:
   ``result`` line per slot as each job finishes -- ``index`` names
   the slot, ``outcome`` carries the packed result (or ``error`` the
   failure) -- and a final ``batch_done`` summary.
-- ``status``: one job's state (``id``) or a daemon summary (no id).
-- ``watch``: stream ``event`` lines for a job until it reaches a
-  terminal state.
+- ``status``: one job's state (``id``) or a server summary (no id;
+  ``role`` says ``daemon`` or ``gateway``).
+- ``watch``: stream ``event`` lines for a job (``id``) until it
+  reaches a terminal state; without an ``id``, stream ``count``
+  stats-tree snapshots ``interval`` seconds apart (unbounded without
+  ``count``).
 - ``cancel``: cancel a still-queued job by ``id``.
 - ``stats``: the daemon's telemetry tree snapshot (same JSON shape as
   ``repro run-mix --stats-json``).

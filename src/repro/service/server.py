@@ -1,47 +1,61 @@
-"""The experiment daemon: an asyncio JSON-lines server.
+"""The protocol server: one asyncio JSON-lines front end, two backends.
 
 One :class:`ExperimentDaemon` owns the
-:class:`~repro.service.jobqueue.JobQueue`, the supervised
-:class:`~repro.service.workers.WorkerPool` and the listening sockets
-(a Unix socket always; a TCP endpoint too when ``REPRO_SERVICE_ADDR``
-or ``ServiceConfig.tcp`` names one).  Each client connection is an
-independent coroutine speaking :mod:`repro.service.protocol`; a
-protocol error on one line is answered with an ``error`` line and the
-connection keeps serving, so one confused client cannot take the
-daemon down.
+:class:`~repro.service.jobqueue.JobQueue`, an execution backend and
+the listening sockets (a Unix socket always; a TCP endpoint too when
+``REPRO_SERVICE_ADDR`` or ``ServiceConfig.tcp`` names one).  The
+backend drains the queue:
 
-Results flow: ``submit`` first consults the on-disk results cache
-(the same :func:`~repro.harness.results_cache.job_key` contract as
-the batch harness -- a daemon restart still reuses every finished
-simulation), then coalesces onto an identical queued/running entry,
-then enqueues.  Completed outcomes are persisted by the pool through
-:func:`~repro.harness.parallel.record_outcome`, so the daemon and
+- :class:`~repro.service.workers.WorkerPool` (the daemon, ``repro
+  serve``) runs jobs on supervised local worker processes;
+- :class:`~repro.federation.gateway.NodePool` (the gateway, ``repro
+  gateway``, via the :class:`~repro.federation.gateway.FederationGateway`
+  subclass) forwards them to a fleet of daemons.
+
+Each client connection is an independent coroutine speaking
+:mod:`repro.service.protocol`.  Every typed request field (``job``,
+``jobs``, ``priority``, ``id``, ``count``, ``interval``) is checked
+once, before dispatch; a malformed line or field is answered with an
+``error`` line and the connection keeps serving, so one confused
+client cannot take the server down.
+
+Results flow, the same for both backends: admission first consults
+the on-disk results cache (the same
+:func:`~repro.harness.results_cache.job_key` contract as the batch
+harness -- a restart still reuses every finished simulation), then
+coalesces onto an identical queued/running entry, then enqueues.  A
+finished outcome is persisted through
+:func:`~repro.harness.parallel.record_outcome` by the queue's
+``on_done`` hook before any waiter wakes, so the server and
 ``run_jobs`` share one cache.
 
 Telemetry: :meth:`ExperimentDaemon.register_stats` publishes the
-service group (queue depth, in-flight, dedupe/cache hits, retries,
-restarts, per-job wall-time distribution, worker trace-store
-counters) in the PR-2 stats-tree schema; the ``stats`` op snapshots
-it in the exact shape ``repro run-mix --stats-json`` writes.
+server's group (``service`` for a daemon: queue depth, in-flight,
+dedupe/cache hits, retries, restarts, per-job wall-time distribution,
+worker trace-store counters; ``federation`` for a gateway) in the
+PR-2 stats-tree schema; the ``stats`` op snapshots it in the exact
+shape ``repro run-mix --stats-json`` writes, and a ``watch`` without
+an ``id`` streams periodic snapshots of it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
 import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import traces
-from repro.harness import results_cache
+from repro.harness import parallel, results_cache
 from repro.harness.parallel import SimJob, default_workers
 from repro.service import protocol
 from repro.service.jobqueue import JobQueue, QueueClosed, QueueFull
 from repro.service.workers import WorkerPool
 from repro.telemetry import StatGroup
+
+#: Default seconds between the snapshots of an id-less ``watch``.
+WATCH_INTERVAL = 1.0
 
 
 @dataclass
@@ -51,35 +65,87 @@ class ServiceConfig:
     socket_path: Path = field(default_factory=protocol.default_socket)
     tcp: tuple[str, int] | None = field(default_factory=protocol.tcp_addr)
     workers: int = field(default_factory=default_workers)
-    queue_size: int = 256
+    #: Queue capacity (``None``: unbounded, as on a gateway).
+    queue_size: int | None = 256
     job_timeout: float | None = None
     max_retries: int = 2
     use_cache: bool = True
 
 
-class ExperimentDaemon:
-    """Resident multi-client front-end over the simulation harness."""
+def _unpack_job(blob, message: str) -> SimJob:
+    try:
+        job = protocol.unpack(blob) if isinstance(blob, str) else None
+    except protocol.ProtocolError:
+        job = None
+    if not isinstance(job, SimJob):
+        raise protocol.ProtocolError(message)
+    return job
 
-    def __init__(self, config: ServiceConfig | None = None):
-        self.config = config or ServiceConfig()
-        self.queue = JobQueue(maxsize=self.config.queue_size)
-        self.pool = WorkerPool(
-            self.queue,
-            workers=self.config.workers,
-            job_timeout=self.config.job_timeout,
-            max_retries=self.config.max_retries,
-            use_cache=self.config.use_cache,
+
+def parse_request(msg: dict) -> dict:
+    """Check and convert every typed request field, once, for every op.
+
+    Returns a copy of ``msg`` with ``job`` / ``jobs`` unpacked to
+    :class:`~repro.harness.parallel.SimJob` objects and the numeric
+    fields converted; raises :class:`~repro.service.protocol.ProtocolError`
+    naming the bad field.
+    """
+    op = msg["op"]
+    req = dict(msg)
+    for name, kind in (
+        ("id", int), ("priority", int), ("count", int), ("interval", float)
+    ):
+        if name in msg:
+            try:
+                req[name] = kind(msg[name])
+            except (TypeError, ValueError):
+                raise protocol.ProtocolError(
+                    f"{op}: field {name!r} must be a number, got {msg[name]!r}"
+                ) from None
+    if op == "submit":
+        req["job"] = _unpack_job(
+            msg.get("job"), "submit carries no SimJob payload"
         )
+    elif op == "submit_batch":
+        jobs = msg.get("jobs")
+        if not isinstance(jobs, list) or not jobs:
+            raise protocol.ProtocolError("submit_batch carries no job list")
+        req["jobs"] = [
+            _unpack_job(blob, f"submit_batch slot {i} is not a SimJob")
+            for i, blob in enumerate(jobs)
+        ]
+    return req
+
+
+class ExperimentDaemon:
+    """Resident multi-client protocol server over one job queue.
+
+    ``pool`` is the execution backend: by default a local
+    :class:`~repro.service.workers.WorkerPool` sized by ``config``.  A
+    backend provides ``start(queue)``, ``stop()``, ``summary()`` and
+    ``register_stats(group)``.
+    """
+
+    #: ``role`` field of ``status`` and ``ping`` replies.
+    role = "daemon"
+    #: Name and description of this server's top stats group.
+    stats_group = ("service", "resident experiment service")
+
+    def __init__(self, config: ServiceConfig | None = None, pool=None):
+        self.config = config or ServiceConfig()
+        self.queue = JobQueue(
+            maxsize=self.config.queue_size, on_done=self._record
+        )
+        if pool is None:
+            pool = WorkerPool(
+                workers=self.config.workers,
+                job_timeout=self.config.job_timeout,
+                max_retries=self.config.max_retries,
+            )
+        self.pool = pool
         self.started_at = time.monotonic()
         self._servers: list[asyncio.base_events.Server] = []
         self._shutdown = asyncio.Event()
-        # Shared-memory trace fabric (REPRO_TRACE_SHM): the daemon is
-        # the publishing owner; resident workers only ever attach.
-        # The lock serialises publish work (the store and segment pool
-        # are not thread-safe); the memo keeps resubmitted mixes from
-        # re-walking their chunk prefixes.
-        self._publish_lock = asyncio.Lock()
-        self._published_traces: dict[str, int] = {}
         # Telemetry counters.
         self.connections_total = 0
         self.connections_open = 0
@@ -90,14 +156,16 @@ class ExperimentDaemon:
 
     # -- telemetry ------------------------------------------------------
 
-    def register_stats(self, group: StatGroup) -> None:
-        """Register the service telemetry group (PR-2 schema)."""
-        queue = self.queue
-        pool = self.pool
-        group.stat("uptime_s", lambda: time.monotonic() - self.started_at, "seconds since daemon start")
+    def _register_server_stats(self, group: StatGroup) -> None:
+        group.stat("uptime_s", lambda: time.monotonic() - self.started_at, f"seconds since {self.role} start")
         group.stat("connections_total", lambda: self.connections_total, "client connections accepted")
         group.stat("connections_open", lambda: self.connections_open, "client connections currently open")
         group.stat("protocol_errors", lambda: self.protocol_errors, "malformed request lines answered with errors")
+
+    def register_stats(self, group: StatGroup) -> None:
+        """Register the service telemetry group (PR-2 schema)."""
+        queue = self.queue
+        self._register_server_stats(group)
         q = group.group("queue", "priority job queue")
         q.stat("depth", queue.depth, "jobs waiting to run")
         q.stat("in_flight", queue.in_flight, "jobs running on workers")
@@ -110,23 +178,17 @@ class ExperimentDaemon:
         q.stat("rejected", lambda: queue.rejected, "submissions refused by backpressure (queue full)")
         q.stat("batches", lambda: self.batches, "submit_batch requests accepted")
         q.stat("batch_jobs", lambda: self.batch_jobs, "job slots carried by submit_batch requests")
-        w = group.group("workers", "supervised persistent worker pool")
-        w.stat("configured", lambda: pool.workers, "worker slots")
-        w.stat("alive", pool.alive, "worker processes currently alive")
-        w.stat("restarts", lambda: pool.restarts, "workers respawned after a crash or timeout")
-        w.stat("retries", lambda: pool.retries, "jobs re-queued after their worker died")
-        w.stat("timeouts", lambda: pool.timeouts, "jobs killed by the per-job timeout")
-        w.stat("job_wall_time", pool.job_wall_time.value, "per-job wall time distribution, seconds")
-        w.stat("trace_store", pool.trace_counters, "workers' trace-chunk store counters, summed")
+        self.pool.register_stats(
+            group.group("workers", "supervised persistent worker pool")
+        )
 
     def stats_tree(self) -> StatGroup:
-        """The daemon's stats tree (``service`` + harness groups)."""
-        from repro.harness import parallel
-
-        root = StatGroup("root", "experiment daemon statistics")
-        self.register_stats(root.group("service", "resident experiment service"))
+        """The server's stats tree (its own group + harness groups)."""
+        name, description = self.stats_group
+        root = StatGroup("root", f"experiment {self.role} statistics")
+        self.register_stats(root.group(name, description))
         parallel.register_stats(
-            root.group("harness", "daemon-process harness counters")
+            root.group("harness", f"{self.role}-process harness counters")
         )
         return root
 
@@ -135,23 +197,31 @@ class ExperimentDaemon:
     def _summary(self) -> dict:
         return {
             "op": "status",
+            "role": self.role,
             "uptime_s": time.monotonic() - self.started_at,
             "queue_depth": self.queue.depth(),
             "in_flight": self.queue.in_flight(),
-            "workers_alive": self.pool.alive(),
+            "active": self.queue.active(),
             "submitted": self.queue.submitted,
             "dedupe_hits": self.queue.dedupe_hits,
             "cache_hits": self.cache_hits,
             "completed": self.queue.completed,
             "failed": self.queue.failed,
+            **self.pool.summary(),
         }
 
     async def _reply(self, writer: asyncio.StreamWriter, msg: dict) -> None:
         writer.write(protocol.encode(msg))
         await writer.drain()
 
-    async def _admit(self, job: SimJob, priority: int):
-        """Cache-check, trace-publish and enqueue one job.
+    def _record(self, entry, outcome) -> None:
+        """The queue's ``on_done`` hook: persist a finished outcome."""
+        parallel.record_outcome(
+            entry.key, outcome, use_cache=self.config.use_cache
+        )
+
+    def _admit(self, job: SimJob, priority: int):
+        """Results-cache check, then queue coalescing, then enqueue.
 
         Returns ``(ticket, entry, cached_outcome)``; exactly one of
         ``entry`` / ``cached_outcome`` is set on success, both are
@@ -170,7 +240,6 @@ class ExperimentDaemon:
                     "cached": True,
                 }
                 return ticket, None, cached
-        await self._publish_job_traces(job)
         try:
             entry, deduped = self.queue.submit(job, priority=priority)
         except QueueFull:
@@ -190,21 +259,13 @@ class ExperimentDaemon:
         }
         return ticket, entry, None
 
-    async def _handle_submit(self, msg: dict, writer) -> None:
-        job = protocol.unpack(msg["job"]) if "job" in msg else None
-        if not isinstance(job, SimJob):
-            await self._reply(
-                writer, protocol.error("submit carries no SimJob payload")
-            )
-            return
-        wait = bool(msg.get("wait", True))
-        priority = int(msg.get("priority", 0))
-        ticket, entry, cached = await self._admit(job, priority)
+    async def _handle_submit(self, req: dict, writer) -> None:
+        ticket, entry, cached = self._admit(req["job"], req.get("priority", 0))
         if entry is None and cached is None:
             await self._reply(writer, ticket)  # an error dict
             return
         await self._reply(writer, {"op": "submitted", **ticket})
-        if not wait:
+        if not req.get("wait", True):
             return
         if cached is not None:
             await self._reply(
@@ -230,32 +291,14 @@ class ExperimentDaemon:
             },
         )
 
-    async def _handle_submit_batch(self, msg: dict, writer) -> None:
+    async def _handle_submit_batch(self, req: dict, writer) -> None:
         """One request, a whole sweep: admit every job, then stream
         per-slot ``result`` lines as each finishes (cache hits first,
         completion order after that -- ``index`` maps a line back to
         its slot), ending with a ``batch_done`` summary."""
-        packed = msg.get("jobs")
-        if not isinstance(packed, list) or not packed:
-            await self._reply(
-                writer, protocol.error("submit_batch carries no job list")
-            )
-            return
-        jobs = []
-        for i, blob in enumerate(packed):
-            try:
-                job = protocol.unpack(blob)
-            except protocol.ProtocolError:
-                job = None
-            if not isinstance(job, SimJob):
-                await self._reply(
-                    writer,
-                    protocol.error(f"submit_batch slot {i} is not a SimJob"),
-                )
-                return
-            jobs.append(job)
-        wait = bool(msg.get("wait", True))
-        priority = int(msg.get("priority", 0))
+        jobs = req["jobs"]
+        wait = req.get("wait", True)
+        priority = req.get("priority", 0)
         self.batches += 1
         self.batch_jobs += len(jobs)
         ids: list[int] = []
@@ -265,7 +308,7 @@ class ExperimentDaemon:
         errors: dict[int, str] = {}
         entries: dict[int, object] = {}
         for i, job in enumerate(jobs):
-            ticket, entry, cached = await self._admit(job, priority)
+            ticket, entry, cached = self._admit(job, priority)
             if entry is None and cached is None:
                 errors[i] = ticket.get("error", "rejected")
                 ids.append(0)
@@ -321,72 +364,24 @@ class ExperimentDaemon:
             )
             for i in [i for i, e in remaining.items() if e.future.done()]:
                 entry = remaining.pop(i)
+                line = {"op": "result", "index": i, "id": entry.id}
                 try:
-                    outcome = entry.future.result()
-                except Exception as exc:
-                    failed += 1
-                    await self._reply(
-                        writer,
-                        {
-                            "op": "result",
-                            "index": i,
-                            "id": entry.id,
-                            "error": str(exc),
-                        },
-                    )
-                else:
+                    line["outcome"] = protocol.pack(entry.future.result())
                     completed += 1
-                    await self._reply(
-                        writer,
-                        {
-                            "op": "result",
-                            "index": i,
-                            "id": entry.id,
-                            "outcome": protocol.pack(outcome),
-                        },
-                    )
+                except Exception as exc:
+                    line["error"] = str(exc)
+                    failed += 1
+                await self._reply(writer, line)
         await self._reply(
             writer,
             {"op": "batch_done", "completed": completed, "failed": failed},
         )
 
-    async def _publish_job_traces(self, job: SimJob) -> None:
-        """Publish ``job``'s traces to the shared fabric before it can
-        reach a worker (no-op unless ``REPRO_TRACE_SHM=1``).
-
-        Runs in the default executor so a cold compile never stalls
-        the event loop; other clients keep submitting and watching
-        while the fabric warms up.  Best-effort: a failed publish just
-        means workers fall back to their private layers.
-        """
-        if not traces.shm_enabled():
+    async def _handle_watch(self, req: dict, writer) -> None:
+        if "id" not in req:
+            await self._watch_stats(req, writer)
             return
-        loop = asyncio.get_running_loop()
-        async with self._publish_lock:
-            await loop.run_in_executor(None, self._publish_job_traces_sync, job)
-
-    def _publish_job_traces_sync(self, job: SimJob) -> None:
-        store = traces.get_store()
-        try:
-            factories = job.mix.trace_factories(job.seed)
-        except Exception:
-            return
-        for spec in factories:
-            if not isinstance(spec, traces.TraceSpec):
-                continue
-            key = store.key_of(spec)
-            if self._published_traces.get(key, -1) >= job.instructions:
-                continue
-            try:
-                store.publish_prefix(spec, job.instructions)
-            except Exception:
-                continue
-            if len(self._published_traces) >= 4096:
-                self._published_traces.clear()
-            self._published_traces[key] = job.instructions
-
-    async def _handle_watch(self, msg: dict, writer) -> None:
-        entry = self.queue.get(int(msg.get("id", -1)))
+        entry = self.queue.get(req["id"])
         if entry is None:
             await self._reply(writer, protocol.error("unknown_job"))
             return
@@ -401,16 +396,37 @@ class ExperimentDaemon:
         finally:
             entry.watchers.remove(events)
 
-    async def _handle_one(self, msg: dict, writer) -> bool:
-        """Dispatch one request; returns False to end the connection."""
-        op = msg["op"]
+    async def _watch_stats(self, req: dict, writer) -> None:
+        """``watch`` without an id: stream periodic stats-tree
+        snapshots (``count`` bounds them; ``interval`` seconds apart)."""
+        count = req.get("count")
+        count = None if count is None else max(1, count)
+        interval = req.get("interval", WATCH_INTERVAL)
+        sent = 0
+        while count is None or sent < count:
+            await self._reply(
+                writer,
+                {
+                    "op": "event",
+                    "kind": self.stats_group[0],
+                    "tree": self.stats_tree().snapshot(),
+                },
+            )
+            sent += 1
+            if count is not None and sent >= count:
+                return
+            await asyncio.sleep(max(0.05, interval))
+
+    async def _handle_one(self, req: dict, writer) -> bool:
+        """Dispatch one parsed request; False ends the connection."""
+        op = req["op"]
         if op == "submit":
-            await self._handle_submit(msg, writer)
+            await self._handle_submit(req, writer)
         elif op == "submit_batch":
-            await self._handle_submit_batch(msg, writer)
+            await self._handle_submit_batch(req, writer)
         elif op == "status":
-            if "id" in msg:
-                entry = self.queue.get(int(msg["id"]))
+            if "id" in req:
+                entry = self.queue.get(req["id"])
                 if entry is None:
                     await self._reply(writer, protocol.error("unknown_job"))
                 else:
@@ -420,10 +436,10 @@ class ExperimentDaemon:
             else:
                 await self._reply(writer, self._summary())
         elif op == "watch":
-            await self._handle_watch(msg, writer)
+            await self._handle_watch(req, writer)
         elif op == "cancel":
             try:
-                entry = self.queue.cancel(int(msg.get("id", -1)))
+                entry = self.queue.cancel(req.get("id", -1))
             except KeyError:
                 await self._reply(writer, protocol.error("unknown_job"))
             except ValueError as exc:
@@ -435,7 +451,7 @@ class ExperimentDaemon:
                 writer, {"op": "stats", "tree": self.stats_tree().snapshot()}
             )
         elif op == "ping":
-            await self._reply(writer, {"op": "pong"})
+            await self._reply(writer, {"op": "pong", "role": self.role})
         elif op == "shutdown":
             await self._reply(writer, {"op": "ok"})
             self.request_shutdown()
@@ -462,26 +478,22 @@ class ExperimentDaemon:
                 if not line.strip():
                     continue
                 try:
-                    msg = protocol.decode(line)
-                except protocol.VersionMismatch as exc:
-                    # Structured: both versions, so whichever peer sees
-                    # the error knows exactly who needs upgrading.
+                    req = parse_request(protocol.decode(line))
+                except protocol.ProtocolError as exc:
                     self.protocol_errors += 1
-                    await self._reply(
-                        writer,
-                        protocol.error(
-                            str(exc),
+                    extra = {}
+                    if isinstance(exc, protocol.VersionMismatch):
+                        # Structured: both versions, so whichever peer
+                        # sees the error knows exactly who needs
+                        # upgrading.
+                        extra = dict(
                             code="version_mismatch",
                             client_version=exc.peer_version,
                             server_version=exc.our_version,
-                        ),
-                    )
+                        )
+                    await self._reply(writer, protocol.error(str(exc), **extra))
                     continue
-                except protocol.ProtocolError as exc:
-                    self.protocol_errors += 1
-                    await self._reply(writer, protocol.error(str(exc)))
-                    continue
-                if not await self._handle_one(msg, writer):
+                if not await self._handle_one(req, writer):
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -497,12 +509,8 @@ class ExperimentDaemon:
         self._shutdown.set()
 
     async def start(self) -> None:
-        """Bind sockets and spawn the worker pool (no blocking wait)."""
-        if traces.shm_enabled():
-            # Reclaim segments orphaned by crashed runs before workers
-            # fork; live publishers' segments are never touched.
-            traces.SharedChunkPool.scavenge()
-        await self.pool.start()
+        """Start the backend, then bind sockets (no blocking wait)."""
+        await self.pool.start(self.queue)
         path = self.config.socket_path
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.exists():
@@ -527,16 +535,10 @@ class ExperimentDaemon:
             server.close()
             await server.wait_closed()
         self._servers.clear()
+        reason = f"{self.role} shutting down"
+        self.queue.close(reason)
         await self.pool.stop()
-        if traces.shm_enabled() or self._published_traces:
-            # Workers are gone; release the fabric.  Unlinks every
-            # segment this daemon published and closes idle mappings
-            # (segments other owners published stay untouched).  Also
-            # checked against the publish memo, not just the env flag:
-            # segments published earlier must be unlinked even if the
-            # flag was flipped off while the daemon ran.
-            traces.get_pool().close(unlink=True)
-            self._published_traces.clear()
+        self.queue.fail_running(reason)
         with contextlib.suppress(OSError):
             self.config.socket_path.unlink()
 

@@ -12,10 +12,14 @@ over a duplex pipe, runs the exact
 harness and a serial ``run_mix`` use, and sends the outcome back
 (with its trace-store counters piggybacked for daemon telemetry).
 
-Supervision lives in :class:`WorkerPool`: one asyncio task per worker
-slot pulls entries off the :class:`~repro.service.jobqueue.JobQueue`
-and drives its worker through a thread (pipe reads block).  Failure
-is contained per job:
+Supervision lives in :class:`WorkerPool`, the daemon's local
+execution backend (the gateway's is
+:class:`~repro.federation.gateway.NodePool`): one asyncio task per
+worker slot pulls entries off the server's
+:class:`~repro.service.jobqueue.JobQueue`, publishes the job's traces
+to the shared-memory fabric (``REPRO_TRACE_SHM``), and drives its
+worker through a thread (pipe reads block).  Failure is contained per
+job:
 
 - a worker that *crashes* (SIGKILL, OOM, segfault) quarantines only
   itself -- the supervisor respawns the process and re-queues the
@@ -34,8 +38,10 @@ import multiprocessing
 import signal
 import time
 
-from repro.harness.parallel import execute_job, record_outcome
-from repro.telemetry import Distribution
+from repro import traces
+from repro.harness.parallel import execute_job
+from repro.service.jobqueue import QueueClosed
+from repro.telemetry import Distribution, StatGroup
 
 
 class WorkerCrashed(Exception):
@@ -55,8 +61,6 @@ def _worker_main(conn) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (OSError, ValueError):
         pass
-    from repro import traces
-
     while True:
         try:
             msg = conn.recv()
@@ -160,22 +164,26 @@ class WorkerPool:
 
     def __init__(
         self,
-        queue,
         workers: int,
         job_timeout: float | None = None,
         max_retries: int = 2,
-        use_cache: bool = True,
     ):
         if workers < 1:
             raise ValueError("worker count must be positive")
-        self.queue = queue
+        self.queue = None
         self.workers = workers
         self.job_timeout = job_timeout
         self.max_retries = max_retries
-        self.use_cache = use_cache
         self._slots: dict[int, WorkerProcess | None] = {}
         self._tasks: list[asyncio.Task] = []
         self._stopping = False
+        # Shared-memory trace fabric (REPRO_TRACE_SHM): the pool is the
+        # publishing owner; its resident workers only ever attach.
+        # The lock serialises publish work (the store and segment pool
+        # are not thread-safe); the memo keeps resubmitted mixes from
+        # re-walking their chunk prefixes.
+        self._publish_lock = asyncio.Lock()
+        self._published_traces: dict[str, int] = {}
         # Telemetry (pulled by the daemon's service stats group).
         self.restarts = 0
         self.retries = 0
@@ -184,7 +192,13 @@ class WorkerPool:
             "job_wall_time", "per-job wall time as measured by workers"
         )
 
-    async def start(self) -> None:
+    async def start(self, queue) -> None:
+        """Spawn the workers and start serving ``queue``."""
+        self.queue = queue
+        if traces.shm_enabled():
+            # Reclaim segments orphaned by crashed runs before workers
+            # fork; live publishers' segments are never touched.
+            traces.SharedChunkPool.scavenge()
         loop = asyncio.get_running_loop()
         for slot in range(self.workers):
             self._slots[slot] = await loop.run_in_executor(None, WorkerProcess)
@@ -193,6 +207,20 @@ class WorkerPool:
                     self._supervise(slot), name=f"worker-slot-{slot}"
                 )
             )
+
+    def register_stats(self, group: StatGroup) -> None:
+        """The ``workers`` stats group (PR-2 schema)."""
+        group.stat("configured", lambda: self.workers, "worker slots")
+        group.stat("alive", self.alive, "worker processes currently alive")
+        group.stat("restarts", lambda: self.restarts, "workers respawned after a crash or timeout")
+        group.stat("retries", lambda: self.retries, "jobs re-queued after their worker died")
+        group.stat("timeouts", lambda: self.timeouts, "jobs killed by the per-job timeout")
+        group.stat("job_wall_time", self.job_wall_time.value, "per-job wall time distribution, seconds")
+        group.stat("trace_store", self.trace_counters, "workers' trace-chunk store counters, summed")
+
+    def summary(self) -> dict:
+        """Backend fields of the server's ``status`` summary."""
+        return {"workers_alive": self.alive()}
 
     def trace_counters(self) -> dict[str, int]:
         """Workers' trace-store counters, summed across slots."""
@@ -221,9 +249,42 @@ class WorkerPool:
         self._slots[slot] = worker
         return worker
 
-    async def _supervise(self, slot: int) -> None:
-        from repro.service.jobqueue import QueueClosed
+    async def _publish_job_traces(self, job) -> None:
+        """Publish ``job``'s traces to the shared fabric before it
+        reaches a worker (no-op unless ``REPRO_TRACE_SHM=1``).
 
+        Runs in the default executor so a cold compile never stalls
+        the event loop; other clients keep submitting and watching
+        while the fabric warms up.  Best-effort: a failed publish just
+        means workers fall back to their private layers.
+        """
+        if not traces.shm_enabled():
+            return
+        loop = asyncio.get_running_loop()
+        async with self._publish_lock:
+            await loop.run_in_executor(None, self._publish_job_traces_sync, job)
+
+    def _publish_job_traces_sync(self, job) -> None:
+        store = traces.get_store()
+        try:
+            factories = job.mix.trace_factories(job.seed)
+        except Exception:
+            return
+        for spec in factories:
+            if not isinstance(spec, traces.TraceSpec):
+                continue
+            key = store.key_of(spec)
+            if self._published_traces.get(key, -1) >= job.instructions:
+                continue
+            try:
+                store.publish_prefix(spec, job.instructions)
+            except Exception:
+                continue
+            if len(self._published_traces) >= 4096:
+                self._published_traces.clear()
+            self._published_traces[key] = job.instructions
+
+    async def _supervise(self, slot: int) -> None:
         loop = asyncio.get_running_loop()
         worker = self._slots[slot]
         while not self._stopping:
@@ -233,6 +294,7 @@ class WorkerPool:
                 break
             self.queue.mark_running(entry)
             try:
+                await self._publish_job_traces(entry.job)
                 outcome = await loop.run_in_executor(
                     None, worker.run, entry.job, self.job_timeout
                 )
@@ -265,18 +327,26 @@ class WorkerPool:
             else:
                 if outcome.wall_time_s is not None:
                     self.job_wall_time.record(outcome.wall_time_s)
-                record_outcome(entry.key, outcome, use_cache=self.use_cache)
                 self.queue.mark_done(entry, outcome)
 
     async def stop(self) -> None:
+        """Stop supervising (the server has closed the queue), stop
+        the workers, then release the shared-memory fabric."""
         self._stopping = True
-        self.queue.close()
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
-        self.queue.fail_running("daemon shutting down")
         loop = asyncio.get_running_loop()
         for slot, worker in self._slots.items():
             if worker is not None:
                 await loop.run_in_executor(None, worker.stop)
                 self._slots[slot] = None
+        if traces.shm_enabled() or self._published_traces:
+            # Workers are gone; release the fabric.  Unlinks every
+            # segment this pool published and closes idle mappings
+            # (segments other owners published stay untouched).  Also
+            # checked against the publish memo, not just the env flag:
+            # segments published earlier must be unlinked even if the
+            # flag was flipped off while the daemon ran.
+            traces.get_pool().close(unlink=True)
+            self._published_traces.clear()

@@ -139,46 +139,61 @@ class DaemonProc:
         self.kill()
 
 
-class GatewayHarness:
-    """A gateway on a background thread's event loop, with its
-    internals (membership, counters) visible to assertions."""
+class ServerHarness:
+    """A protocol server -- daemon or gateway -- on a background
+    thread's event loop, with its internals (queue, backend, counters)
+    visible to assertions."""
+
+    def __init__(self, make_server, socket_path: Path):
+        self.socket_path = socket_path
+        self._make_server = make_server
+        self.server = None
+        self._started = threading.Event()
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+        assert self._started.wait(timeout=60), "server failed to start"
+
+    def _run(self):
+        async def main():
+            self.server = self._make_server()
+            await self.server.start()
+            self._started.set()
+            try:
+                await self.server._shutdown.wait()
+            finally:
+                await self.server.stop()
+
+        asyncio.run(main())
+
+    def client(self, **kwargs) -> FederatedClient:
+        return FederatedClient(self.socket_path, **kwargs).connect()
+
+    def stop(self):
+        if self.thread.is_alive():
+            try:
+                with self.client() as svc:
+                    svc.shutdown()
+            except (OSError, ServiceError):
+                self.server.request_shutdown()
+            self.thread.join(timeout=60)
+        assert not self.thread.is_alive(), "server thread failed to exit"
+
+
+class GatewayHarness(ServerHarness):
+    """A gateway over ``node_addrs`` (see :class:`ServerHarness`)."""
 
     def __init__(self, tmp_path: Path, node_addrs: list[str], **overrides):
         config = dict(
             socket_path=tmp_path / "gateway.sock",
             nodes=list(node_addrs),
             health_interval=0.2,
-            connect_timeout=10.0,
         )
         config.update(overrides)
         self.config = GatewayConfig(**config)
-        self.gateway: FederationGateway | None = None
-        self._started = threading.Event()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-        assert self._started.wait(timeout=60), "gateway failed to start"
+        super().__init__(
+            lambda: FederationGateway(self.config), self.config.socket_path
+        )
 
-    def _run(self):
-        async def main():
-            self.gateway = FederationGateway(self.config)
-            await self.gateway.start()
-            self._started.set()
-            try:
-                await self.gateway._shutdown.wait()
-            finally:
-                await self.gateway.stop()
-
-        asyncio.run(main())
-
-    def client(self, **kwargs) -> FederatedClient:
-        return FederatedClient(self.config.socket_path, **kwargs).connect()
-
-    def stop(self):
-        if self.thread.is_alive():
-            try:
-                with self.client() as fed:
-                    fed.shutdown()
-            except (OSError, ServiceError):
-                self.gateway.request_shutdown()
-            self.thread.join(timeout=60)
-        assert not self.thread.is_alive(), "gateway thread failed to exit"
+    @property
+    def gateway(self) -> FederationGateway:
+        return self.server

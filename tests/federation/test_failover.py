@@ -53,12 +53,12 @@ class TestFailover:
         # actually working, then SIGKILL the busier node's process
         # group (daemon and its workers).
         _wait(
-            lambda: gateway.routed >= len(jobs)
-            and all(n.in_flight > 0 for n in gateway.membership.nodes()),
+            lambda: gateway.pool.routed >= len(jobs)
+            and all(n.in_flight > 0 for n in gateway.pool.membership.nodes()),
             timeout=120,
             what="the sweep to be in flight on both nodes",
         )
-        nodes = gateway.membership.nodes()
+        nodes = gateway.pool.membership.nodes()
         victim = max(nodes, key=lambda n: n.in_flight)
         victim_index = int(victim.name.removeprefix("node"))
         victim_share = victim.in_flight
@@ -76,11 +76,11 @@ class TestFailover:
         # The kill was observed: jobs in flight on the victim were
         # requeued to the survivor, and the membership table shows
         # one dead node.
-        assert gateway.failover_requeues > 0
-        assert gateway.membership.dead() == 1
-        assert gateway.membership.node(victim.name).state == "dead"
-        assert gateway.completed == len(jobs)
-        assert gateway.failed == 0
+        assert gateway.pool.failover_requeues > 0
+        assert gateway.pool.membership.dead() == 1
+        assert gateway.pool.membership.node(victim.name).state == "dead"
+        assert gateway.queue.completed == len(jobs)
+        assert gateway.queue.failed == 0
 
         # Results computed on the dead node federated into the
         # gateway's cache: resubmitting the sweep needs no node that
@@ -110,7 +110,7 @@ class TestFailover:
             job = make_jobs(mixes=1, schemes=("lru-sa16",))[0]
             gateway = harness.gateway
             _deadline = time.monotonic() + 60
-            while gateway.membership.dead() < 2:
+            while gateway.pool.membership.dead() < 2:
                 assert time.monotonic() < _deadline
                 time.sleep(0.02)
             with harness.client() as fed:

@@ -40,11 +40,11 @@ class TestFederatedSweep:
         assert not any(batch.cached), "fresh sweep must not be cached"
 
         # The ring spread the sweep over both nodes.
-        routed = {n.name: n.routed for n in gateway.membership.nodes()}
+        routed = {n.name: n.routed for n in gateway.pool.membership.nodes()}
         assert all(count > 0 for count in routed.values()), routed
         assert sum(routed.values()) == len(jobs)
-        assert gateway.completed == len(jobs)
-        assert gateway.failed == 0
+        assert gateway.queue.completed == len(jobs)
+        assert gateway.queue.failed == 0
 
         # Resubmission from a *different* client: the gateway's
         # read-through cache federates results computed on either
@@ -55,7 +55,7 @@ class TestFederatedSweep:
         assert sum(again.cached) >= 0.9 * len(jobs)
         assert gateway.cache_hits >= 0.9 * len(jobs)
         # No new simulations were routed for the resubmission.
-        assert sum(n.routed for n in gateway.membership.nodes()) == len(jobs)
+        assert sum(n.routed for n in gateway.pool.membership.nodes()) == len(jobs)
 
         # The federation stats group: PR-2 tree shape, JSON-stable,
         # with live per-node health rows.
@@ -127,8 +127,41 @@ class TestDedupe:
         assert results[0].result == expected
         # The overlap window is the whole simulation, so the second
         # submission coalesced instead of simulating again.
-        assert gateway.dedupe_hits >= 1
-        assert gateway.routed == 1
+        assert gateway.queue.dedupe_hits >= 1
+        assert gateway.pool.routed == 1
+
+
+class TestFastForwardKeys:
+    def test_fastfwd_outcome_never_served_for_exact_job(self, fleet):
+        """The gateway caches and coalesces by job key, which covers
+        the job's fast-forward fields: an exact submission after a
+        fast-forward one of the same job is simulated exactly."""
+        from dataclasses import replace
+
+        from repro.harness import SimJob
+        from repro.harness.parallel import execute_job
+        from repro.sim import small_system
+        from repro.workloads import make_mix
+
+        gateway = fleet.gateway.gateway
+        exact_job = SimJob(
+            make_mix("sftn", 1),
+            "vantage-z4/52",
+            small_system(epoch_cycles=150_000),
+            30_000,
+            seed=0,
+            fastfwd=False,
+        )
+        fast_job = replace(exact_job, fastfwd=True)
+        with fleet.gateway.client() as fed:
+            fast = fed.submit(fast_job)
+            served = fed.submit_batch([exact_job]).raise_on_error()
+        assert served.cached == [False]
+        assert gateway.cache_hits == 0
+        assert gateway.pool.routed == 2
+        inline = execute_job(exact_job)
+        assert fast.result != inline.result, "fast-forward skipped nothing"
+        assert served.outcomes[0].result == inline.result
 
 
 class TestHarnessFanOut:
@@ -144,7 +177,7 @@ class TestHarnessFanOut:
         outcomes = parallel.run_jobs(jobs)
         assert [o.result for o in outcomes] == expected
         assert parallel.FED_JOBS - before == len(jobs)
-        assert fleet.gateway.gateway.completed == len(jobs)
+        assert fleet.gateway.gateway.queue.completed == len(jobs)
 
     def test_run_jobs_falls_back_when_gateway_unreachable(
         self, fed_env, monkeypatch

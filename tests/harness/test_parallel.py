@@ -199,14 +199,14 @@ def _crashy_execute(job):
     workers) makes the crash happen exactly once, so the retry pass
     completes normally.
     """
-    from repro.harness import parallel
-
     flag = os.environ.get("REPRO_TEST_CRASH_FLAG")
     if job.seed == _CRASH_SEED and flag and not os.path.exists(flag):
         with open(flag, "w"):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
-    return parallel._execute(job)
+    # The module-level name was bound at import, before the test
+    # monkeypatched ``parallel.execute_job``: it is the original.
+    return execute_job(job)
 
 
 def test_worker_crash_resubmits_unfinished_jobs(
