@@ -394,7 +394,7 @@ class CMPSystem:
           :class:`~repro.traces.TraceSpec` read ``(gap, addr)`` pairs
           by index out of flat buffers compiled ahead of time by the
           trace store, instead of resuming a generator frame per event;
-          refills happen out of the hot loop, once per 64K-pair chunk.
+          refills happen out of the hot loop, once per 4K-pair chunk.
         """
         config = self.config
         cache = self.cache

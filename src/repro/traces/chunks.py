@@ -13,8 +13,9 @@ from __future__ import annotations
 from array import array
 from itertools import chain, islice
 
-#: Default pairs per chunk (64K pairs = 1 MiB of int64 per chunk).
-DEFAULT_CHUNK_PAIRS = 65_536
+#: Pairs per chunk (4K pairs = 64 KiB of int64), sized to what short
+#: jobs read.  Fast-forward job keys include it (spans stop at chunk ends).
+DEFAULT_CHUNK_PAIRS = 4_096
 
 
 def compile_chunk(iterator, chunk_pairs: int) -> array:

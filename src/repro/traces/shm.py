@@ -63,6 +63,8 @@ import struct
 from collections import OrderedDict
 from pathlib import Path
 
+from repro.traces.chunks import DEFAULT_CHUNK_PAIRS, chunk_nbytes
+
 #: Prefix of every segment name this module creates (visible under
 #: ``/dev/shm``; ``repro traces --list`` enumerates them).
 SEGMENT_PREFIX = "repro_trc_"
@@ -77,12 +79,12 @@ SEGMENT_VERSION = 1
 HEADER_BYTES = 64
 _HEADER_FMT = "<8q"
 
-#: Non-owned attachments kept mapped per process.  Resident daemon
-#: workers attach lazily and would otherwise accumulate one mapping
-#: per chunk ever simulated; beyond the cap the oldest attachment is
-#: dropped best-effort (skipped while its buffer is still exported)
-#: and simply re-attached on next use.
-MAX_ATTACHED = 512
+#: Non-owned attachments kept mapped per process (512 MiB of chunks).
+#: Resident daemon workers attach lazily and would otherwise
+#: accumulate one mapping per chunk ever simulated; beyond the cap the
+#: oldest attachment is dropped best-effort (skipped while its buffer
+#: is still exported) and simply re-attached on next use.
+MAX_ATTACHED = (512 << 20) // chunk_nbytes(DEFAULT_CHUNK_PAIRS)
 
 _ITEMSIZE = 8
 
@@ -130,14 +132,13 @@ class _Segment:
     """One mapped segment: the mapping, its canonical int64 payload
     view, and the bookkeeping the unlink protocol needs."""
 
-    __slots__ = ("map", "view", "owned", "unlinked", "refs")
+    __slots__ = ("map", "view", "owned", "unlinked")
 
     def __init__(self, mapping, view, owned: bool):
         self.map = mapping
         self.view = view
         self.owned = owned
         self.unlinked = False
-        self.refs = 0
 
 
 class SharedChunkPool:
@@ -153,9 +154,8 @@ class SharedChunkPool:
 
     def __init__(self):
         self._segments: OrderedDict[str, _Segment] = OrderedDict()
+        self._attached = 0  # non-owned entries of ``_segments``
         self._atexit_pid: int | None = None
-        # Telemetry (mirrored into TraceStore counters by callers).
-        self.attaches = 0
         self.publishes = 0
         self.errors = 0
 
@@ -181,8 +181,6 @@ class SharedChunkPool:
             if seg.unlinked:
                 return None
             self._segments.move_to_end(name)
-            seg.refs += 1
-            self.attaches += 1
             return seg.view
         root = shm_dir()
         if root is None:
@@ -218,10 +216,8 @@ class SharedChunkPool:
             mapping.close()
             return None
         seg = _Segment(mapping, self._payload_view(mapping, items), owned=False)
-        seg.refs = 1
         self._remember(name, seg)
         self._ensure_atexit()
-        self.attaches += 1
         return seg.view
 
     def publish(self, key: str, index: int, buf, chunk_pairs: int):
@@ -236,7 +232,6 @@ class SharedChunkPool:
         name = segment_name(key, index)
         seg = self._segments.get(name)
         if seg is not None and not seg.unlinked:
-            seg.refs += 1
             return seg.view, False
         items = 2 * chunk_pairs
         if len(buf) != items:
@@ -284,7 +279,6 @@ class SharedChunkPool:
         )
         mapping[40:48] = struct.pack("<q", 1)
         seg = _Segment(mapping, view, owned=True)
-        seg.refs = 1
         self._remember(name, seg)
         self._ensure_atexit()
         self.publishes += 1
@@ -297,16 +291,15 @@ class SharedChunkPool:
     def _remember(self, name: str, seg: _Segment) -> None:
         self._segments[name] = seg
         self._segments.move_to_end(name)
-        attached = sum(1 for s in self._segments.values() if not s.owned)
-        if attached <= MAX_ATTACHED:
+        if not seg.owned:
+            self._attached += 1
+        if self._attached <= MAX_ATTACHED:
             return
         for evict_name, evict in list(self._segments.items()):
-            if attached <= MAX_ATTACHED:
+            if self._attached <= MAX_ATTACHED:
                 break
-            if evict.owned or evict_name == name:
-                continue
-            if self._drop(evict_name, evict):
-                attached -= 1
+            if not evict.owned and evict_name != name:
+                self._drop(evict_name, evict)
 
     def _drop(self, name: str, seg: _Segment) -> bool:
         """Release and close one mapping; False when its payload view
@@ -315,7 +308,8 @@ class SharedChunkPool:
             seg.view.release()
         except BufferError:
             return False
-        self._segments.pop(name, None)
+        if self._segments.pop(name, None) is not None and not seg.owned:
+            self._attached -= 1
         try:
             seg.map.close()
         except BufferError:
@@ -389,6 +383,7 @@ class SharedChunkPool:
                 # the OS reclaims the mapping at process exit.
                 pass
         self._segments.clear()
+        self._attached = 0
 
     # -- host-wide inspection / maintenance ---------------------------
 

@@ -9,8 +9,8 @@ instead of re-running the Python generators item by item.
 
 Layers, cheapest first:
 
-1. **memory**: an LRU of at most ``max_chunks`` buffers (default 128
-   chunks of 64K pairs = 128 MiB);
+1. **memory**: an LRU of at most ``max_chunks`` buffers (default
+   128 MiB worth of chunks);
 2. **shared memory**: enabled by ``REPRO_TRACE_SHM=1`` -- named
    host-wide segments published once by a sweep owner (``run_jobs``
    parent, service daemon) and mapped zero-copy by every worker
@@ -26,12 +26,14 @@ Layers, cheapest first:
    behind an evicted producer restarts the generator from item zero,
    which is always correct because the streams are deterministic.
 
-Environment knobs:
+Chunks are ``DEFAULT_CHUNK_PAIRS`` pairs; the chunk-count caps
+default to fixed byte budgets, so the chunk size never changes how
+much memory they bound.  Environment knobs (the numeric ones are read
+and validated once, when the store is built):
 
 - ``REPRO_TRACE_CACHE``: on-disk chunk directory (unset: memory only).
-- ``REPRO_TRACE_CHUNK_PAIRS``: pairs per chunk (default 65536).
 - ``REPRO_TRACE_MEM_CHUNKS``: in-memory LRU capacity in chunks
-  (default 128).
+  (default: ``MEM_BUDGET_BYTES`` = 128 MiB of chunks).
 - ``REPRO_TRACE_SHM``: ``1`` maps chunks through the shared-memory
   fabric (attach everywhere; publishing stays with sweep owners).
 - ``REPRO_TRACE_SHM_SLACK``: publish-phase horizon multiplier over the
@@ -39,7 +41,7 @@ Environment knobs:
   depends on co-runners, so the prefix is sized with slack and
   anything beyond it falls back to the layers below).
 - ``REPRO_TRACE_SHM_MAX_CHUNKS``: per-trace publish cap in chunks
-  (default 64 = 64 MiB per trace at default chunking).
+  (default: ``SHM_PUBLISH_BUDGET_BYTES`` = 64 MiB of chunks).
 """
 
 from __future__ import annotations
@@ -52,7 +54,12 @@ from array import array
 from collections import OrderedDict
 from pathlib import Path
 
-from repro.traces.chunks import DEFAULT_CHUNK_PAIRS, chunk_instructions, compile_chunk
+from repro.traces.chunks import (
+    DEFAULT_CHUNK_PAIRS,
+    chunk_instructions,
+    chunk_nbytes,
+    compile_chunk,
+)
 from repro.traces.shm import get_pool, shm_enabled
 from repro.traces.spec import TraceSpec
 
@@ -67,36 +74,63 @@ MAX_PRODUCERS = 128
 #: recompute cost is one content hash / one ``meta.json`` stat.
 MAX_KEY_MEMO = 4096
 
-_DEFAULT_MEM_CHUNKS = 128
+#: Byte budgets behind the default chunk-count caps: the in-memory
+#: LRU, and the shared-memory publish prefix of one trace.
+MEM_BUDGET_BYTES = 128 << 20
+SHM_PUBLISH_BUDGET_BYTES = 64 << 20
+
+#: Telemetry counters (``TraceStore`` attributes) and their stats-tree
+#: descriptions.
+COUNTERS = {
+    "mem_hits": "chunks served from the in-process LRU",
+    "disk_hits": "chunks loaded from the on-disk store",
+    "compiles": "chunks compiled from generators",
+    "evictions": "chunks dropped by the LRU",
+    "bytes_compiled": "bytes produced by the compile layer",
+    "bytes_read": "bytes loaded from disk",
+    "bytes_written": "bytes persisted to disk",
+    "shm_hits": "chunks attached from shared-memory segments",
+    "shm_misses": "shared-memory lookups that fell through",
+    "shm_publishes": "segments published by this process",
+    "shm_bytes": "bytes served zero-copy from shared memory",
+}
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
+def _positive(name: str, value, parse=int):
+    """``value`` (an argument or a knob's raw string) through ``parse``,
+    checked positive; anything else raises one error naming ``name``."""
+    try:
+        parsed = parse(value)
+    except (TypeError, ValueError):
+        parsed = None
+    if parsed is None or not parsed > 0:
+        raise ValueError(f"{name} must be a positive {parse.__name__}, got {value!r}")
+    return parsed
 
 
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    return float(value) if value else default
+def _knob(name: str, default, parse=int):
+    """Environment knob ``name``, validated; ``default`` when unset."""
+    raw = os.environ.get(name)
+    return _positive(name, raw, parse) if raw else default
 
 
 class TraceStore:
     """LRU + disk cache of compiled trace chunks."""
 
     def __init__(
-        self, chunk_pairs: int | None = None, max_chunks: int | None = None
+        self, chunk_pairs: int = DEFAULT_CHUNK_PAIRS, max_chunks: int | None = None
     ):
-        self.chunk_pairs = chunk_pairs or _env_int(
-            "REPRO_TRACE_CHUNK_PAIRS", DEFAULT_CHUNK_PAIRS
-        )
-        if self.chunk_pairs < 1:
-            raise ValueError("chunk_pairs must be positive")
-        self.max_chunks = max_chunks or _env_int(
-            "REPRO_TRACE_MEM_CHUNKS", _DEFAULT_MEM_CHUNKS
-        )
-        self.max_list_chunks = _env_int("REPRO_TRACE_LIST_CHUNKS", 32)
+        self.chunk_pairs = _positive("chunk_pairs", chunk_pairs)
+        nbytes = chunk_nbytes(chunk_pairs)
+        if max_chunks is None:
+            mem_chunks = max(1, MEM_BUDGET_BYTES // nbytes)
+            self.max_chunks = _knob("REPRO_TRACE_MEM_CHUNKS", mem_chunks)
+        else:
+            self.max_chunks = _positive("max_chunks", max_chunks)
+        self.shm_slack = _knob("REPRO_TRACE_SHM_SLACK", 2.0, float)
+        shm_chunks = max(1, SHM_PUBLISH_BUDGET_BYTES // nbytes)
+        self.shm_max_chunks = _knob("REPRO_TRACE_SHM_MAX_CHUNKS", shm_chunks)
         self._chunks: OrderedDict[tuple[str, int], array] = OrderedDict()
-        self._lists: OrderedDict[tuple[str, int], list] = OrderedDict()
         self._producers: OrderedDict[str, tuple] = OrderedDict()
         self._keys: dict[TraceSpec, str] = {}
         self._meta_written: set[str] = set()
@@ -184,22 +218,11 @@ class TraceStore:
         """The chunk as a plain list (the event loop's cursor format:
         list indexing is the cheapest per-event read Python offers).
 
-        List conversions are memoised in their own small LRU
-        (``REPRO_TRACE_LIST_CHUNKS``, default 32 -- the hot set of one
-        running simulation) so a sweep re-simulating the same mix pays
-        ``tolist`` once, not once per scheme job.
+        Converted per call and never kept: ``tolist`` of one chunk
+        costs microseconds, and the running core's cursor holds the
+        only list copy.
         """
-        key = (self.key_of(spec), index)
-        lists = self._lists
-        chunk = lists.get(key)
-        if chunk is not None:
-            lists.move_to_end(key)
-            return chunk
-        chunk = self.get_chunk(spec, index).tolist()
-        lists[key] = chunk
-        while len(lists) > self.max_list_chunks:
-            lists.popitem(last=False)
-        return chunk
+        return self.get_chunk(spec, index).tolist()
 
     # -- memory layer ---------------------------------------------------
 
@@ -357,9 +380,9 @@ class TraceStore:
         if not shm_enabled():
             return 0
         if slack is None:
-            slack = _env_float("REPRO_TRACE_SHM_SLACK", 2.0)
+            slack = self.shm_slack
         if max_chunks is None:
-            max_chunks = _env_int("REPRO_TRACE_SHM_MAX_CHUNKS", 64)
+            max_chunks = self.shm_max_chunks
         pool = get_pool()
         key = self.key_of(spec)
         target = instructions * slack
@@ -379,49 +402,18 @@ class TraceStore:
                     created += 1
                     self.shm_publishes += 1
                 self._chunks.pop((key, index), None)
-                self._lists.pop((key, index), None)
             covered += chunk_instructions(chunk)
         return created
 
     # -- inspection / maintenance ---------------------------------------
 
     def counters(self) -> dict[str, int]:
-        return {
-            "mem_hits": self.mem_hits,
-            "disk_hits": self.disk_hits,
-            "compiles": self.compiles,
-            "evictions": self.evictions,
-            "bytes_compiled": self.bytes_compiled,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "shm_hits": self.shm_hits,
-            "shm_misses": self.shm_misses,
-            "shm_publishes": self.shm_publishes,
-            "shm_bytes": self.shm_bytes,
-        }
+        return {name: getattr(self, name) for name in COUNTERS}
 
     def register_stats(self, group) -> None:
         """Register the store's counters into a stats tree group."""
-        group.stat("mem_hits", lambda: self.mem_hits, "chunks served from the in-process LRU")
-        group.stat("disk_hits", lambda: self.disk_hits, "chunks loaded from the on-disk store")
-        group.stat("compiles", lambda: self.compiles, "chunks compiled from generators")
-        group.stat("evictions", lambda: self.evictions, "chunks dropped by the LRU")
-        group.stat("bytes_compiled", lambda: self.bytes_compiled, "bytes produced by the compile layer")
-        group.stat("bytes_read", lambda: self.bytes_read, "bytes loaded from disk")
-        group.stat("bytes_written", lambda: self.bytes_written, "bytes persisted to disk")
-        group.stat("shm_hits", lambda: self.shm_hits, "chunks attached from shared-memory segments")
-        group.stat("shm_misses", lambda: self.shm_misses, "shared-memory lookups that fell through")
-        group.stat("shm_publishes", lambda: self.shm_publishes, "segments published by this process")
-        group.stat("shm_bytes", lambda: self.shm_bytes, "bytes served zero-copy from shared memory")
-
-    def clear_memory(self) -> None:
-        """Drop the LRU and producers (counters are kept)."""
-        self._chunks.clear()
-        self._lists.clear()
-        self._producers.clear()
-        self._keys.clear()
-        self._meta_written.clear()
-        self._endian_checked.clear()
+        for name, desc in COUNTERS.items():
+            group.stat(name, lambda name=name: getattr(self, name), desc)
 
     @classmethod
     def list_disk(cls) -> list[dict]:
@@ -488,8 +480,9 @@ def get_store() -> TraceStore:
     return _STORE
 
 
-def reset_store() -> TraceStore:
-    """Replace the process-wide store (tests; chunking knob changes)."""
+def reset_store(chunk_pairs: int = DEFAULT_CHUNK_PAIRS) -> TraceStore:
+    """Replace the process-wide store (tests; ``chunk_pairs`` overrides
+    the chunk size of the new store)."""
     global _STORE
-    _STORE = TraceStore()
+    _STORE = TraceStore(chunk_pairs=chunk_pairs)
     return _STORE

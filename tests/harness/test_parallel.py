@@ -97,6 +97,22 @@ def test_job_key_distinguishes_inputs():
     assert len(keys) == len(variants)
 
 
+def test_fastfwd_key_covers_chunk_size(monkeypatch):
+    """A fast-forward skip span stops at a chunk end, so approximate
+    outcomes are keyed by the chunk size; exact keys ignore it."""
+    from repro.traces import chunks
+
+    config = small_system()
+    mix = make_mix("sftn", 1)
+    exact = SimJob(mix, "vantage-z4/52", config, INSTRUCTIONS, seed=0, fastfwd=False)
+    approx = SimJob(mix, "vantage-z4/52", config, INSTRUCTIONS, seed=0, fastfwd=True)
+    exact_key = results_cache.job_key(exact)
+    approx_key = results_cache.job_key(approx)
+    monkeypatch.setattr(chunks, "DEFAULT_CHUNK_PAIRS", 2 * chunks.DEFAULT_CHUNK_PAIRS)
+    assert results_cache.job_key(exact) == exact_key
+    assert results_cache.job_key(approx) != approx_key
+
+
 def _fastfwd_probe_job() -> SimJob:
     """A job on which fast-forward skips work (so its outcome differs
     from the exact one); the fast-forward fields come from the

@@ -275,10 +275,9 @@ class TestValidation:
             def generator(self):
                 return ((0, i & 7) for i in range(64))
 
-        monkeypatch.setenv("REPRO_TRACE_CHUNK_PAIRS", "64")
         monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
         monkeypatch.delenv("REPRO_FUSED", raising=False)
-        reset_store()
+        reset_store(chunk_pairs=64)
         try:
             config = tiny_config(cores=2)
             cache = build_baseline(config)

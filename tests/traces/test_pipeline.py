@@ -110,6 +110,53 @@ def test_lru_bounds_memory():
     assert store.evictions == 5
 
 
+def test_default_caps_follow_byte_budgets():
+    """The default caps are byte budgets, so the chunk size does not
+    change how much memory they bound."""
+    from repro.traces import shm, store as store_mod
+    from repro.traces.chunks import DEFAULT_CHUNK_PAIRS, chunk_nbytes
+
+    for chunk_pairs in (64, DEFAULT_CHUNK_PAIRS, 65_536):
+        store = TraceStore(chunk_pairs=chunk_pairs)
+        nbytes = chunk_nbytes(chunk_pairs)
+        assert store.max_chunks * nbytes == store_mod.MEM_BUDGET_BYTES == 128 << 20
+        assert store.shm_max_chunks * nbytes == 64 << 20
+    assert shm.MAX_ATTACHED * chunk_nbytes(DEFAULT_CHUNK_PAIRS) == 512 << 20
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("REPRO_TRACE_MEM_CHUNKS", "lots"),
+        ("REPRO_TRACE_MEM_CHUNKS", "0"),
+        ("REPRO_TRACE_MEM_CHUNKS", "-3"),
+        ("REPRO_TRACE_SHM_MAX_CHUNKS", "1.5"),
+        ("REPRO_TRACE_SHM_MAX_CHUNKS", "0"),
+        ("REPRO_TRACE_SHM_SLACK", "wide"),
+        ("REPRO_TRACE_SHM_SLACK", "0"),
+        ("REPRO_TRACE_SHM_SLACK", "nan"),
+    ],
+)
+def test_bad_store_knob_names_the_variable(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ValueError, match=name):
+        TraceStore()
+
+
+def test_store_knobs_override_the_budgets(monkeypatch):
+    monkeypatch.setenv("REPRO_TRACE_MEM_CHUNKS", "7")
+    monkeypatch.setenv("REPRO_TRACE_SHM_MAX_CHUNKS", "5")
+    monkeypatch.setenv("REPRO_TRACE_SHM_SLACK", "1.5")
+    store = TraceStore()
+    assert (store.max_chunks, store.shm_max_chunks, store.shm_slack) == (7, 5, 1.5)
+
+
+@pytest.mark.parametrize("kwargs", [{"chunk_pairs": 0}, {"max_chunks": 0}])
+def test_explicit_zero_is_rejected_not_defaulted(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        TraceStore(**kwargs)
+
+
 def test_key_memo_is_bounded(monkeypatch):
     """The spec->key memo flushes instead of growing forever (the
     experiment daemon's workers are resident processes), and a flushed
