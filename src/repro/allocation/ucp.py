@@ -228,8 +228,8 @@ class ReuseAwareUCPPolicy(UCPPolicy):
     """
 
     #: First-touch table bound; at the cap the table is cleared
-    #: wholesale (like the UMON hash memo, keeping behaviour a pure
-    #: function of the access sequence).
+    #: wholesale (like the arrays' scalar hash memos), keeping
+    #: behaviour a pure function of the access sequence.
     FIRST_TOUCH_CAP = 1 << 16
 
     def __init__(

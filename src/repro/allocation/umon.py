@@ -26,31 +26,6 @@ except ImportError:  # pragma: no cover
 #: than hashing them one at a time.
 _PRIME_MIN_BULK = 32
 
-#: Cross-instance pool of set-index hash memos, keyed by the full
-#: identity of the hash ``(model_sets, seed)``.  The H3 set index is a
-#: pure function of that identity and the address, so monitors built
-#: with the same geometry and seed -- every round of a benchmark,
-#: every mix of a sweep -- share one memo and skip re-hashing
-#: first-touch addresses the process has already classified.  Only the
-#: raw hash is shared: the per-monitor ``_sample_cache`` (whose size
-#: is the ``decided_addresses`` stat) is untouched, so stats stay
-#: process-history independent.  The registry is bounded; at the cap
-#: new identities get private memos.
-_HASH_MEMO_POOL: dict[tuple[int, int], dict[int, int]] = {}
-_POOL_KEYS_MAX = 16
-_HASH_MEMO_CAP = 1 << 18
-
-
-def pooled_hash_memo(model_sets: int, seed: int) -> dict[int, int]:
-    """Shared addr -> H3 set-index memo for hash identity
-    ``(model_sets, seed)`` (see ``_HASH_MEMO_POOL``)."""
-    memo = _HASH_MEMO_POOL.get((model_sets, seed))
-    if memo is None:
-        memo = {}
-        if len(_HASH_MEMO_POOL) < _POOL_KEYS_MAX:
-            _HASH_MEMO_POOL[(model_sets, seed)] = memo
-    return memo
-
 
 class UMonitor(SampledMonitor):
     """Per-core utility monitor (UMON-DSS).
@@ -94,7 +69,6 @@ class UMonitor(SampledMonitor):
         # and the sampling decision are static per address, so this
         # avoids re-hashing every access.
         self._sample_cache: dict[int, int | None] = {}
-        self._hash_memo = pooled_hash_memo(model_sets, seed)
         self.hits = [0] * num_ways
         self.accesses = 0
 
@@ -102,16 +76,7 @@ class UMonitor(SampledMonitor):
         """Observe one of the core's L2 accesses."""
         set_index = self._sample_cache.get(addr, -1)
         if set_index == -1:
-            memo = self._hash_memo
-            set_index = memo.get(addr, -1)
-            if set_index == -1:
-                if len(memo) >= _HASH_MEMO_CAP:
-                    memo.clear()
-                set_index = self._hash(addr)
-                memo[addr] = set_index
-            if set_index % self._period:
-                set_index = None
-            self._sample_cache[addr] = set_index
+            set_index = self.decide(addr, self._hash(addr))
         if set_index is None:
             return
         self.accesses += 1
@@ -232,16 +197,7 @@ class ReuseUMonitor(UMonitor):
     def access(self, addr: int, shared: bool = False) -> None:
         set_index = self._sample_cache.get(addr, -1)
         if set_index == -1:
-            memo = self._hash_memo
-            set_index = memo.get(addr, -1)
-            if set_index == -1:
-                if len(memo) >= _HASH_MEMO_CAP:
-                    memo.clear()
-                set_index = self._hash(addr)
-                memo[addr] = set_index
-            if set_index % self._period:
-                set_index = None
-            self._sample_cache[addr] = set_index
+            set_index = self.decide(addr, self._hash(addr))
         if set_index is None:
             return
         self.accesses += 1

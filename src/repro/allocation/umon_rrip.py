@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 
-from repro.allocation.umon import _HASH_MEMO_CAP, pooled_hash_memo
 from repro.arrays.hashing import H3Hash
 from repro.replacement.rrip import BRRIP_EPSILON, RRPV_MAX
 from repro.telemetry import SampledMonitor
@@ -102,7 +101,6 @@ class RRIPMonitor(SampledMonitor):
         # the SampledMonitor contract, shared with UMonitor, which
         # lets UCP skip non-sampled addresses without a call.
         self._sample_cache: dict[int, int | None] = {}
-        self._hash_memo = pooled_hash_memo(model_sets, seed)
         # Separate counters for the SRRIP and BRRIP halves.
         self.hits = {"srrip": [0] * num_ways, "brrip": [0] * num_ways}
         self.accesses = {"srrip": 0, "brrip": 0}
@@ -113,18 +111,7 @@ class RRIPMonitor(SampledMonitor):
     def access(self, addr: int) -> None:
         set_index = self._sample_cache.get(addr, -1)
         if set_index == -1:
-            # Shared pure-hash memo; the per-monitor _sample_cache
-            # (the decided_addresses stat) is still populated below.
-            memo = self._hash_memo
-            set_index = memo.get(addr, -1)
-            if set_index == -1:
-                if len(memo) >= _HASH_MEMO_CAP:
-                    memo.clear()
-                set_index = self._hash(addr)
-                memo[addr] = set_index
-            if set_index % self._period:
-                set_index = None
-            self._sample_cache[addr] = set_index
+            set_index = self.decide(addr, self._hash(addr))
         if set_index is None:
             return
         half = self._half(set_index)

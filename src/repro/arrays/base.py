@@ -153,9 +153,23 @@ class CacheArray(ABC):
     #
     # The base implementation returns ``None`` (no fast path); callers
     # must then fall back to ``candidates()``.
+    #
+    # ``candidate_slots``, ``install_walk`` and ``install`` take an
+    # optional ``first``: ``addr``'s own hash result when the caller
+    # already has it -- its entry in the array's ``index_column`` (the
+    # set index of a set-associative array, the per-way positions
+    # tuple of a skew array or zcache).  Batch kernels pass it; the
+    # scalar paths leave it ``None`` and the array hashes ``addr``.
+
+    def index_column(self, chunk):
+        """The array's hash of every address in a trace chunk, as an
+        ``array('q')`` column (see
+        :func:`~repro.arrays.hashing.hash_column`), or ``None`` for
+        arrays that index without hashing."""
+        return None
 
     def candidate_slots(
-        self, addr: int
+        self, addr: int, first=None
     ) -> tuple[list[int], list[int] | None, bool] | None:
         """Fast-path candidate generation; ``None`` if unsupported."""
         return None
@@ -216,7 +230,7 @@ class CacheArray(ABC):
         return n
 
     def install_walk(
-        self, addr: int, slots, parents, index: int
+        self, addr: int, slots, parents, index: int, first=None
     ) -> int:
         """Fused ``make_candidate(slots, parents, index)`` + ``install``.
 
@@ -233,12 +247,14 @@ class CacheArray(ABC):
         self._install_moves.clear()
         if self._tags[slot] >= 0:
             self._remove(slot)
-        self._place(addr, slot)
+        self._place(addr, slot, first)
         if self._collect:
             self.stat_installs += 1
         return slot
 
-    def install(self, addr: int, victim: Candidate) -> list[tuple[int, int]]:
+    def install(
+        self, addr: int, victim: Candidate, first=None
+    ) -> list[tuple[int, int]]:
         """Install ``addr``, evicting ``victim`` (if non-empty).
 
         Performs the relocations implied by ``victim.path`` and returns
@@ -257,7 +273,7 @@ class CacheArray(ABC):
         for i in range(len(path) - 1, 0, -1):
             self._move(path[i - 1], path[i])
             moves.append((path[i - 1], path[i]))
-        self._place(addr, path[0])
+        self._place(addr, path[0], first)
         if self._collect:
             self.stat_installs += 1
             self.stat_relocations += len(moves)
@@ -316,7 +332,9 @@ class CacheArray(ABC):
     # Internal tag-store mutations.
     # ------------------------------------------------------------------
 
-    def _place(self, addr: int, slot: int) -> None:
+    def _place(self, addr: int, slot: int, first=None) -> None:
+        """Put ``addr`` in the empty ``slot`` (``first``: ``addr``'s
+        column entry, for subclasses that keep per-slot positions)."""
         if self._tags[slot] >= 0:
             raise ValueError(f"slot {slot} is occupied")
         self._tags[slot] = addr

@@ -12,6 +12,7 @@ per-bit masks) at an eighth of the Python-level work.
 from __future__ import annotations
 
 import random
+from array import array
 
 try:  # pragma: no cover - exercised via the gated bulk path
     import numpy as _np
@@ -98,11 +99,15 @@ class H3Hash:
     def bulk(self, keys):
         """Vectorized ``__call__`` over a numpy int64 key array.
 
-        Always evaluates all eight byte tables: for keys below 2^32
-        the high bytes are zero and index the tables' zero entries --
-        exactly the constant ``__call__``'s short-circuit XORs in --
-        so the results are bit-identical to the scalar path.  Requires
-        numpy (callers gate on availability).
+        The XOR of the four high byte tables is a function of the
+        key's upper half alone.  When every key shares that half (one
+        core's addresses: the core sits in the top bits, the footprint
+        fits the low 32), it is one scalar ``__call__`` evaluation
+        XORed in; otherwise all eight byte tables are gathered.  For
+        keys below 2^32 the high bytes index the tables' zero entries
+        -- exactly the constant ``__call__``'s short-circuit XORs in
+        -- so either way the results are bit-identical to the scalar
+        path.  Requires numpy (callers gate on availability).
         """
         tables = self._np_tables
         if tables is None:
@@ -110,9 +115,27 @@ class H3Hash:
                 _np.asarray(t, dtype=_np.int64) for t in self._tables
             ]
         h = tables[0][keys & 0xFF]
-        for b in range(1, _KEY_BYTES):
-            h = h ^ tables[b][(keys >> (8 * b)) & 0xFF]
+        for b in range(1, _KEY_BYTES // 2):
+            h ^= tables[b][(keys >> (8 * b)) & 0xFF]
+        high = keys >> 32
+        if len(high) and (high == high[0]).all():
+            t = self._tables
+            upper = int(high[0])
+            h ^= (
+                t[4][upper & 0xFF]
+                ^ t[5][(upper >> 8) & 0xFF]
+                ^ t[6][(upper >> 16) & 0xFF]
+                ^ t[7][(upper >> 24) & 0xFF]
+            )
+        else:
+            for b in range(_KEY_BYTES // 2, _KEY_BYTES):
+                h ^= tables[b][(keys >> (8 * b)) & 0xFF]
         return h & self._mask
+
+    def column(self, chunk) -> array:
+        """This hash of every address in a trace chunk (see
+        :func:`hash_column`)."""
+        return hash_column(chunk, (self,), (0,))
 
     def __repr__(self) -> str:
         return f"H3Hash(num_buckets={self.num_buckets}, seed={self.seed})"
@@ -195,3 +218,35 @@ class H3Family:
         return tuple(
             (h >> (_MASK_BITS * way)) & mask for way in range(self.num_ways)
         )
+
+
+def hash_column(chunk, hashes, offsets) -> array:
+    """The index column of one trace chunk.
+
+    ``chunk`` holds flat ``gap, addr`` pairs in any of the trace
+    store's forms (a list, ``array('q')`` or a shared-memory
+    ``memoryview('q')``).  The result interleaves one entry per hash:
+    entry ``i * len(hashes) + w`` is ``hashes[w](addr_i) +
+    offsets[w]`` for the chunk's ``i``-th address, so a batch kernel
+    at flat cursor ``pos`` (just past pair ``i``) finds its entries at
+    ``((pos >> 1) - 1) * len(hashes)``.
+
+    This is the only place that chooses between numpy and the scalar
+    H3 evaluation: with numpy each hash is one vectorized
+    :meth:`H3Hash.bulk` over the chunk's addresses (zero-copy for the
+    buffer forms), without it every address is hashed one at a time.
+    Both produce the same int64 column, bit for bit.
+    """
+    if _np is None:
+        pairs = tuple(zip(hashes, offsets))
+        return array(
+            "q", [h(a) + off for a in chunk[1::2] for h, off in pairs]
+        )
+    keys = _np.asarray(chunk, dtype=_np.int64)[1::2]
+    if len(hashes) == 1:
+        column = hashes[0].bulk(keys) + offsets[0]
+    else:
+        column = _np.empty((len(keys), len(hashes)), dtype=_np.int64)
+        for w, h in enumerate(hashes):
+            column[:, w] = h.bulk(keys) + offsets[w]
+    return array("q", column.tobytes())

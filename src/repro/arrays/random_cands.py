@@ -56,7 +56,7 @@ class RandomCandidatesArray(CacheArray):
             for slot in slots
         ]
 
-    def candidate_slots(self, addr: int):
+    def candidate_slots(self, addr: int, first=None):
         # Consumes the RNG exactly like candidates(): one sample per
         # miss once the array is full, nothing while slots are free.
         if self._free:
@@ -69,12 +69,16 @@ class RandomCandidatesArray(CacheArray):
             self.stat_candidates += self._r
         return self._rng.sample(range(self.num_lines), self._r), None, False
 
-    def install(self, addr: int, victim: Candidate) -> list[tuple[int, int]]:
+    def install(
+        self, addr: int, victim: Candidate, first=None
+    ) -> list[tuple[int, int]]:
         if victim.addr is None and self._free and victim.slot == self._free[-1]:
             self._free.pop()
         return super().install(addr, victim)
 
-    def install_walk(self, addr: int, slots, parents, index: int) -> int:
+    def install_walk(
+        self, addr: int, slots, parents, index: int, first=None
+    ) -> int:
         slot = slots[index]
         if self._free and slot == self._free[-1] and self._tags[slot] < 0:
             self._free.pop()

@@ -8,30 +8,10 @@ indexed set as replacement candidates, so R = W.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.arrays.base import CacheArray, Candidate
 from repro.arrays.hashing import H3Hash
-
-#: Cross-instance pool of set-index memos, keyed by the full identity
-#: of the hash function ``(num_sets, seed)``.  The H3 set index is a
-#: pure function of that identity and the address, so arrays built
-#: with the same geometry and seed (every round of a benchmark, every
-#: mix of a sweep) share one memo and skip re-hashing first-touch
-#: addresses the process has already placed.  Sharing is invisible to
-#: results and stats: entries are only ever inserted, never mutated,
-#: and no counter exposes the memo's size.  The registry itself is
-#: bounded; at the cap new identities stop sharing (live arrays keep
-#: their references).
-_INDEX_CACHE_POOL: dict[tuple[int, int], dict[int, int]] = {}
-_POOL_KEYS_MAX = 16
-
-
-def _pooled_index_cache(num_sets: int, seed: int) -> dict[int, int]:
-    cache = _INDEX_CACHE_POOL.get((num_sets, seed))
-    if cache is None:
-        cache = {}
-        if len(_INDEX_CACHE_POOL) < _POOL_KEYS_MAX:
-            _INDEX_CACHE_POOL[(num_sets, seed)] = cache
-    return cache
 
 
 class SetAssociativeArray(CacheArray):
@@ -62,16 +42,15 @@ class SetAssociativeArray(CacheArray):
         self.hashed = hashed
         self._hash = H3Hash(self.num_sets, seed) if hashed else None
         self._set_mask = self.num_sets - 1
-        # Bounded memo of the per-address H3 set index, shared across
-        # arrays with the same hash identity (see _INDEX_CACHE_POOL).
+        # Bounded per-instance memo of the H3 set index, for the scalar
+        # callers of set_index() (the object path and the single-access
+        # closures); batch kernels read index_column() instead.
         # Unbounded, a long random-address run would hold one entry per
         # distinct address ever seen; instead the memo is flushed
         # wholesale when it reaches the cap (recomputing an H3 hash is
         # cheap, and a full clear keeps the hit path to a single dict
         # get).
-        self._index_cache: dict[int, int] = (
-            _pooled_index_cache(self.num_sets, seed) if hashed else {}
-        )
+        self._index_cache: dict[int, int] = {}
         self._index_cache_cap = max(4 * num_lines, 1 << 16)
         # Free-slot count per set, so candidate_slots can skip the
         # per-way emptiness scan once a set is full (the steady state),
@@ -98,6 +77,15 @@ class SetAssociativeArray(CacheArray):
             cache[addr] = idx
         return idx
 
+    def index_column(self, chunk) -> array:
+        """The set index of every address in a trace chunk (see
+        :func:`~repro.arrays.hashing.hash_column`), hashed once per
+        refill so batch kernels never call :meth:`set_index`."""
+        if self._hash is None:
+            mask = self._set_mask
+            return array("q", [a & mask for a in chunk[1::2]])
+        return self._hash.column(chunk)
+
     def positions(self, addr: int) -> tuple[int, ...]:
         base = self.set_index(addr) * self.num_ways
         return tuple(range(base, base + self.num_ways))
@@ -122,8 +110,10 @@ class SetAssociativeArray(CacheArray):
             )
         return out
 
-    def candidate_slots(self, addr: int):
-        set_index = self.set_index(addr)
+    def candidate_slots(self, addr: int, first: int | None = None):
+        """``first``: ``addr``'s set index when the caller already has
+        it (its :meth:`index_column` entry)."""
+        set_index = self.set_index(addr) if first is None else first
         if self._set_free[set_index]:
             base = set_index * self.num_ways
             tags = self._tags
@@ -140,7 +130,7 @@ class SetAssociativeArray(CacheArray):
             self.stat_candidates += self.num_ways
         return self._set_ranges[set_index], None, False
 
-    def _place(self, addr: int, slot: int) -> None:
+    def _place(self, addr: int, slot: int, first=None) -> None:
         super()._place(addr, slot)
         self._set_free[slot // self.num_ways] -= 1
 

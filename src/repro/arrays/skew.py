@@ -8,30 +8,23 @@ zcache whose replacement walk stops at the first level.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.arrays.base import EMPTY, CacheArray, Candidate
-from repro.arrays.hashing import _MASK_BITS, H3Family
-
-#: Cross-instance pool of position memos, keyed by the full identity
-#: of the position function ``(num_ways, num_sets, seed)`` (the hash
-#: family and the lane offsets are both derived from exactly these).
-#: A position tuple is a pure function of that identity and the
-#: address, so arrays built with the same geometry and seed -- every
-#: round of a benchmark, every mix of a sweep -- share one memo and
-#: skip re-hashing addresses the process has already placed.  Sharing
-#: is invisible to results and stats: entries are insert-only and no
-#: counter exposes the memo's size.  The registry is bounded; at the
-#: cap new identities stop sharing (live arrays keep their own dict).
-_POSITION_CACHE_POOL: dict[tuple[int, int, int], dict] = {}
-_POOL_KEYS_MAX = 16
+from repro.arrays.hashing import _MASK_BITS, H3Family, hash_column
 
 
-def _pooled_position_cache(num_ways: int, num_sets: int, seed: int) -> dict:
-    cache = _POSITION_CACHE_POOL.get((num_ways, num_sets, seed))
-    if cache is None:
-        cache = {}
-        if len(_POSITION_CACHE_POOL) < _POOL_KEYS_MAX:
-            _POSITION_CACHE_POOL[(num_ways, num_sets, seed)] = cache
-    return cache
+def relocated_positions(
+    others: tuple[int, ...], src: int, dst: int, num_sets: int
+) -> tuple[int, ...]:
+    """The ``_pos_by_slot`` entry of a line moving from ``src`` to
+    ``dst``, derived from its entry at ``src`` (``others``: the line's
+    positions minus ``src``) with no hashing: put ``src`` back at its
+    way, take ``dst`` out of its way."""
+    way = src // num_sets
+    full = others[:way] + (src,) + others[way:]
+    way = dst // num_sets
+    return full[:way] + full[way + 1 :]
 
 
 class SkewAssociativeArray(CacheArray):
@@ -48,16 +41,18 @@ class SkewAssociativeArray(CacheArray):
         if num_lines >= 1 << _MASK_BITS:
             raise ValueError("num_lines must fit in one fused-hash lane")
         self.hashes = H3Family(num_ways, self.num_sets, seed)
-        # Bounded memo of per-address position tuples, shared across
-        # arrays with the same position-function identity (see
-        # _POSITION_CACHE_POOL); flushed wholesale at the cap like
-        # SetAssociativeArray._index_cache (resident lines re-memoise
-        # on their next walk, so correctness never depends on an entry
-        # being present).
-        self._position_cache: dict[int, tuple[int, ...]] = (
-            _pooled_position_cache(num_ways, self.num_sets, seed)
-        )
+        # Bounded per-instance memo of position tuples, for the scalar
+        # callers of positions() (the object path, the single-access
+        # closures, fast-forward's reseed); batch kernels read
+        # index_column() instead, and relocations derive positions
+        # from _pos_by_slot.  Flushed wholesale at the cap like
+        # SetAssociativeArray._index_cache (correctness never depends
+        # on an entry being present).
+        self._position_cache: dict[int, tuple[int, ...]] = {}
         self._position_cache_cap = max(4 * num_lines, 1 << 16)
+        # First slot of each way's bank (positions() adds these to the
+        # per-way hashes).
+        self._bank_bases = tuple(way * self.num_sets for way in range(num_ways))
         # The fused hash packs each way's bucket into its own 32-bit
         # lane; adding these pre-shifted bank bases turns every lane
         # into a global slot index in a single operation (lanes are
@@ -92,6 +87,13 @@ class SkewAssociativeArray(CacheArray):
             cache[addr] = pos
         return pos
 
+    def index_column(self, chunk) -> array:
+        """Every address's positions in a trace chunk, ``num_ways``
+        entries per address (see
+        :func:`~repro.arrays.hashing.hash_column`): each way's H3 hash
+        plus its bank base, which is exactly :meth:`positions`."""
+        return hash_column(chunk, self.hashes.functions, self._bank_bases)
+
     def positions_into(self, addr: int, buf: list[int]) -> int:
         pos = self._position_cache.get(addr)
         if pos is not None:
@@ -114,12 +116,14 @@ class SkewAssociativeArray(CacheArray):
             out.append(Candidate(slot, tag if tag >= 0 else None, (slot,), way))
         return out
 
-    def candidate_slots(self, addr: int):
+    def candidate_slots(self, addr: int, first=None):
         tags = self._tags
         slots = self._walk_slots
         slots.clear()
         has_empty = False
-        for slot in self.positions(addr):
+        if first is None:
+            first = self.positions(addr)
+        for slot in first:
             slots.append(slot)
             if tags[slot] < 0:
                 has_empty = True
@@ -132,15 +136,19 @@ class SkewAssociativeArray(CacheArray):
     def way_of_slot(self, slot: int) -> int:
         return slot // self.num_sets
 
-    def _other_positions(self, addr: int, slot: int) -> tuple[int, ...]:
-        """``positions(addr)`` minus ``addr``'s own slot.  The line
-        sits at its way's position, so dropping index ``way(slot)``
-        removes exactly that one."""
-        pos = self.positions(addr)
+    def _other_positions(
+        self, addr: int, slot: int, first=None
+    ) -> tuple[int, ...]:
+        """``positions(addr)`` (or the caller's ``first``) minus
+        ``addr``'s own slot.  The line sits at its way's position, so
+        dropping index ``way(slot)`` removes exactly that one."""
+        pos = self.positions(addr) if first is None else first
         way = slot // self.num_sets
         return pos[:way] + pos[way + 1 :]
 
-    def install(self, addr: int, victim: Candidate) -> list[tuple[int, int]]:
+    def install(
+        self, addr: int, victim: Candidate, first=None
+    ) -> list[tuple[int, int]]:
         # Mirrors CacheArray.install with this class's _place/_move/
         # _remove bookkeeping inlined; install runs once per miss and
         # the method-call chain is measurable there.
@@ -154,7 +162,6 @@ class SkewAssociativeArray(CacheArray):
         tags = self._tags
         pbs = self._pos_by_slot
         num_sets = self.num_sets
-        pcache_get = self._position_cache.get
         if victim.addr is not None:
             old = tags[last]
             if old < 0:
@@ -174,39 +181,32 @@ class SkewAssociativeArray(CacheArray):
             tags[src] = EMPTY
             tags[dst] = line
             slot_of[line] = dst
-            # _other_positions(line, dst), inlined; the position memo
-            # is bounded, so recompute on the (rare) post-flush miss.
-            pos = pcache_get(line)
-            if pos is None:
-                pos = self.positions(line)
-            way = dst // num_sets
-            pbs[dst] = pos[:way] + pos[way + 1 :]
+            pbs[dst] = relocated_positions(pbs[src], src, dst, num_sets)
             pbs[src] = None
             moves.append((src, dst))
-        first = path[0]
-        if tags[first] >= 0:
-            raise ValueError(f"slot {first} is occupied")
-        tags[first] = addr
-        slot_of[addr] = first
-        pos = pcache_get(addr)
-        if pos is None:
-            pos = self.positions(addr)
-        way = first // num_sets
-        pbs[first] = pos[:way] + pos[way + 1 :]
+        first_slot = path[0]
+        if tags[first_slot] >= 0:
+            raise ValueError(f"slot {first_slot} is occupied")
+        tags[first_slot] = addr
+        slot_of[addr] = first_slot
+        pos = self.positions(addr) if first is None else first
+        way = first_slot // num_sets
+        pbs[first_slot] = pos[:way] + pos[way + 1 :]
         if self._collect:
             self.stat_installs += 1
             self.stat_relocations += len(moves)
         return moves
 
-    def _place(self, addr: int, slot: int) -> None:
+    def _place(self, addr: int, slot: int, first=None) -> None:
         super()._place(addr, slot)
-        self._pos_by_slot[slot] = self._other_positions(addr, slot)
+        self._pos_by_slot[slot] = self._other_positions(addr, slot, first)
 
     def _move(self, src: int, dst: int) -> None:
-        addr = self._tags[src]
+        others = self._pos_by_slot[src]
         super()._move(src, dst)
-        if addr >= 0:
-            self._pos_by_slot[dst] = self._other_positions(addr, dst)
+        self._pos_by_slot[dst] = relocated_positions(
+            others, src, dst, self.num_sets
+        )
         self._pos_by_slot[src] = None
 
     def _remove(self, slot: int) -> None:

@@ -19,7 +19,7 @@ relies on.
 from __future__ import annotations
 
 from repro.arrays.base import EMPTY, Candidate
-from repro.arrays.skew import SkewAssociativeArray
+from repro.arrays.skew import SkewAssociativeArray, relocated_positions
 
 
 class _WalkLevels(list):
@@ -185,10 +185,12 @@ class ZCacheArray(SkewAssociativeArray):
             slot // self.num_sets,
         )
 
-    def install_walk(self, addr: int, slots, parents, index: int) -> int:
+    def install_walk(
+        self, addr: int, slots, parents, index: int, first=None
+    ) -> int:
         bounds = parents
         if type(bounds) is not _WalkLevels:
-            return super().install_walk(addr, slots, parents, index)
+            return super().install_walk(addr, slots, parents, index, first)
         slot = slots[index]
         # Derive the victim's relocation chain exactly like
         # make_candidate, reading _pos_by_slot before any mutation.
@@ -217,11 +219,12 @@ class ZCacheArray(SkewAssociativeArray):
             level -= 1
         # chain[0] is the victim, chain[-1] the landing slot; lines
         # move one step toward the victim, nearest-the-victim first
-        # (the order CacheArray.install reports).
+        # (the order CacheArray.install reports).  A moving line's
+        # positions come from its _pos_by_slot entry, read before the
+        # next step overwrites it: the walk hashes nothing.
         slot_of = self._slot_of
         tags = self._tags
         num_sets = self.num_sets
-        pcache_get = self._position_cache.get
         old = tags[slot]
         if old >= 0:
             tags[slot] = EMPTY
@@ -237,20 +240,16 @@ class ZCacheArray(SkewAssociativeArray):
             tags[src] = EMPTY
             tags[dst] = line
             slot_of[line] = dst
-            pos = pcache_get(line)
-            if pos is None:
-                pos = self.positions(line)
-            way = dst // num_sets
-            pos_by_slot[dst] = pos[:way] + pos[way + 1 :]
+            pos_by_slot[dst] = relocated_positions(
+                pos_by_slot[src], src, dst, num_sets
+            )
             pos_by_slot[src] = None
             moves_append(src)
             moves_append(dst)
         landing = chain[-1]
         tags[landing] = addr
         slot_of[addr] = landing
-        pos = pcache_get(addr)
-        if pos is None:
-            pos = self.positions(addr)
+        pos = self.positions(addr) if first is None else first
         way = landing // num_sets
         pos_by_slot[landing] = pos[:way] + pos[way + 1 :]
         if self._collect:
@@ -258,7 +257,7 @@ class ZCacheArray(SkewAssociativeArray):
             self.stat_relocations += len(chain) - 1
         return landing
 
-    def candidate_slots(self, addr: int):
+    def candidate_slots(self, addr: int, first=None):
         """The replacement walk on primitive slot indices.
 
         Visits slots in exactly the order of :meth:`candidates` but
@@ -268,13 +267,13 @@ class ZCacheArray(SkewAssociativeArray):
         always sits at one of its own hashed positions, so the
         parent's way is skipped implicitly by the ``visited`` check.
         """
-        result = self._walk(addr)
+        result = self._walk(addr, first)
         if self._collect:
             self.stat_walks += 1
             self.stat_candidates += len(result[0])
         return result
 
-    def _walk(self, addr: int):
+    def _walk(self, addr: int, first=None):
         tags = self._tags
         pos_by_slot = self._pos_by_slot
         gen = self._walk_gen + 1
@@ -284,7 +283,6 @@ class ZCacheArray(SkewAssociativeArray):
         slots.clear()
         slots_append = slots.append
 
-        first = self._position_cache.get(addr)
         if first is None:
             first = self.positions(addr)
 

@@ -105,11 +105,8 @@ def _cmd_overheads(args) -> int:
 def _cmd_run_mix(args) -> int:
     from repro.harness.schemes import split_scheme
 
-    config = small_system() if args.system == "small" else large_system()
-    if args.epoch_cycles:
-        from dataclasses import replace
-
-        config = replace(config, epoch_cycles=args.epoch_cycles)
+    system = small_system if args.system == "small" else large_system
+    config = system(epoch_cycles=args.epoch_cycles)
     apps_per_slot = config.num_cores // 4
     try:
         # Validate both names before the (potentially long) run; the
@@ -399,11 +396,8 @@ def _cmd_submit(args) -> int:
     from repro.sim import large_system, small_system
     from repro.workloads import make_mix
 
-    config = small_system() if args.system == "small" else large_system()
-    if args.epoch_cycles:
-        from dataclasses import replace
-
-        config = replace(config, epoch_cycles=args.epoch_cycles)
+    system = small_system if args.system == "small" else large_system
+    config = system(epoch_cycles=args.epoch_cycles)
     apps_per_slot = config.num_cores // 4
     try:
         # Same up-front validation as run-mix: fail with a hint before
@@ -503,16 +497,13 @@ def _cmd_gateway(args) -> int:
 
 def _sweep_jobs(args):
     """Build the mix x scheme job grid shared by fed-submit."""
-    from dataclasses import replace
-
     from repro.harness import SimJob
     from repro.harness.schemes import split_scheme
     from repro.sim import large_system, small_system
     from repro.workloads import make_mix
 
-    config = small_system() if args.system == "small" else large_system()
-    if args.epoch_cycles:
-        config = replace(config, epoch_cycles=args.epoch_cycles)
+    system = small_system if args.system == "small" else large_system
+    config = system(epoch_cycles=args.epoch_cycles)
     apps_per_slot = config.num_cores // 4
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
@@ -648,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="vantage-z4/52")
     p.add_argument("--system", choices=("small", "large"), default="small")
     p.add_argument("--instructions", type=int, default=400_000)
-    p.add_argument("--epoch-cycles", type=int, default=250_000)
+    p.add_argument("--epoch-cycles", type=_positive_int, default=250_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--stats-json",
@@ -732,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="vantage-z4/52")
     p.add_argument("--system", choices=("small", "large"), default="small")
     p.add_argument("--instructions", type=int, default=400_000)
-    p.add_argument("--epoch-cycles", type=int, default=250_000)
+    p.add_argument("--epoch-cycles", type=_positive_int, default=250_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--priority", type=int, default=0)
     p.add_argument(
@@ -827,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--system", choices=("small", "large"), default="small")
     p.add_argument("--instructions", type=int, default=400_000)
-    p.add_argument("--epoch-cycles", type=int, default=250_000)
+    p.add_argument("--epoch-cycles", type=_positive_int, default=250_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--priority", type=int, default=0)
 

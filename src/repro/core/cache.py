@@ -361,9 +361,12 @@ class VantageCache(PartitionedCache):
                 victim = candidates[index]
         self._finish_install(addr, part, victim)
 
-    def _zmiss(self, addr: int, part: int, array) -> None:
+    def _zmiss(self, addr: int, part: int, array, first=None) -> None:
         """Fused replacement walk + demotion scan for a *full* zcache
-        (the steady state, where no slot is ever empty).
+        (the steady state, where no slot is ever empty).  ``first``
+        is ``addr``'s positions tuple when the caller already has it
+        (a batch kernel's index-column entry); otherwise it is hashed
+        here.
 
         Candidate discovery order and every state update are identical
         to ``candidate_slots()`` followed by ``_replacement_index()``:
@@ -401,7 +404,6 @@ class VantageCache(PartitionedCache):
         bounds = array._walk_bounds
         bounds.clear()
         bounds.hint = -1
-        first = array._position_cache.get(addr)
         if first is None:
             first = array.positions(addr)
 
@@ -551,7 +553,7 @@ class VantageCache(PartitionedCache):
                 self._setpoint_demote_more(part_of[slots[index]])
             self._evict_slot(slots[index])
         victim = array.make_candidate(slots, bounds, index)
-        self._finish_install(addr, part, victim)
+        self._finish_install(addr, part, victim, first)
 
     def _replacement_index(self, slots: list[int]) -> int:
         """Demotion checks over all candidate slots, then victim
@@ -724,8 +726,10 @@ class VantageCache(PartitionedCache):
             self.touched_by[slot] = 0
         self.part_of[slot] = NO_PART
 
-    def _finish_install(self, addr: int, part: int, victim: Candidate) -> None:
-        moves = self.array.install(addr, victim)
+    def _finish_install(
+        self, addr: int, part: int, victim: Candidate, first=None
+    ) -> None:
+        moves = self.array.install(addr, victim, first)
         part_of = self.part_of
         line_ts = self.line_ts
         if moves:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq as _heapq
 
 from repro.arrays.base import CacheArray
+from repro.arrays.skew import SkewAssociativeArray
 from repro.arrays.zcache import ZCacheArray
 from repro.core.cache import _TS_MASK, UNMANAGED, VantageCache
 from repro.core.rrip_variant import VantageDRRIPCache
@@ -72,7 +73,6 @@ def _vantage_kernel(cache, rrpv):
     if zc:
         tags = array._tags
         pos_by_slot = array._pos_by_slot
-        pcache_get = array._position_cache.get
         positions = array.positions
         num_sets = array.num_sets
         collect = array._collect
@@ -156,9 +156,7 @@ def _vantage_kernel(cache, rrpv):
             # First-level positions sit in distinct banks (no
             # duplicates); an empty one ends the walk with the victim
             # as its own landing slot -- install is a plain placement.
-            first = pcache_get(addr)
-            if first is None:
-                first = positions(addr)
+            first = positions(addr)
             n = 0
             landing = -1
             for slot in first:
@@ -263,10 +261,10 @@ def _vantage_batch(cache, ctx, rrpv):
         return None
     (
         hit_latency, memory, num_controllers, mem_latency, service_cycles,
-        free_at, observe, sample_gets, observed, mon_accesses, l1_accesses,
-        collect, l1_hits, num_cores, target, bufs, positions, limits,
-        instructions, finished_at, instructions_at_finish, times, heap,
-        batched,
+        free_at, observe, sample_gets, observed, mon_accesses, mon_decides,
+        l1_accesses, collect, l1_hits, num_cores, target, bufs, cols, ucols,
+        positions, limits, instructions, finished_at, instructions_at_finish,
+        times, heap, batched,
     ) = scheduler_cells(ctx)
     heappush = _heapq.heappush
     heappop = _heapq.heappop
@@ -283,10 +281,13 @@ def _vantage_batch(cache, ctx, rrpv):
     if zc:
         tags = array._tags
         pos_by_slot = array._pos_by_slot
-        pcache_get = array._position_cache.get
-        z_positions = array.positions
         num_sets = array.num_sets
         walk_stats = array._collect
+    # A miss hands the walk its column entry: the positions tuple of a
+    # skew array or zcache, the set index of a set-associative array
+    # (arrays without a column leave cols[cid] None).
+    skew = isinstance(array, SkewAssociativeArray)
+    num_ways = array.num_ways
 
     part_of = cache.part_of
     line_ts = cache.line_ts
@@ -343,12 +344,15 @@ def _vantage_batch(cache, ctx, rrpv):
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]
+            col = cols[cid]
             count = instructions[cid]
             fin = finished_at[cid] is not None
             l1a = l1_accesses[cid] if l1_accesses is not None else None
             if sample_gets is not None:
                 sget = sample_gets[cid]
                 macc = mon_accesses[cid]
+                mdecide = mon_decides[cid]
+                ucol = ucols[cid]
             else:
                 sget = None
             reason = 0
@@ -370,9 +374,14 @@ def _vantage_batch(cache, ctx, rrpv):
                         l1_hits[cid] += 1
                 else:
                     if sget is not None:
-                        if sget(addr, -1) is not None:
+                        decision = sget(addr, -1)
+                        if decision is not None:
+                            # First touch (-1): decide from the column.
                             observed[cid] += 1
-                            macc(addr)
+                            if decision != -1 or (
+                                mdecide(addr, ucol[(pos >> 1) - 1]) is not None
+                            ):
+                                macc(addr)
                     elif observe is not None:
                         observe(cid, addr)
                     slot = lookup(addr)
@@ -415,14 +424,18 @@ def _vantage_batch(cache, ctx, rrpv):
                     else:
                         st_acc[cid] += 1
                         st_miss[cid] += 1
+                        if col is None:
+                            first = None
+                        elif skew:
+                            k = ((pos >> 1) - 1) * num_ways
+                            first = tuple(col[k : k + num_ways])
+                        else:
+                            first = col[(pos >> 1) - 1]
                         if zwalk and len(slot_of) == num_lines:
-                            zmiss(addr, cid, array)
+                            zmiss(addr, cid, array, first)
                         else:
                             landing = -1
                             if zc:
-                                first = pcache_get(addr)
-                                if first is None:
-                                    first = z_positions(addr)
                                 n = 0
                                 for slot in first:
                                     n += 1
@@ -442,14 +455,14 @@ def _vantage_batch(cache, ctx, rrpv):
                                 )
                             else:
                                 slots, parents, has_empty = candidate_slots(
-                                    addr
+                                    addr, first
                                 )
                                 if has_empty:
                                     index = len(slots) - 1
                                 else:
                                     index = replacement_index(slots)
                                 landing = install_walk(
-                                    addr, slots, parents, index
+                                    addr, slots, parents, index, first
                                 )
                                 if moves_buf:
                                     for k in range(0, len(moves_buf), 2):

@@ -224,13 +224,13 @@ def bench_trace_pipeline(rounds: int) -> dict:
         checksum = 0
         for spec in specs:
             index = 0
-            buf = store.chunk_list(spec, 0)
+            _, buf = store.chunk_list(spec, 0)
             limit = len(buf)
             pos = 0
             for _ in range(FEED_PAIRS):
                 if pos >= limit:
                     index += 1
-                    buf = store.chunk_list(spec, index)
+                    _, buf = store.chunk_list(spec, index)
                     limit = len(buf)
                     pos = 0
                 checksum += buf[pos] + buf[pos + 1]

@@ -55,7 +55,7 @@ from repro import traces
 from repro.analysis.stats import SizeTimeSeries
 from repro.core import VantageConfig
 from repro.harness import results_cache
-from repro.harness.env import fastfwd_requested, fastfwd_tolerance
+from repro.harness.env import env_int, fastfwd_requested, fastfwd_tolerance
 from repro.sim import SystemConfig, SystemResult
 from repro.telemetry import Distribution
 from repro.workloads import Mix
@@ -180,10 +180,14 @@ class SimOutcome:
 
 
 def default_workers() -> int:
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """``REPRO_WORKERS``, validated (an integer >= 1); unset or empty
+    means the CPU count."""
+    if not os.environ.get("REPRO_WORKERS"):
+        return os.cpu_count() or 1
+    workers = env_int("REPRO_WORKERS", 1)
+    if workers < 1:
+        raise ValueError(f"REPRO_WORKERS must be >= 1, got {workers}")
+    return workers
 
 
 def worker_init() -> None:

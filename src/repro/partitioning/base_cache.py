@@ -119,11 +119,22 @@ class BatchContext:
     kernel read and write the same cursors, so control can bounce
     between them mid-run with no hand-off step.
 
-    ``sample_gets``/``observed``/``mon_accesses`` are the exploded
-    fast path of :meth:`UCPPolicy.observe` (per-partition sample
-    filters, observation counters and bound monitor accessors); they
-    are ``None`` when the policy is absent or overrides ``observe``,
-    in which case kernels fall back to the bound ``observe`` call.
+    ``sample_gets``/``observed``/``mon_accesses``/``mon_decides`` are
+    the exploded fast path of :meth:`UCPPolicy.observe` (per-partition
+    sample filters, observation counters and bound monitor accessors
+    and deciders); they are ``None`` when the policy is absent or
+    overrides ``observe``, in which case kernels fall back to the
+    bound ``observe`` call.
+
+    ``cols``/``ucols`` are the per-core *index columns* of the chunk
+    each core is reading, rebuilt by ``CMPSystem.run`` at every refill
+    like ``bufs``: ``cols[cid]`` is the L2 array's
+    :meth:`~repro.arrays.base.CacheArray.index_column` (``None`` for
+    arrays that hash nothing) and ``ucols[cid]`` the core's UMON
+    :meth:`~repro.telemetry.SampledMonitor.index_column` (built and
+    read only with ``sample_gets``).  A kernel at cursor ``pos`` (just
+    past a pair) reads that pair's entries at ``(pos >> 1) - 1``
+    (times the column width), so no address is hashed on the hot path.
     """
 
     hit_latency: int
@@ -132,6 +143,7 @@ class BatchContext:
     sample_gets: list | None
     observed: list | None
     mon_accesses: list | None
+    mon_decides: list | None
     l1s: list | None
     collect: bool
     l1_hits: list
@@ -139,6 +151,8 @@ class BatchContext:
     num_cores: int
     target: int
     bufs: list
+    cols: list
+    ucols: list
     positions: list
     limits: list
     instructions: list
@@ -174,12 +188,15 @@ def scheduler_cells(ctx: BatchContext) -> tuple:
         ctx.sample_gets,
         ctx.observed,
         ctx.mon_accesses,
+        ctx.mon_decides,
         l1_accesses,
         ctx.collect,
         ctx.l1_hits,
         ctx.num_cores,
         ctx.target,
         ctx.bufs,
+        ctx.cols,
+        ctx.ucols,
         ctx.positions,
         ctx.limits,
         ctx.instructions,

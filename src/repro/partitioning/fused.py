@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from repro.arrays.base import CacheArray
 from repro.arrays.set_assoc import SetAssociativeArray
+from repro.arrays.skew import SkewAssociativeArray
 from repro.partitioning.base_cache import (
     NO_PART,
     BaselineCache,
@@ -537,10 +538,10 @@ def _baseline_sa_lru_batch(cache, array, policy, ctx):
     kernel call."""
     (
         hit_latency, memory, num_controllers, mem_latency, service_cycles,
-        free_at, observe, sample_gets, observed, mon_accesses, l1_accesses,
-        collect, l1_hits, num_cores, target, bufs, positions, limits,
-        instructions, finished_at, instructions_at_finish, times, heap,
-        batched,
+        free_at, observe, sample_gets, observed, mon_accesses, mon_decides,
+        l1_accesses, collect, l1_hits, num_cores, target, bufs, cols, ucols,
+        positions, limits, instructions, finished_at, instructions_at_finish,
+        times, heap, batched,
     ) = scheduler_cells(ctx)
     heappush = _heappush
     heappop = _heappop
@@ -549,7 +550,6 @@ def _baseline_sa_lru_batch(cache, array, policy, ctx):
     lookup = array._slot_of.get
     slot_of = array._slot_of
     tags = array._tags
-    set_index = array.set_index
     set_free = array._set_free
     num_ways = array.num_ways
     state = policy.state
@@ -603,12 +603,15 @@ def _baseline_sa_lru_batch(cache, array, policy, ctx):
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]
+            col = cols[cid]
             count = instructions[cid]
             fin = finished_at[cid] is not None
             l1a = l1_accesses[cid] if l1_accesses is not None else None
             if sample_gets is not None:
                 sget = sample_gets[cid]
                 macc = mon_accesses[cid]
+                mdecide = mon_decides[cid]
+                ucol = ucols[cid]
             else:
                 sget = None
             reason = 0
@@ -630,9 +633,14 @@ def _baseline_sa_lru_batch(cache, array, policy, ctx):
                         l1_hits[cid] += 1
                 else:
                     if sget is not None:
-                        if sget(addr, -1) is not None:
+                        decision = sget(addr, -1)
+                        if decision is not None:
+                            # First touch (-1): decide from the column.
                             observed[cid] += 1
-                            macc(addr)
+                            if decision != -1 or (
+                                mdecide(addr, ucol[(pos >> 1) - 1]) is not None
+                            ):
+                                macc(addr)
                     elif observe is not None:
                         observe(cid, addr)
                     slot = lookup(addr)
@@ -650,7 +658,7 @@ def _baseline_sa_lru_batch(cache, array, policy, ctx):
                     else:
                         st_acc[cid] += 1
                         st_miss[cid] += 1
-                        si = set_index(addr)
+                        si = col[(pos >> 1) - 1]
                         base = si * num_ways
                         if set_free[si]:
                             scanned = 0
@@ -750,10 +758,10 @@ def _baseline_generic_batch(cache, array, policy, ctx):
     ``current_ts`` mid-event (coarse LRU ages against it)."""
     (
         hit_latency, memory, num_controllers, mem_latency, service_cycles,
-        free_at, observe, sample_gets, observed, mon_accesses, l1_accesses,
-        collect, l1_hits, num_cores, target, bufs, positions, limits,
-        instructions, finished_at, instructions_at_finish, times, heap,
-        batched,
+        free_at, observe, sample_gets, observed, mon_accesses, mon_decides,
+        l1_accesses, collect, l1_hits, num_cores, target, bufs, cols, ucols,
+        positions, limits, instructions, finished_at, instructions_at_finish,
+        times, heap, batched,
     ) = scheduler_cells(ctx)
     heappush = _heappush
     heappop = _heappop
@@ -763,6 +771,11 @@ def _baseline_generic_batch(cache, array, policy, ctx):
     candidate_slots = array.candidate_slots
     install_walk = array.install_walk
     moves_buf = array._install_moves
+    # A miss hands the walk its column entry: the positions tuple of a
+    # skew array or zcache, the set index of a set-associative array
+    # (arrays without a column leave cols[cid] None).
+    skew = isinstance(array, SkewAssociativeArray)
+    num_ways = array.num_ways
     state = policy.state if isinstance(policy, SlotStatePolicy) else None
     pol_cls = type(policy)
     select_index = policy.select_victim_index
@@ -823,12 +836,15 @@ def _baseline_generic_batch(cache, array, policy, ctx):
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]
+            col = cols[cid]
             count = instructions[cid]
             fin = finished_at[cid] is not None
             l1a = l1_accesses[cid] if l1_accesses is not None else None
             if sample_gets is not None:
                 sget = sample_gets[cid]
                 macc = mon_accesses[cid]
+                mdecide = mon_decides[cid]
+                ucol = ucols[cid]
             else:
                 sget = None
             reason = 0
@@ -850,9 +866,14 @@ def _baseline_generic_batch(cache, array, policy, ctx):
                         l1_hits[cid] += 1
                 else:
                     if sget is not None:
-                        if sget(addr, -1) is not None:
+                        decision = sget(addr, -1)
+                        if decision is not None:
+                            # First touch (-1): decide from the column.
                             observed[cid] += 1
-                            macc(addr)
+                            if decision != -1 or (
+                                mdecide(addr, ucol[(pos >> 1) - 1]) is not None
+                            ):
+                                macc(addr)
                     elif observe is not None:
                         observe(cid, addr)
                     slot = lookup(addr)
@@ -886,7 +907,14 @@ def _baseline_generic_batch(cache, array, policy, ctx):
                     else:
                         st_acc[cid] += 1
                         st_miss[cid] += 1
-                        slots, parents, has_empty = candidate_slots(addr)
+                        if col is None:
+                            first = None
+                        elif skew:
+                            k = ((pos >> 1) - 1) * num_ways
+                            first = tuple(col[k : k + num_ways])
+                        else:
+                            first = col[(pos >> 1) - 1]
+                        slots, parents, has_empty = candidate_slots(addr, first)
                         if has_empty:
                             index = len(slots) - 1
                         else:
@@ -899,7 +927,9 @@ def _baseline_generic_batch(cache, array, policy, ctx):
                                 st_evict[owner] += 1
                                 sizes[owner] -= 1
                                 part_of[vslot] = NO_PART
-                        landing = install_walk(addr, slots, parents, index)
+                        landing = install_walk(
+                            addr, slots, parents, index, first
+                        )
                         if moves_buf:
                             for k in range(0, len(moves_buf), 2):
                                 src = moves_buf[k]
@@ -988,10 +1018,10 @@ def build_waypart_batch(cache: WayPartitionedCache, ctx):
         return None
     (
         hit_latency, memory, num_controllers, mem_latency, service_cycles,
-        free_at, observe, sample_gets, observed, mon_accesses, l1_accesses,
-        collect, l1_hits, num_cores, target, bufs, positions, limits,
-        instructions, finished_at, instructions_at_finish, times, heap,
-        batched,
+        free_at, observe, sample_gets, observed, mon_accesses, mon_decides,
+        l1_accesses, collect, l1_hits, num_cores, target, bufs, cols, ucols,
+        positions, limits, instructions, finished_at, instructions_at_finish,
+        times, heap, batched,
     ) = scheduler_cells(ctx)
     heappush = _heappush
     heappop = _heappop
@@ -1000,7 +1030,6 @@ def build_waypart_batch(cache: WayPartitionedCache, ctx):
     lookup = array._slot_of.get
     slot_of = array._slot_of
     tags = array._tags
-    set_index = array.set_index
     set_free = array._set_free
     num_ways = array.num_ways
     state = policy.state
@@ -1052,12 +1081,15 @@ def build_waypart_batch(cache: WayPartitionedCache, ctx):
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]
+            col = cols[cid]
             count = instructions[cid]
             fin = finished_at[cid] is not None
             l1a = l1_accesses[cid] if l1_accesses is not None else None
             if sample_gets is not None:
                 sget = sample_gets[cid]
                 macc = mon_accesses[cid]
+                mdecide = mon_decides[cid]
+                ucol = ucols[cid]
             else:
                 sget = None
             reason = 0
@@ -1079,9 +1111,14 @@ def build_waypart_batch(cache: WayPartitionedCache, ctx):
                         l1_hits[cid] += 1
                 else:
                     if sget is not None:
-                        if sget(addr, -1) is not None:
+                        decision = sget(addr, -1)
+                        if decision is not None:
+                            # First touch (-1): decide from the column.
                             observed[cid] += 1
-                            macc(addr)
+                            if decision != -1 or (
+                                mdecide(addr, ucol[(pos >> 1) - 1]) is not None
+                            ):
+                                macc(addr)
                     elif observe is not None:
                         observe(cid, addr)
                     slot = lookup(addr)
@@ -1099,7 +1136,7 @@ def build_waypart_batch(cache: WayPartitionedCache, ctx):
                     else:
                         st_acc[cid] += 1
                         st_miss[cid] += 1
-                        base = set_index(addr) * num_ways
+                        base = col[(pos >> 1) - 1] * num_ways
                         victim = -1
                         best_age = -1
                         empty = -1
@@ -1191,10 +1228,10 @@ def build_pipp_batch(cache: PIPPCache, ctx):
     array = cache.array
     (
         hit_latency, memory, num_controllers, mem_latency, service_cycles,
-        free_at, observe, sample_gets, observed, mon_accesses, l1_accesses,
-        collect, l1_hits, num_cores, target, bufs, positions, limits,
-        instructions, finished_at, instructions_at_finish, times, heap,
-        batched,
+        free_at, observe, sample_gets, observed, mon_accesses, mon_decides,
+        l1_accesses, collect, l1_hits, num_cores, target, bufs, cols, ucols,
+        positions, limits, instructions, finished_at, instructions_at_finish,
+        times, heap, batched,
     ) = scheduler_cells(ctx)
     heappush = _heappush
     heappop = _heappop
@@ -1203,7 +1240,6 @@ def build_pipp_batch(cache: PIPPCache, ctx):
     lookup = array._slot_of.get
     slot_of = array._slot_of
     tags = array._tags
-    set_index = array.set_index
     set_free = array._set_free
     num_ways = array.num_ways
     rng_random = cache._rng.random
@@ -1260,12 +1296,15 @@ def build_pipp_batch(cache: PIPPCache, ctx):
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]
+            col = cols[cid]
             count = instructions[cid]
             fin = finished_at[cid] is not None
             l1a = l1_accesses[cid] if l1_accesses is not None else None
             if sample_gets is not None:
                 sget = sample_gets[cid]
                 macc = mon_accesses[cid]
+                mdecide = mon_decides[cid]
+                ucol = ucols[cid]
             else:
                 sget = None
             reason = 0
@@ -1287,9 +1326,14 @@ def build_pipp_batch(cache: PIPPCache, ctx):
                         l1_hits[cid] += 1
                 else:
                     if sget is not None:
-                        if sget(addr, -1) is not None:
+                        decision = sget(addr, -1)
+                        if decision is not None:
+                            # First touch (-1): decide from the column.
                             observed[cid] += 1
-                            macc(addr)
+                            if decision != -1 or (
+                                mdecide(addr, ucol[(pos >> 1) - 1]) is not None
+                            ):
+                                macc(addr)
                     elif observe is not None:
                         observe(cid, addr)
                     win_accesses[cid] += 1
@@ -1316,7 +1360,7 @@ def build_pipp_batch(cache: PIPPCache, ctx):
                         st_acc[cid] += 1
                         st_miss[cid] += 1
                         win_misses[cid] += 1
-                        si = set_index(addr)
+                        si = col[(pos >> 1) - 1]
                         chain = chains[si]
                         base = si * num_ways
                         if set_free[si]:

@@ -31,6 +31,17 @@ class SystemConfig:
     freq_ghz: float = 2.0
     epoch_cycles: int = 5_000_000
 
+    def __post_init__(self):
+        # A non-positive epoch would never advance the event loop's
+        # next-epoch deadline (the run would hang); the others size
+        # lists and divide addresses.
+        for name in ("num_cores", "l2_bytes", "epoch_cycles", "mem_controllers"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(
+                    f"SystemConfig.{name} must be positive, got {value!r}"
+                )
+
     @property
     def l2_lines(self) -> int:
         return self.l2_bytes // self.line_bytes

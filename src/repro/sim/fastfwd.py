@@ -781,14 +781,11 @@ class FastForward:
         tick_size[p] = size
         tick_period[p] = size >> 4 or 1
         # Structural wiring: each line's other candidate positions.
-        pcache_get = array._position_cache.get
         positions = array.positions
         pbs = array._pos_by_slot
         num_sets = array.num_sets
         for addr, slot in zip(addrs, slots):
-            pos = pcache_get(addr)
-            if pos is None:
-                pos = positions(addr)
+            pos = positions(addr)
             way = slot // num_sets
             pbs[slot] = pos[:way] + pos[way + 1 :]
         array._slot_of.update(zip(addrs, slots))
@@ -846,7 +843,6 @@ class FastForward:
         tags = array._tags
         pbs = array._pos_by_slot
         num_sets = array.num_sets
-        pcache_get = array._position_cache.get
         positions = array.positions
         part_of = cache.part_of
         line_ts = cache.line_ts
@@ -943,9 +939,7 @@ class FastForward:
                     mon_access(addr)
                 continue
             misses += 1
-            pos = pcache_get(addr)
-            if pos is None:
-                pos = positions(addr)
+            pos = positions(addr)
             way = 0
             slot = -1
             for s in pos:

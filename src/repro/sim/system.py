@@ -285,6 +285,8 @@ class CMPSystem:
         self,
         target: int,
         bufs: list,
+        cols: list,
+        ucols: list,
         positions: list,
         limits: list,
         instructions: list,
@@ -294,9 +296,11 @@ class CMPSystem:
         heap: list | None,
         batched: list,
     ):
-        """Build the cache's whole-loop batch kernel, or ``None`` when
-        the cache class has none registered (or declines, e.g. because
-        an eviction hook is installed).
+        """Build the cache's whole-loop batch kernel and return it with
+        the per-core UMON column builders it reads (``None`` when the
+        kernel takes no UMON column), or ``(None, None)`` when the
+        cache class has none registered (or declines, e.g. because an
+        eviction hook is installed).
 
         The :class:`BatchContext` hands the kernels everything the
         event loop touches: the access-body collaborators plus the
@@ -313,7 +317,8 @@ class CMPSystem:
 
         policy = self.policy
         observe = policy.observe if policy is not None else None
-        sample_gets = observed = mon_accesses = None
+        sample_gets = observed = mon_accesses = mon_decides = None
+        mon_columns = None
         if observe is not None and type(policy).observe in (
             StaticPolicy.observe,
             EqualSharePolicy.observe,
@@ -325,6 +330,8 @@ class CMPSystem:
             sample_gets = policy._sample_gets
             observed = policy.observed
             mon_accesses = [m.access for m in policy.monitors]
+            mon_decides = [m.decide for m in policy.monitors]
+            mon_columns = [m.index_column for m in policy.monitors]
             observe = None
         ctx = BatchContext(
             hit_latency=self.config.l2_hit_latency,
@@ -333,12 +340,15 @@ class CMPSystem:
             sample_gets=sample_gets,
             observed=observed,
             mon_accesses=mon_accesses,
+            mon_decides=mon_decides,
             l1s=self.l1s,
             collect=self._collect,
             l1_hits=self.l1_hits,
             num_cores=self.config.num_cores,
             target=target,
             bufs=bufs,
+            cols=cols,
+            ucols=ucols,
             positions=positions,
             limits=limits,
             instructions=instructions,
@@ -348,7 +358,10 @@ class CMPSystem:
             heap=heap,
             batched=batched,
         )
-        return self.cache.build_batch_kernel(ctx)
+        kernel = self.cache.build_batch_kernel(ctx)
+        if kernel is None:
+            return None, None
+        return kernel, mon_columns
 
     def _restart_trace(self, cid: int, iterators: list, nexts: list):
         """Restart core ``cid``'s finite trace and return its first
@@ -395,6 +408,10 @@ class CMPSystem:
           by index out of flat buffers compiled ahead of time by the
           trace store, instead of resuming a generator frame per event;
           refills happen out of the hot loop, once per 4K-pair chunk.
+          With a batch kernel, each refill also hashes the chunk's
+          addresses once, vectorised, into the core's index columns
+          (see :class:`BatchContext`), so the kernels look hashes up
+          instead of computing them per miss.
         """
         config = self.config
         cache = self.cache
@@ -411,6 +428,8 @@ class CMPSystem:
         iterators: list = [None] * num_cores
         nexts: list = [None] * num_cores
         bufs: list = [()] * num_cores
+        cols: list = [None] * num_cores
+        ucols: list = [None] * num_cores
         positions = [0] * num_cores
         limits = [0] * num_cores
         next_chunk = [0] * num_cores
@@ -434,11 +453,13 @@ class CMPSystem:
         # kernels themselves can rely on it: a False entry sends the
         # core to the single-access path (reason 4).
         batched = [False] * num_cores
-        batch_kernel = None
+        batch_kernel = mon_columns = None
         if self._batch_layer and any(chunked):
-            batch_kernel = self._build_batch_kernel(
+            batch_kernel, mon_columns = self._build_batch_kernel(
                 instructions_per_core,
                 bufs,
+                cols,
+                ucols,
                 positions,
                 limits,
                 instructions,
@@ -451,6 +472,7 @@ class CMPSystem:
         if batch_kernel is not None:
             for cid in range(num_cores):
                 batched[cid] = chunked[cid]
+            index_column = cache.array.index_column
 
         ff = None
         if self._use_fastfwd:
@@ -482,7 +504,7 @@ class CMPSystem:
             factory = trace_factories[cid]
             index = next_chunk[cid]
             try:
-                buf = store.chunk_list(factory, index)
+                chunk, buf = store.chunk_list(factory, index)
             except StopIteration:
                 raise ValueError(
                     f"trace for core {cid} is empty: its factory produced "
@@ -493,6 +515,10 @@ class CMPSystem:
             next_chunk[cid] += 1
             trace_chunks[cid] += 1
             bufs[cid] = buf
+            if batch_kernel is not None:
+                cols[cid] = index_column(chunk)
+                if mon_columns is not None:
+                    ucols[cid] = mon_columns[cid](chunk)
             limits[cid] = len(buf)
             positions[cid] = 0
             return buf

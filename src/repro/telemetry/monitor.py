@@ -32,9 +32,29 @@ class SampledMonitor:
     outside the sampled sets (the common case).  An address missing
     from the cache means "not decided yet" -- callers must then call
     :meth:`observe` so the monitor can decide and memoise.
+
+    The decision is a function of the address's set-index hash
+    ``_hash`` (an :class:`~repro.arrays.hashing.H3Hash`) and the
+    sampling period ``_period``: :meth:`decide` records it from a
+    precomputed hash (a batch kernel's :meth:`index_column` entry),
+    so the first touch of an address need not hash it again.
     """
 
     _sample_cache: dict
+    _hash: object
+    _period: int
+
+    def decide(self, addr: int, set_index: int):
+        """Memoise ``addr``'s sampling decision from its set-index
+        hash and return it (the sampled set index, or ``None``)."""
+        decision = None if set_index % self._period else set_index
+        self._sample_cache[addr] = decision
+        return decision
+
+    def index_column(self, chunk):
+        """The set-index hash of every address in a trace chunk (see
+        :meth:`~repro.arrays.hashing.H3Hash.column`)."""
+        return self._hash.column(chunk)
 
     def sample_filter(self):
         """A callable ``f(addr, default)`` for hot-path early exits.

@@ -214,15 +214,19 @@ class TraceStore:
             return chunk
         return self._compile_through(spec, key, index)
 
-    def chunk_list(self, spec: TraceSpec, index: int) -> list[int]:
-        """The chunk as a plain list (the event loop's cursor format:
-        list indexing is the cheapest per-event read Python offers).
+    def chunk_list(self, spec: TraceSpec, index: int) -> tuple:
+        """The chunk in the two forms the event loop reads, as
+        ``(chunk, items)``: the stored buffer (``array('q')`` or a
+        shared-memory ``memoryview('q')``, which index columns hash
+        zero-copy) and a plain list (the cursor format: list indexing
+        is the cheapest per-event read Python offers).
 
-        Converted per call and never kept: ``tolist`` of one chunk
-        costs microseconds, and the running core's cursor holds the
-        only list copy.
+        The list is converted per call and never kept: ``tolist`` of
+        one chunk costs microseconds, and the running core's cursor
+        holds the only list copy.
         """
-        return self.get_chunk(spec, index).tolist()
+        chunk = self.get_chunk(spec, index)
+        return chunk, chunk.tolist()
 
     # -- memory layer ---------------------------------------------------
 

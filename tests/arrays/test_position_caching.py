@@ -1,5 +1,7 @@
-"""Tests for the memoised position caches that make zcache walks
-affordable: the caches must never return stale or wrong positions."""
+"""Tests for the per-instance position and set-index memos behind the
+scalar ``positions()`` / ``set_index()`` paths (batch kernels read
+per-chunk index columns instead): the memos must never return stale
+or wrong positions, and must stay bounded."""
 
 from repro.arrays import SetAssociativeArray, SkewAssociativeArray, ZCacheArray
 from repro.arrays.hashing import H3Family
@@ -69,6 +71,27 @@ class TestSetAssocIndexCache:
                 assert slot // 16 == set_index
 
 
+class TestMemosArePerInstance:
+    """Same-identity arrays (same geometry and seed) keep separate
+    memos, so one array's history never sizes another's memory."""
+
+    def test_set_assoc(self):
+        a = SetAssociativeArray(64, 4, hashed=True, seed=3)
+        b = SetAssociativeArray(64, 4, hashed=True, seed=3)
+        assert a._index_cache is not b._index_cache
+        a.set_index(12345)
+        assert b._index_cache == {}
+        assert b.set_index(12345) == a.set_index(12345)
+
+    def test_skew_and_zcache(self):
+        a = SkewAssociativeArray(64, 4, seed=3)
+        b = ZCacheArray(64, 4, candidates_per_miss=16, seed=3)
+        assert a._position_cache is not b._position_cache
+        a.positions(12345)
+        assert b._position_cache == {}
+        assert b.positions(12345) == a.positions(12345)
+
+
 class TestMemoFlushBoundary:
     """The wholesale flush fires exactly at ``max(4 * lines, 2**16)``:
     the memo holds precisely cap entries, and the insert *after* the
@@ -89,9 +112,6 @@ class TestMemoFlushBoundary:
 
     def test_index_cache_flushes_exactly_at_cap(self):
         array = SetAssociativeArray(64, 4, hashed=True, seed=23)
-        # The memo is pooled across same-identity arrays; start clean
-        # so the fill count below is exact.
-        array._index_cache.clear()
         cap = array._index_cache_cap
         for addr in range(cap):
             array.set_index(addr)
@@ -106,7 +126,6 @@ class TestMemoFlushBoundary:
 
     def test_position_cache_flushes_exactly_at_cap(self):
         array = SkewAssociativeArray(64, 4, seed=29)
-        array._position_cache.clear()
         cap = array._position_cache_cap
         for addr in range(cap):
             array.positions(addr)
@@ -134,7 +153,6 @@ class TestPositionsInto:
 
     def test_skew_cold_and_warm_paths_agree(self):
         array = SkewAssociativeArray(256, 4, seed=37)
-        array._position_cache.clear()
         buf = [0] * 4
         for addr in range(100):
             # Cold: positions_into computes without memoising...
@@ -152,7 +170,6 @@ class TestPositionsInto:
 
     def test_agrees_across_the_flush(self):
         array = SkewAssociativeArray(64, 4, seed=43)
-        array._position_cache.clear()
         cap = array._position_cache_cap
         probes = (0, 1, cap - 1, cap, cap + 1)
         buf = [0] * 4

@@ -15,6 +15,16 @@ class TestParser:
         assert args.scheme == "vantage-z4/52"
         assert args.system == "small"
 
+    @pytest.mark.parametrize("command", ["run-mix", "submit", "fed-submit"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_epoch_cycles_must_be_positive(self, command, value, capsys):
+        """``--epoch-cycles 0`` is an error, not silently the default
+        (and never a run whose epoch loop cannot advance)."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--epoch-cycles", value])
+        assert exc.value.code == 2
+        assert "--epoch-cycles" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_apps(self, capsys):

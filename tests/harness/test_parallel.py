@@ -163,6 +163,19 @@ def test_default_workers_env(monkeypatch):
     assert default_workers() == 5
     monkeypatch.delenv("REPRO_WORKERS")
     assert default_workers() >= 1
+    monkeypatch.setenv("REPRO_WORKERS", "")
+    assert default_workers() >= 1
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+def test_default_workers_rejects_bad_env(monkeypatch, value):
+    """Non-integers and counts below 1 fail with one error naming the
+    variable, instead of a bare int() traceback or a silent 1."""
+    from repro.harness import default_workers
+
+    monkeypatch.setenv("REPRO_WORKERS", value)
+    with pytest.raises(ValueError, match="REPRO_WORKERS"):
+        default_workers()
 
 
 def test_pool_chunksize_preserves_job_order(cache_dir):

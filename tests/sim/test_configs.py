@@ -38,3 +38,26 @@ class TestTable2:
         cfg = small_system(epoch_cycles=100_000)
         assert cfg.epoch_cycles == 100_000
         assert cfg.num_cores == 4
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "field", ["num_cores", "l2_bytes", "epoch_cycles", "mem_controllers"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"SystemConfig.{field} must be positive"):
+            small_system(**{field: value})
+
+    def test_zero_epoch_no_longer_hangs(self):
+        """``epoch_cycles=0`` used to spin forever in the event loop's
+        ``next_epoch += epoch_cycles``; now it never builds."""
+        with pytest.raises(ValueError, match="epoch_cycles"):
+            large_system(epoch_cycles=0)
+
+    def test_env_epoch_zero_is_rejected(self, monkeypatch):
+        from repro.harness.env import epoch_cycles
+
+        monkeypatch.setenv("REPRO_EPOCH_CYCLES", "0")
+        with pytest.raises(ValueError, match="epoch_cycles"):
+            small_system(epoch_cycles=epoch_cycles())

@@ -28,7 +28,7 @@ def _pairs_via_chunks(store: TraceStore, spec: TraceSpec, count: int):
     pairs = []
     index = 0
     while len(pairs) < count:
-        buf = store.chunk_list(spec, index)
+        _, buf = store.chunk_list(spec, index)
         for pos in range(0, len(buf), 2):
             pairs.append((buf[pos], buf[pos + 1]))
             if len(pairs) == count:
