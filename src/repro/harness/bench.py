@@ -112,7 +112,7 @@ def _run_once(
     """Build a fresh system and time one simulation of the kernel.
 
     ``object_path`` drops the cache's fused kernels before the run
-    (``cache._remove_fused()``, the per-instance equivalent of
+    (``cache.remove_fused()``, the per-instance equivalent of
     ``REPRO_FUSED=0``), which also switches the batch layer off.
     Returns ``(elapsed, result, tree, policy)`` with the run's stats
     tree.  The simulation is exact unless ``use_fastfwd`` is set;
@@ -122,7 +122,7 @@ def _run_once(
     mix = make_mix(MIX_CLASS, MIX_INDEX)
     cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=SEED)
     if object_path:
-        cache._remove_fused()
+        cache.remove_fused()
     policy = build_policy(cache, config, SEED) if partitioned else None
     system = CMPSystem(
         cache,

@@ -226,7 +226,7 @@ def execute_job(job: SimJob) -> SimOutcome:
     cache = run.cache
     if hasattr(cache, "managed_eviction_fraction"):
         fraction = cache.managed_eviction_fraction()
-    return SimOutcome(
+    outcome = SimOutcome(
         result=run.result,
         size_series=run.size_series,
         managed_eviction_fraction=fraction,
@@ -234,6 +234,11 @@ def execute_job(job: SimJob) -> SimOutcome:
         wall_time_s=wall,
         trace_counters=traces.get_store().counters(),
     )
+    # Break the cache <-> fused-kernel cycle so refcounting frees the
+    # run's cache, array, policy and allocator state on return rather
+    # than at the next full GC (resident workers run job after job).
+    cache.remove_fused()
+    return outcome
 
 
 def plan_jobs(

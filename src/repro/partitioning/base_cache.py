@@ -408,8 +408,16 @@ class PartitionedCache(ABC):
         self.__dict__["access"] = kernel
         self.fused = True
 
-    def _remove_fused(self) -> None:
-        """Drop the instance-level fused kernel, restoring the method."""
+    def remove_fused(self) -> None:
+        """Drop the instance-level fused kernel, restoring the method.
+
+        The kernel closes over this cache, so while it is installed
+        the cache sits in a reference cycle that only a full garbage
+        collection frees.  Dropping it lets refcounting free the cache
+        (array, policy and all) as soon as the last outside reference
+        goes -- :func:`~repro.harness.parallel.execute_job` calls this
+        once a run's outcome is built.
+        """
         self.__dict__.pop("access", None)
         self.fused = False
 

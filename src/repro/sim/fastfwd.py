@@ -194,7 +194,9 @@ class FastForward:
 
     Built by :meth:`CMPSystem.run` after the batch kernel; holds the
     run's *live* scheduler state by reference (cursors, instruction
-    counters, core times), exactly like the kernels do.  When the
+    counters, core times), exactly like the kernels do -- but not the
+    system itself, which holds this object (``system.fastfwd``): no
+    reference cycle keeps a finished run alive.  When the
     configuration is not modellable, ``enabled`` is False and
     ``decline_reason`` says why -- the run proceeds exactly as without
     the layer.
@@ -215,7 +217,6 @@ class FastForward:
         target: int,
         tol: float,
     ):
-        self.system = system
         self.cache = system.cache
         self.policy = system.policy
         self.memory = system.memory
@@ -229,6 +230,8 @@ class FastForward:
         self._heap = heap
         self._target = target
         self.detect_only = tol == 0
+        #: The system's epoch count, kept in step by :meth:`on_epoch`.
+        self.epoch = system.epochs
         self.window_cycles = system.config.epoch_cycles / WINDOWS_PER_EPOCH
         self.next_window = self.window_cycles
         self.window_index = 0
@@ -246,7 +249,7 @@ class FastForward:
         self._np_views = None
         self.last_decline: str | None = None
         self.model = None
-        self.decline_reason = self._eligibility(kernel, chunked)
+        self.decline_reason = self._eligibility(system, kernel, chunked)
         self.enabled = self.decline_reason is None
         if not self.enabled:
             return
@@ -260,7 +263,7 @@ class FastForward:
     # Eligibility.
     # ------------------------------------------------------------------
 
-    def _eligibility(self, kernel, chunked) -> str | None:
+    def _eligibility(self, system, kernel, chunked) -> str | None:
         """Why this run cannot be fast-forwarded, or None when it can.
 
         Everything the replay extrapolates must be the *whole* state
@@ -270,7 +273,6 @@ class FastForward:
         """
         from repro.allocation.ucp import UCPPolicy
 
-        system = self.system
         cache = self.cache
         policy = self.policy
         if kernel is None:
@@ -308,6 +310,7 @@ class FastForward:
         """An allocation epoch was just serviced: restart the window
         grid from here and drop all convergence evidence (the new
         targets invalidate it anyway)."""
+        self.epoch += 1
         self.window_index = 0
         self._epoch_done = False
         self.next_window = now + self.window_cycles
@@ -380,7 +383,7 @@ class FastForward:
         self.events.append(
             {
                 "action": action,
-                "epoch": self.system.epochs,
+                "epoch": self.epoch,
                 "window": self.window_index,
                 "cycle": now,
                 "accesses": accesses,

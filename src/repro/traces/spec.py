@@ -45,18 +45,21 @@ def _generators():
 def _kind_sources(kind: str) -> tuple:
     """Generator functions whose source defines ``kind``'s stream."""
     gen = _generators()
-    # Every private generator a shared wrapper might wrap is folded
-    # into the wrapper's fingerprint (conservative: editing any
-    # private shape invalidates the shared chunks too, which is cheap
-    # and always safe).
-    private = (gen.zipf_stream, gen.loop_stream, gen.scan_stream, gen.phased_stream)
+    # The Zipf table helpers are part of every stream that draws from
+    # a Zipf table.  Every private generator a shared wrapper might
+    # wrap is folded into the wrapper's fingerprint (conservative:
+    # editing any private shape invalidates the shared chunks too,
+    # which is cheap and always safe).
+    zipf = (gen.zipf_stream, gen.zipf_cdf, gen._permutation)
+    private = zipf + (gen.loop_stream, gen.scan_stream, gen.phased_stream)
     sources = {
-        "zipf": (gen.zipf_stream,),
+        "zipf": zipf,
         "loop": (gen.loop_stream,),
         "scan": (gen.scan_stream, gen.loop_stream),
         "phased-loop": (gen.phased_stream, gen.loop_stream),
         "pc-shared": (gen.producer_consumer_stream, gen._shared_rng) + private,
-        "table-shared": (gen.shared_table_stream, gen._shared_rng) + private,
+        "table-shared": (gen.shared_table_stream, gen.shared_table, gen._shared_rng)
+        + private,
         "migratory-shared": (gen.migratory_stream, gen._shared_rng) + private,
     }
     try:

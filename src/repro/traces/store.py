@@ -63,8 +63,11 @@ from repro.traces.chunks import (
 from repro.traces.shm import get_pool, shm_enabled
 from repro.traces.spec import TraceSpec
 
-#: Producers kept alive per store (live generators are cheap; this
-#: only bounds pathological sweeps over thousands of distinct traces).
+#: Producers kept alive per store.  A loop/scan producer holds a few
+#: KiB; a Zipf producer adds its rank-to-line map at 8 B per
+#: working-set line (320 KiB for the largest app, 40,960 lines; the
+#: CDF is shared, see ``generators.zipf_cdf``), so the worst case here
+#: is about 40 MiB.  This only bounds sweeps over many distinct traces.
 MAX_PRODUCERS = 128
 
 #: Cap on the spec->key and meta-written memos.  A batch sweep never

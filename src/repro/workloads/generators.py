@@ -45,10 +45,55 @@ from __future__ import annotations
 
 import bisect
 import random
+from array import array
 from collections.abc import Iterator
+from itertools import accumulate
 from math import log as _log
 
 TracePair = tuple[int, int]
+
+#: Zipf tables kept by :func:`zipf_cdf` and :func:`shared_table`.  The
+#: 20 Zipf apps need 20 CDFs, but the experiment daemon's workers are
+#: resident for days, so each memo drops its oldest table once full
+#: rather than keeping one per parameter set it ever saw.
+MAX_ZIPF_TABLES = 32
+
+_cdf_memo: dict[tuple[int, float], tuple[float, ...]] = {}
+_shared_memo: dict[tuple[int, float, int], tuple[tuple[float, ...], memoryview]] = {}
+
+
+def _remember(memo: dict, key, value):
+    while len(memo) >= MAX_ZIPF_TABLES:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def zipf_cdf(lines: int, alpha: float) -> tuple[float, ...]:
+    """Cumulative Zipf(alpha) weights over ranks ``1..lines`` (the last
+    one is the total), shared by every generator with these
+    parameters.
+
+    A tuple rather than a compact ``array('d')``: ``bisect`` reads a
+    tuple's floats without boxing one per probe, which keeps a Zipf
+    draw as fast as with a private list, and the table is built once
+    per process, not once per generator.
+    """
+    key = (lines, alpha)
+    cumulative = _cdf_memo.get(key)
+    if cumulative is None:
+        weights = (rank**-alpha for rank in range(1, lines + 1))
+        cumulative = _remember(_cdf_memo, key, tuple(accumulate(weights)))
+    return cumulative
+
+
+def _permutation(lines: int, rng: random.Random, base: int = 0) -> array:
+    """Line addresses ``base .. base + lines - 1`` in popularity-rank
+    order, shuffled by ``rng``: int64, 8 B per line, and the same draws
+    as shuffling a list of ``lines`` items."""
+    perm = array("q", range(base, base + lines))
+    rng.shuffle(perm)
+    return perm
 
 
 def _gap(rng: random.Random, mean_gap: float) -> int:
@@ -68,15 +113,11 @@ def zipf_stream(
     if ws_lines <= 0:
         raise ValueError("ws_lines must be positive")
     rng = random.Random(seed)
-    cumulative = []
-    total = 0.0
-    for rank in range(1, ws_lines + 1):
-        total += rank**-alpha
-        cumulative.append(total)
+    cumulative = zipf_cdf(ws_lines, alpha)
+    total = cumulative[-1]
     # Map popularity ranks to scattered line offsets so the footprint
     # is not contiguous (defeats accidental spatial effects).
-    perm = list(range(ws_lines))
-    rng.shuffle(perm)
+    perm = _permutation(ws_lines, rng, base)
     # Hot loop: expovariate is inlined (its body is exactly
     # ``-log(1 - random()) / lambd``) so each item costs two C-level
     # RNG draws, one bisect and one log -- no Python calls.
@@ -86,10 +127,10 @@ def zipf_stream(
     if lambd is None:
         while True:
             rank = bisect_left(cumulative, rnd() * total)
-            yield 0, base + perm[rank]
+            yield 0, perm[rank]
     while True:
         rank = bisect_left(cumulative, rnd() * total)
-        yield int(-_log(1.0 - rnd()) / lambd), base + perm[rank]
+        yield int(-_log(1.0 - rnd()) / lambd), perm[rank]
 
 
 def loop_stream(
@@ -166,6 +207,24 @@ def producer_consumer_stream(
         yield gap, addr
 
 
+def shared_table(
+    shared_lines: int, alpha: float, shared_seed: int
+) -> tuple[tuple[float, ...], memoryview]:
+    """``(cumulative, perm)`` of a shared Zipf table: a pure function
+    of its arguments, so every core of a mix reads one read-only copy
+    (``perm`` holds line offsets within the region)."""
+    key = (shared_lines, alpha, shared_seed)
+    table = _shared_memo.get(key)
+    if table is None:
+        perm = _permutation(shared_lines, random.Random(shared_seed))
+        table = _remember(
+            _shared_memo,
+            key,
+            (zipf_cdf(shared_lines, alpha), memoryview(perm).toreadonly()),
+        )
+    return table
+
+
 def shared_table_stream(
     private: Iterator[TracePair],
     shared_base: int,
@@ -185,14 +244,8 @@ def shared_table_stream(
     """
     if shared_lines <= 0:
         raise ValueError("shared_lines must be positive")
-    common = random.Random(shared_seed)
-    cumulative = []
-    total = 0.0
-    for rank in range(1, shared_lines + 1):
-        total += rank**-alpha
-        cumulative.append(total)
-    perm = list(range(shared_lines))
-    common.shuffle(perm)
+    cumulative, perm = shared_table(shared_lines, alpha, shared_seed)
+    total = cumulative[-1]
     rnd = _shared_rng(shared_seed, seed).random
     bisect_left = bisect.bisect_left
     while True:

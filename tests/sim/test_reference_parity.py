@@ -45,7 +45,7 @@ def _simulate(
     mix = make_mix("sftn", 1)
     cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=0)
     if reference:
-        cache._remove_fused()
+        cache.remove_fused()
     policy = build_policy(cache, config, 0) if partitioned else None
     factories = mix.trace_factories(0)
     if plain_callables:

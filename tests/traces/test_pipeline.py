@@ -189,6 +189,32 @@ def test_key_covers_identity_and_generator_source():
     assert generator_fingerprint("zipf") != generator_fingerprint("loop")
 
 
+@pytest.mark.parametrize("kind", ["zipf", "table-shared"])
+def test_fingerprint_covers_zipf_table_helpers(kind, monkeypatch):
+    """The shared Zipf table helpers define the stream as much as the
+    generator bodies do: editing one must change the trace key."""
+    import inspect
+
+    from repro.traces import spec as spec_mod
+    from repro.workloads import generators
+
+    helpers = [generators.zipf_cdf, generators._permutation]
+    if kind == "table-shared":
+        helpers.append(generators.shared_table)
+    sources = spec_mod._kind_sources(kind)
+    assert all(helper in sources for helper in helpers)
+    before = generator_fingerprint(kind)
+    real_getsource = inspect.getsource
+    for helper in helpers:
+
+        def edited(fn, helper=helper):
+            return real_getsource(fn) + ("# edited\n" if fn is helper else "")
+
+        monkeypatch.setattr(spec_mod, "_fingerprint_cache", {})
+        monkeypatch.setattr(inspect, "getsource", edited)
+        assert generator_fingerprint(kind) != before, helper.__name__
+
+
 def test_disk_layer_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     spec = APPS["lbm"].trace_spec(base=0, seed=9)

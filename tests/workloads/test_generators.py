@@ -1,10 +1,20 @@
 """Tests for the synthetic address-stream generators."""
 
+import hashlib
 import statistics
+import struct
+from itertools import islice
 
 import pytest
 
-from repro.workloads import loop_stream, phased_stream, scan_stream, zipf_stream
+from repro.workloads import (
+    SharedRegionSpec,
+    loop_stream,
+    make_app,
+    phased_stream,
+    scan_stream,
+    zipf_stream,
+)
 
 
 def take(gen, n):
@@ -80,3 +90,78 @@ class TestPhased:
         pairs = take(gen, 16)
         a_addrs = [a for _, a in pairs[:4]] + [a for _, a in pairs[8:12]]
         assert a_addrs == [0, 1, 2, 3, 4, 5, 6, 7]
+
+
+#: SHA-256 of the first ``PIN_PAIRS`` ``(gap, addr)`` pairs, packed as
+#: little-endian int64s, of three pinned streams at seeds 0 and 1.
+#: Recorded from the list-based generators; any change to the draws,
+#: their order or the rank-to-line mapping shows up here.
+PIN_PAIRS = 20_000
+PIN_SHARED = SharedRegionSpec(kind="shared-table", lines=4096, fraction=0.3)
+PINNED_DIGESTS = {
+    ("zipf-insensitive", 0): "d5226e5c14d5c29836aa087f0820001fb563bfbef475d9e797e7d0d65bfe4384",
+    ("zipf-insensitive", 1): "458953397b38b83044fda1b1b803e98b10f8a1876c2a63d9552bddd29473156d",
+    ("zipf-friendly", 0): "3009c8044b6da8cbc13d8a7c84ff8e142c37fe4f1d6f126dd60a46e5099f97a3",
+    ("zipf-friendly", 1): "a3f9093c0d7b91a4cee91a33e766794b4ecc107d1ac26d1f42ad5f7d0b2f0f20",
+    ("table-shared", 0): "6ac09c6ca27caa400a25ac6eb1530d9e8a63fe8194aa15902cd5b16e4d42d40d",
+    ("table-shared", 1): "3a95f45a615f2e49424c2cfa69be752cf3a591bdf6b6824692afd4a85495a8f6",
+}
+
+
+def pinned_spec(case, seed):
+    if case == "zipf-insensitive":  # 384 lines
+        return make_app("perlbench").trace_spec(1 << 44, seed)
+    if case == "zipf-friendly":  # 40,960 lines
+        return make_app("cactusADM").trace_spec(2 << 44, seed)
+    return make_app("cactusADM").trace_spec(
+        2 << 44, seed, shared=PIN_SHARED, core=2, num_cores=4, shared_base=4 << 44
+    )
+
+
+def stream_digest(gen, n=PIN_PAIRS):
+    h = hashlib.sha256()
+    for gap, addr in islice(gen, n):
+        h.update(struct.pack("<qq", gap, addr))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case,seed", sorted(PINNED_DIGESTS))
+def test_pinned_stream_digest(case, seed):
+    spec = pinned_spec(case, seed)
+    assert spec.kind == ("table-shared" if case == "table-shared" else "zipf")
+    assert stream_digest(spec.generator()) == PINNED_DIGESTS[case, seed]
+
+
+class TestZipfTables:
+    def test_shared_and_read_only(self):
+        from repro.workloads import generators
+
+        cumulative = generators.zipf_cdf(1000, 0.75)
+        assert generators.zipf_cdf(1000, 0.75) is cumulative
+        assert len(cumulative) == 1000
+        with pytest.raises(TypeError):
+            cumulative[0] = 0.0
+        table = generators.shared_table(512, 0.9, 7)
+        assert generators.shared_table(512, 0.9, 7) is table
+        assert table[0] is generators.zipf_cdf(512, 0.9)
+        with pytest.raises(TypeError):
+            table[1][0] = 1
+        assert sorted(table[1]) == list(range(512))
+
+    def test_memo_bounded_and_streams_unchanged(self):
+        from repro.workloads import generators
+
+        cap = generators.MAX_ZIPF_TABLES
+        case = ("table-shared", 0)
+        assert stream_digest(pinned_spec(*case).generator()) == PINNED_DIGESTS[case]
+        # Fill both memos past their cap with tables nothing else uses,
+        # evicting the pinned stream's tables on the way.
+        for lines in range(1, cap + 10):
+            generators.zipf_cdf(lines, 0.5)
+            generators.shared_table(lines, 0.5, 99)
+            assert len(generators._cdf_memo) <= cap
+            assert len(generators._shared_memo) <= cap
+        assert len(generators._cdf_memo) == cap
+        assert (40_960, 0.75) not in generators._cdf_memo
+        for key in sorted(PINNED_DIGESTS):
+            assert stream_digest(pinned_spec(*key).generator()) == PINNED_DIGESTS[key]
