@@ -9,9 +9,6 @@ Subcommands:
   (``--stats-json`` exports the run's stats tree).
 - ``schemes``: list the registered schemes and array kinds.
 - ``overheads``: Vantage state-overhead accounting.
-- ``bench``: time the fast simulation kernels against the object path
-  (``REPRO_FUSED=0``, the oracle) and check the telemetry overhead
-  budget (writes ``BENCH_<tag>.json``).
 - ``traces``: inspect (``--list``, the default) or delete
   (``--purge``) the on-disk trace-chunk store named by
   ``REPRO_TRACE_CACHE``.
@@ -267,83 +264,6 @@ def _cmd_traces(args) -> int:
         print(f"total: {total / (1 << 20):.1f} MiB")
     if root is None and not shm_rows:
         return 1
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.harness.bench import (
-        RATIO,
-        compare_reports,
-        run_bench,
-        run_sweep_bench,
-        update_history,
-    )
-
-    baseline = None
-    if args.compare is not None:
-        # Parse the baseline up front so a bad path fails before the
-        # (minutes-long) bench run, not after.
-        baseline = json.loads(Path(args.compare).read_text())
-    if args.history is not None:
-        # The bench writes its report to BENCH_<tag>.json in the
-        # working directory; a history file with that exact path would
-        # be clobbered by the report before update_history reads it.
-        if args.sweep:
-            tag = args.tag or ("sweep-smoke" if args.smoke else "sweep")
-        else:
-            tag = args.tag or ("smoke" if args.smoke else "local")
-        if Path(args.history).resolve() == Path(f"BENCH_{tag}.json").resolve():
-            print(
-                f"error: --history {args.history} collides with this "
-                f"run's report file BENCH_{tag}.json; pick a different "
-                f"--tag or history path"
-            )
-            return 1
-        if Path(args.history).exists():
-            # Likewise validate an existing history file up front.
-            if not isinstance(json.loads(Path(args.history).read_text()), list):
-                print(f"error: {args.history} is not a bench history "
-                      f"(expected a JSON list)")
-                return 1
-    if args.sweep:
-        report = run_sweep_bench(smoke=args.smoke, tag=args.tag)
-    else:
-        report = run_bench(
-            smoke=args.smoke,
-            tag=args.tag,
-            rounds=args.rounds,
-            instructions=args.instructions,
-        )
-        headline = report["kernels"][0]
-        print(
-            f"headline: {headline['scheme']} fast path is "
-            f"{headline[RATIO]:.2f}x the object path"
-        )
-    if baseline is not None:
-        regressions = compare_reports(report, baseline)
-        if regressions:
-            print(f"speedup regressions vs {args.compare}:")
-            for line in regressions:
-                print(f"  {line}")
-            return 1
-        print(f"no speedup regressions vs {args.compare}")
-    if args.history is not None:
-        regressions, compared = update_history(report, args.history)
-        if regressions:
-            print(
-                f"speedup regressions vs best of last {compared} "
-                f"runs in {args.history}:"
-            )
-            for line in regressions:
-                print(f"  {line}")
-            return 1
-        print(
-            f"appended to {args.history} (no regressions vs "
-            f"{compared} prior runs)"
-        )
     return 0
 
 
@@ -837,39 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the raw summary as JSON",
     )
 
-    p = sub.add_parser(
-        "bench", help="time the fast kernels against the object path"
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="short correctness run (CI); timings are not meaningful",
-    )
-    p.add_argument(
-        "--sweep",
-        action="store_true",
-        help="run the sweep-throughput bench instead (multi-scheme "
-        "run_jobs fan-out, REPRO_TRACE_SHM on vs off)",
-    )
-    p.add_argument("--tag", default=None, help="suffix for BENCH_<tag>.json")
-    p.add_argument("--rounds", type=_positive_int, default=None)
-    p.add_argument("--instructions", type=_positive_int, default=None)
-    p.add_argument(
-        "--compare",
-        default=None,
-        metavar="PATH",
-        help="baseline BENCH_<tag>.json; exit 1 if any kernel's speedup "
-        "regresses more than 10%% below it",
-    )
-    p.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="JSON history file: append this run and exit 1 if any "
-        "kernel's speedup regresses more than 10%% below the best of "
-        "the last 5 recorded runs",
-    )
-
     return parser
 
 
@@ -881,7 +768,6 @@ _COMMANDS = {
     "run-mix": _cmd_run_mix,
     "schemes": _cmd_schemes,
     "traces": _cmd_traces,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "svc-stats": _cmd_svc_stats,

@@ -63,12 +63,13 @@ def _vantage_kernel(cache, rrpv):
 
     # Zcache specialisation: while the array is not full, most walks
     # stop at an empty slot among the W first-level positions (95% of
-    # the pinned bench's installs relocate nothing).  For that case the
-    # whole walk + chain derivation + install collapses to a W-slot
-    # scan: no visited stamps (nothing expands), no level bounds, no
-    # relocation chain.  Deeper walks and replacements delegate to
-    # candidate_slots()/install_walk() unchanged.  Exact-type check:
-    # a subclass may override the walk or install protocol.
+    # cold-fill installs on ``sftn1`` at 120k instructions relocate
+    # nothing).  For that case the whole walk + chain derivation +
+    # install collapses to a W-slot scan: no visited stamps (nothing
+    # expands), no level bounds, no relocation chain.  Deeper walks
+    # and replacements delegate to candidate_slots()/install_walk()
+    # unchanged.  Exact-type check: a subclass may override the walk
+    # or install protocol.
     zc = type(array) is ZCacheArray
     if zc:
         tags = array._tags

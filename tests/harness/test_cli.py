@@ -88,64 +88,6 @@ class TestCommands:
         assert {"cache", "array", "sim", "policy"} <= set(stats)
         assert sum(stats["cache"]["accesses"]) > 0
 
-
-class TestBenchCompare:
-    """``repro bench --compare`` gates on speedup regressions.
-
-    ``run_bench`` is stubbed: these tests pin the exit-code contract
-    and the fail-fast baseline parse, not the timing harness itself
-    (which ``test_bench.py`` covers)."""
-
-    REPORT = {
-        "smoke": False,
-        "kernels": [{"scheme": "vantage-z4/52", "speedup_vs_object": 9.0}],
-    }
-
-    def _stub_bench(self, monkeypatch):
-        import repro.harness.bench as bench
-
-        monkeypatch.setattr(bench, "run_bench", lambda **kw: dict(self.REPORT))
-
-    def _baseline(self, tmp_path, speedup):
-        import json
-
-        path = tmp_path / "BENCH_base.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "smoke": False,
-                    "kernels": [
-                        {"scheme": "vantage-z4/52", "speedup_vs_object": speedup}
-                    ],
-                            }
-            )
-        )
-        return str(path)
-
-    def test_regression_exits_nonzero(self, capsys, monkeypatch, tmp_path):
-        self._stub_bench(monkeypatch)
-        baseline = self._baseline(tmp_path, speedup=20.0)
-        assert main(["bench", "--smoke", "--compare", baseline]) == 1
-        assert "speedup regressions" in capsys.readouterr().out
-
-    def test_no_regression_exits_zero(self, capsys, monkeypatch, tmp_path):
-        self._stub_bench(monkeypatch)
-        baseline = self._baseline(tmp_path, speedup=9.0)
-        assert main(["bench", "--smoke", "--compare", baseline]) == 0
-        assert "no speedup regressions" in capsys.readouterr().out
-
-    def test_bad_baseline_fails_before_bench_runs(self, monkeypatch, tmp_path):
-        import pytest as _pytest
-
-        import repro.harness.bench as bench
-
-        def _boom(**kw):
-            raise AssertionError("bench must not run when the baseline is unreadable")
-
-        monkeypatch.setattr(bench, "run_bench", _boom)
-        with _pytest.raises(FileNotFoundError):
-            main(["bench", "--compare", str(tmp_path / "missing.json")])
-
     def test_schemes_table(self, capsys):
         assert main(["schemes"]) == 0
         out = capsys.readouterr().out
@@ -167,6 +109,34 @@ class TestBenchCompare:
         assert main(["schemes", "--fingerprints"]) == 0
         out = capsys.readouterr().out
         assert "[" in out
+
+    def test_traces_list_and_purge(self, capsys, monkeypatch, tmp_path):
+        import re
+
+        from repro.traces import reset_store
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+        reset_store()  # fresh memory: the run must compile and write to disk
+        try:
+            assert main(["run-mix", "--instructions", "8000"]) == 0
+            capsys.readouterr()
+
+            assert main(["traces", "--list"]) == 0
+            listed = re.search(r"(\d+) trace\(s\)", capsys.readouterr().out)
+            assert listed and int(listed.group(1)) > 0
+
+            assert main(["traces", "--purge"]) == 0
+            out = capsys.readouterr().out
+            assert f"purged {listed.group(1)} trace(s)" in out
+
+            assert main(["traces", "--list"]) == 0
+            assert ": 0 trace(s)" in capsys.readouterr().out
+        finally:
+            reset_store()
+
+        monkeypatch.delenv("REPRO_TRACE_CACHE")
+        assert main(["traces", "--list"]) == 1
+        assert "on-disk trace store is off" in capsys.readouterr().out
 
 
 class TestUnknownNames:
@@ -193,135 +163,6 @@ class TestUnknownNames:
         out = capsys.readouterr().out
         assert out.startswith("error: unknown scheme")
         assert "did you mean" in out
-
-
-class TestBenchHistory:
-    """``repro bench --history`` appends runs and gates against the
-    best recent entry.  ``run_bench`` is stubbed as in
-    ``TestBenchCompare``; ``update_history`` itself runs for real."""
-
-    def _stub_bench(self, monkeypatch, speedup=9.0):
-        import repro.harness.bench as bench
-
-        report = {
-            "tag": "local",
-            "smoke": False,
-            "kernels": [
-                {
-                    "scheme": "vantage-z4/52",
-                    "partitioned": True,
-                    "instructions": 1000,
-                    "optimized_s": 1.0,
-                    "object_s": speedup,
-                    "speedup_vs_object": speedup,
-                }
-            ],
-        }
-        monkeypatch.setattr(bench, "run_bench", lambda **kw: dict(report))
-
-    def _entries(self, path):
-        import json
-
-        return json.loads(path.read_text())
-
-    def test_first_run_seeds_the_history(self, capsys, monkeypatch, tmp_path):
-        self._stub_bench(monkeypatch)
-        history = tmp_path / "history.json"
-        assert main(["bench", "--smoke", "--history", str(history)]) == 0
-        assert "appended to" in capsys.readouterr().out
-        entries = self._entries(history)
-        assert len(entries) == 1
-        assert entries[0]["kernels"][0]["speedup_vs_object"] == 9.0
-        # Entries are slimmed: raw timings kept, peak-memory and
-        # identical flags dropped.
-        assert "identical" not in entries[0]["kernels"][0]
-
-    def test_steady_speedup_accumulates(self, capsys, monkeypatch, tmp_path):
-        self._stub_bench(monkeypatch)
-        history = tmp_path / "history.json"
-        for _ in range(3):
-            assert main(["bench", "--smoke", "--history", str(history)]) == 0
-        assert len(self._entries(history)) == 3
-
-    def test_regression_vs_best_of_window_exits_nonzero(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        history = tmp_path / "history.json"
-        self._stub_bench(monkeypatch, speedup=9.0)
-        assert main(["bench", "--smoke", "--history", str(history)]) == 0
-        capsys.readouterr()
-        self._stub_bench(monkeypatch, speedup=5.0)
-        assert main(["bench", "--smoke", "--history", str(history)]) == 1
-        out = capsys.readouterr().out
-        assert "speedup regressions vs best of last 1" in out
-        # The slow run is still recorded.
-        assert len(self._entries(history)) == 2
-
-    def test_smoke_entries_are_recorded_but_never_compared(
-        self, monkeypatch, tmp_path
-    ):
-        import json
-
-        history = tmp_path / "history.json"
-        history.write_text(
-            json.dumps(
-                [
-                    {
-                        "tag": "ci",
-                        "smoke": True,
-                        "kernels": [
-                            {"scheme": "vantage-z4/52", "speedup_vs_object": 99.0}
-                        ],
-                    }
-                ]
-            )
-        )
-        self._stub_bench(monkeypatch, speedup=5.0)
-        # The only prior entry is a smoke run: no baseline, no gate.
-        assert main(["bench", "--smoke", "--history", str(history)]) == 0
-        assert len(self._entries(history)) == 2
-
-    def test_window_forgives_old_peaks(self, monkeypatch, tmp_path):
-        import json
-
-        history = tmp_path / "history.json"
-        # One ancient fast run followed by five slow ones: the fast
-        # run has aged out of the 5-entry window, so a matching slow
-        # run passes.
-        entries = [
-            {
-                "tag": "old",
-                "smoke": False,
-                "kernels": [{"scheme": "vantage-z4/52", "speedup_vs_object": 50.0}],
-            }
-        ]
-        entries += [
-            {
-                "tag": f"run{i}",
-                "smoke": False,
-                "kernels": [{"scheme": "vantage-z4/52", "speedup_vs_object": 5.0}],
-            }
-            for i in range(5)
-        ]
-        history.write_text(json.dumps(entries))
-        self._stub_bench(monkeypatch, speedup=5.0)
-        assert main(["bench", "--smoke", "--history", str(history)]) == 0
-
-    def test_corrupt_history_fails_before_bench_runs(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        import repro.harness.bench as bench
-
-        def _boom(**kw):
-            raise AssertionError(
-                "bench must not run when the history is unreadable"
-            )
-
-        monkeypatch.setattr(bench, "run_bench", _boom)
-        history = tmp_path / "history.json"
-        history.write_text('{"not": "a list"}')
-        assert main(["bench", "--history", str(history)]) == 1
-        assert "not a bench history" in capsys.readouterr().out
 
 
 class TestInterrupts:

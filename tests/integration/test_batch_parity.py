@@ -58,8 +58,12 @@ SCHEMES = [
 ]
 
 
+def _short_epoch(scheme: str) -> bool:
+    return scheme_partitioned(scheme) and not scheme.startswith("pipp")
+
+
 def _config(scheme: str, **overrides):
-    if scheme_partitioned(scheme) and not scheme.startswith("pipp"):
+    if _short_epoch(scheme):
         return small_system(epoch_cycles=EPOCH_CYCLES, **overrides)
     return small_system(**overrides)
 
@@ -94,6 +98,10 @@ def test_batch_matches_single_access(monkeypatch, scheme, mix_class, mix_index, 
     mix = make_mix(mix_class, mix_index)
     batched, plain = _both_lanes(monkeypatch, mix, scheme, _config(scheme), seed)
     assert batched.system.batch_calls > 0
+    if _short_epoch(scheme) and batched.result.total_cycles > EPOCH_CYCLES:
+        # The run outlasted an epoch, so it must have repartitioned.
+        assert batched.stats()["sim"]["epochs"] > 0
+        assert batched.system.policy.last_allocation
 
     assert batched.result == plain.result
     assert batched.stats() == plain.stats()

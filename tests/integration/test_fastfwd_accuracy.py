@@ -3,9 +3,9 @@
 The layer's promise: with fast-forward on, per-partition miss
 rates and final Lookahead allocations stay within 1% of the exact
 path while a nonzero fraction of accesses is skipped.  This suite
-enforces exactly that on a sample of the fig-6 4-core mixes (the
-pinned headline mix plus two more classes), at the bench's epoch
-scale so every run crosses many repartitioning epochs.
+enforces exactly that on a sample of the fig-6 4-core mixes (``sftn1``
+plus two more classes), with a 150k-cycle epoch so every run crosses
+several repartitioning epochs.
 
 Bitwise-identity guarantees (never-converges, detection-only, abort
 paths) live in ``tests/sim/test_fastfwd.py``; this module is about
@@ -26,7 +26,7 @@ INSTRUCTIONS = 120_000
 EPOCH_CYCLES = 150_000
 SEED = 0
 
-#: Fig-6 sample: the pinned bench mix plus two other classes covering
+#: Fig-6 sample: ``sftn1`` plus two other classes covering
 #: different working-set mixes (saturating/thrashing/friendly blends).
 MIX_SAMPLE = [("sftn", 1), ("ssff", 1), ("ttnn", 1)]
 

@@ -42,11 +42,13 @@ INSTRUCTIONS = 6_000
 
 #: Short repartitioning epoch so partitioned combos cross at least one
 #: epoch boundary, exercising ``set_allocations`` under the fused
-#: kernels.  PIPP is excluded from the short epoch: its 64 allocation
-#: ways exceed the small system's 16-way UMONs, a pre-existing harness
-#: limitation that trips only when a repartition actually fires (its
-#: ``set_allocations`` is covered by the direct test below instead).
-EPOCH_CYCLES = 150_000
+#: kernels (asserted by :func:`_assert_repartitioned`; the shortest
+#: combo, waypart-sa16, runs about 12k cycles).  PIPP is excluded from
+#: the short epoch: its 64 allocation ways exceed the small system's
+#: 16-way UMONs, a pre-existing harness limitation that trips only
+#: when a repartition actually fires (its ``set_allocations`` is
+#: covered by the direct test below instead).
+EPOCH_CYCLES = 10_000
 
 SCHEMES = [
     "vantage-z4/52",
@@ -72,10 +74,21 @@ def _draw_combos():
 COMBOS = _draw_combos()
 
 
+def _short_epoch(scheme: str) -> bool:
+    return scheme_partitioned(scheme) and not scheme.startswith("pipp")
+
+
 def _config(scheme: str, **overrides):
-    if scheme_partitioned(scheme) and not scheme.startswith("pipp"):
+    if _short_epoch(scheme):
         return small_system(epoch_cycles=EPOCH_CYCLES, **overrides)
     return small_system(**overrides)
+
+
+def _assert_repartitioned(scheme, system, stats):
+    """A short-epoch combo really crossed an epoch and allocated."""
+    if _short_epoch(scheme):
+        assert stats["sim"]["epochs"] > 0, f"{scheme}: crossed no epoch"
+        assert system.policy.last_allocation, f"{scheme}: never allocated"
 
 
 #: L2 size for the hooked runs: small enough to fill (and so evict,
@@ -98,6 +111,7 @@ def test_fused_matches_object_path(monkeypatch, scheme, mix_class, mix_index, se
 
     assert fused.result == plain.result
     assert fused.stats() == plain.stats()
+    _assert_repartitioned(scheme, fused.system, fused.stats())
 
 
 def _hooked_run(scheme, mix, config, seed):
@@ -127,8 +141,9 @@ def test_fused_matches_reference(monkeypatch, scheme, mix_class, mix_index, seed
     monkeypatch.delenv("REPRO_FUSED", raising=False)
     *fused, system = _hooked_run(scheme, mix, config, seed)
     assert system.cache.fused and system.batch_calls == 0
-    _result, _stats, log = fused
+    _result, stats, log = fused
     assert any(event[0] == "evict" for event in log)
+    _assert_repartitioned(scheme, system, stats)
 
     monkeypatch.setenv("REPRO_FUSED", "0")
     *reference, system = _hooked_run(scheme, mix, config, seed)
