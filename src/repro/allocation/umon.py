@@ -17,15 +17,6 @@ from __future__ import annotations
 from repro.arrays.hashing import H3Hash
 from repro.telemetry import SampledMonitor
 
-try:  # pragma: no cover - exercised via the gated bulk path
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Below this many fresh addresses the numpy round-trip costs more
-#: than hashing them one at a time.
-_PRIME_MIN_BULK = 32
-
 
 class UMonitor(SampledMonitor):
     """Per-core utility monitor (UMON-DSS).
@@ -95,35 +86,6 @@ class UMonitor(SampledMonitor):
         del stack[position]
         stack.insert(0, addr)
 
-    def prime_sample_cache(self, addrs) -> None:
-        """Bulk-classify ``addrs`` into the sample cache.
-
-        Pure cache warming for the fast-forward replay walk: computes
-        the same addr -> sampled-set-index-or-``None`` entries
-        :meth:`access` derives one address at a time (H3 evaluated
-        vectorized over the span's fresh addresses), without touching
-        any counter or LRU stack.  After priming, the
-        :meth:`~repro.telemetry.SampledMonitor.sample_filter` probe is
-        definitive for every span address, so the replay only pays a
-        real :meth:`access` call for the minority of accesses that
-        actually fall in sampled sets -- instead of one
-        classification-only call per first-touch address.
-        """
-        cache = self._sample_cache
-        fresh = [a for a in set(addrs) if a not in cache]
-        if not fresh:
-            return
-        period = self._period
-        if _np is None or len(fresh) < _PRIME_MIN_BULK:
-            hash_ = self._hash
-            for a in fresh:
-                idx = hash_(a)
-                cache[a] = None if idx % period else idx
-            return
-        keys = _np.asarray(fresh, dtype=_np.int64)
-        for a, idx in zip(fresh, self._hash.bulk(keys).tolist()):
-            cache[a] = None if idx % period else idx
-
     def miss_curve(self) -> list[float]:
         """Misses the core would suffer with 0..num_ways allocated ways
         (in sampled accesses; the common scale cancels in Lookahead)."""
@@ -138,23 +100,6 @@ class UMonitor(SampledMonitor):
         """Halve the counters (exponential decay across epochs)."""
         self.accesses //= 2
         self.hits = [h // 2 for h in self.hits]
-
-    def model_advance(self, accesses: int, position_hits: list[int]) -> None:
-        """Apply modelled counter updates from a fast-forwarded span.
-
-        The fast-forward layer (``repro.sim.fastfwd``) skips simulating
-        converged epoch tails, so the monitor never sees those
-        addresses; it instead extrapolates the converged window's
-        sampled-hit profile over the skipped accesses and deposits the
-        totals here, keeping the miss curve Lookahead reads at the next
-        epoch consistent with the modelled counts.
-        """
-        if accesses < 0:
-            raise ValueError("accesses must be >= 0")
-        self.accesses += accesses
-        hits = self.hits
-        for i, h in enumerate(position_hits[: len(hits)]):
-            hits[i] += h
 
     def register_stats(self, group) -> None:
         super().register_stats(group)

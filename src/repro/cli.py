@@ -40,7 +40,6 @@ import argparse
 from repro.analysis import required_unmanaged_fraction, vantage_overheads
 from repro.harness import mpki_curve, classify_curve, run_mix
 from repro.harness.classify import SWEEP_LINES
-from repro.harness.env import fastfwd_requested, fastfwd_tolerance
 from repro.sim import large_system, small_system
 from repro.workloads import APPS, CATEGORY_NAMES, make_mix
 
@@ -112,29 +111,11 @@ def _cmd_run_mix(args) -> int:
         mix = make_mix(
             args.mix_class, args.mix_index, apps_per_slot=apps_per_slot
         )
-        if args.fastfwd_report:
-            # Detection-only mode: the fast-forward detector runs and
-            # logs where it *would* trigger, but every access is still
-            # simulated exactly, so the run's numbers are
-            # bitwise-identical to a plain run-mix.
-            use_fastfwd, fastfwd_tol = True, 0.0
-        else:
-            # This command builds its run like a job does: the
-            # fast-forward knobs are read here, never in the simulator.
-            use_fastfwd, fastfwd_tol = fastfwd_requested(), fastfwd_tolerance()
     except ValueError as err:
         print(f"error: {err}")
         return 1
     print(f"mix {mix.name}: {[a.name for a in mix.apps]}")
-    run = run_mix(
-        mix,
-        args.scheme,
-        config,
-        args.instructions,
-        seed=args.seed,
-        use_fastfwd=use_fastfwd,
-        fastfwd_tol=fastfwd_tol,
-    )
+    run = run_mix(mix, args.scheme, config, args.instructions, seed=args.seed)
     result = run.result
     print(f"scheme {args.scheme}: throughput {result.throughput:.3f}")
     for i, core in enumerate(result.cores):
@@ -144,34 +125,6 @@ def _cmd_run_mix(args) -> int:
         )
     if hasattr(run.cache, "managed_eviction_fraction"):
         print(f"managed-eviction fraction: {run.cache.managed_eviction_fraction():.4f}")
-    if args.fastfwd_report:
-        ff = run.system.fastfwd
-        if ff is None or not ff.enabled:
-            reason = (
-                ff.decline_reason
-                if ff is not None
-                else "fast-forward layer not constructed"
-            )
-            print(f"fast-forward: declined ({reason})")
-        else:
-            print(
-                f"fast-forward (detection-only): {ff.triggers} trigger(s) "
-                f"over {ff.windows} windows in {run.system.epochs} "
-                f"epochs; would skip {ff.would_skip_fraction():.1%} of "
-                f"accesses"
-            )
-            for ev in ff.events:
-                line = (
-                    f"  epoch {ev['epoch']:>3d} window {ev['window']:>2d} "
-                    f"@ cycle {ev['cycle']:>12.0f}: "
-                )
-                if ev["action"] == "detect":
-                    line += f"would skip {ev['accesses']} accesses"
-                elif ev["action"] == "abort":
-                    line += f"trigger declined ({ev['reason']})"
-                else:
-                    line += f"skipped {ev['accesses']} accesses"
-                print(line)
     if args.stats_json:
         run.telemetry.dump(args.stats_json)
         print(f"wrote stats tree to {args.stats_json}")
@@ -558,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix-index", type=int, default=1)
     p.add_argument("--scheme", default="vantage-z4/52")
     p.add_argument("--system", choices=("small", "large"), default="small")
-    p.add_argument("--instructions", type=int, default=400_000)
+    p.add_argument("--instructions", type=_positive_int, default=400_000)
     p.add_argument("--epoch-cycles", type=_positive_int, default=250_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -566,13 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write the run's exported stats tree to PATH as JSON",
-    )
-    p.add_argument(
-        "--fastfwd-report",
-        action="store_true",
-        help="run the fast-forward detector in detection-only mode and "
-        "print where it would trigger (epoch, window, skipped-access "
-        "fraction); the simulation itself stays exact",
     )
 
     p = sub.add_parser("schemes", help="list the registered schemes and arrays")
@@ -642,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix-index", type=int, default=1)
     p.add_argument("--scheme", default="vantage-z4/52")
     p.add_argument("--system", choices=("small", "large"), default="small")
-    p.add_argument("--instructions", type=int, default=400_000)
+    p.add_argument("--instructions", type=_positive_int, default=400_000)
     p.add_argument("--epoch-cycles", type=_positive_int, default=250_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--priority", type=int, default=0)
@@ -737,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated scheme list (the sweep is mixes x schemes)",
     )
     p.add_argument("--system", choices=("small", "large"), default="small")
-    p.add_argument("--instructions", type=int, default=400_000)
+    p.add_argument("--instructions", type=_positive_int, default=400_000)
     p.add_argument("--epoch-cycles", type=_positive_int, default=250_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--priority", type=int, default=0)

@@ -14,17 +14,11 @@ same workloads should produce near-identical behaviour -- that is the
 claim ``benchmarks/test_sec62_model_validation.py`` reproduces.
 
 :class:`VantageModel` is the reusable closed-form core of that
-controller: the Eq. 7 transfer function plus the steady-state flow
-accounting that answers "how many hits, demotions and evictions do N
-more accesses produce at aperture A".  The analytical cache uses it
-for its exact-aperture thresholds, and the fast-forward layer
-(``repro.sim.fastfwd``, ``REPRO_FASTFWD=1``) uses it to replay
-converged epoch tails without simulating them.
+controller: the Eq. 7 transfer function, which the analytical cache
+evaluates for its exact-aperture thresholds.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.arrays.base import CacheArray
 from repro.core.cache import TS_MOD, UNMANAGED, VantageCache
@@ -32,84 +26,23 @@ from repro.core.config import VantageConfig
 from repro.analysis.sizing import aperture
 
 
-@dataclass(frozen=True)
-class ModelForecast:
-    """Closed-form outcome of ``accesses`` more accesses to a partition
-    whose statistics have stabilised (all values are expectations, not
-    integers)."""
-
-    accesses: float
-    hits: float
-    misses: float
-    #: Replacement candidates of this partition examined by the
-    #: demotion scans the ``walk_misses`` walks perform.
-    candidates: float
-    #: Lines demoted to the unmanaged region (aperture * candidates).
-    demotions: float
-    #: Lines leaving the cache entirely; at steady state every miss
-    #: evicts exactly one line somewhere.
-    evictions: float
-
-
 class VantageModel:
-    """The Eq. 7 transfer function plus steady-state flow accounting.
+    """The Eq. 7 transfer function.
 
     Parameters
     ----------
     config:
         Controller tunables (``a_max``, ``slack``).
-    candidates_per_miss:
-        ``R``, the candidates each replacement walk examines.
     """
 
-    def __init__(self, config: VantageConfig, candidates_per_miss: int):
-        if candidates_per_miss <= 0:
-            raise ValueError("candidates_per_miss must be positive")
+    def __init__(self, config: VantageConfig):
         self.config = config
-        self.r = candidates_per_miss
 
     def aperture(self, size: float, target: float) -> float:
         """Equation 7: the fraction of this partition's candidates that
         should be demoted at its current ``size``."""
         cfg = self.config
         return aperture(size, target, cfg.a_max, cfg.slack)
-
-    def forecast(
-        self,
-        accesses: float,
-        miss_rate: float,
-        size: float,
-        target: float,
-        num_lines: int,
-        walk_misses: float | None = None,
-    ) -> ModelForecast:
-        """Hits/demotions/evictions for ``accesses`` more accesses.
-
-        ``walk_misses`` is the total number of replacement walks the
-        partition's lines are exposed to (every miss of *any*
-        partition scans R candidates); it defaults to the partition's
-        own misses, which is exact only for a single partition.  Each
-        walk examines ``R * size / num_lines`` of this partition's
-        lines in expectation (near-uniform zcache candidates), and the
-        feedback controller demotes the aperture fraction of them --
-        the steady state of Section 3.4 that Equations 4-6 build on.
-        """
-        if num_lines <= 0:
-            raise ValueError("num_lines must be positive")
-        misses = accesses * miss_rate
-        walks = misses if walk_misses is None else walk_misses
-        candidates = walks * self.r * (size / num_lines)
-        demotions = (
-            candidates * self.aperture(size, target) if size > target else 0.0
-        )
-        return ModelForecast(
-            accesses=accesses,
-            hits=accesses - misses,
-            misses=misses,
-            candidates=candidates,
-            demotions=demotions,
-            evictions=misses,
-        )
 
 
 class AnalyticalVantageCache(VantageCache):
@@ -136,7 +69,7 @@ class AnalyticalVantageCache(VantageCache):
         self._threshold_dist = [TS_MOD - 1] * num_partitions
         self._recompute_interval = recompute_interval
         self._misses_since_recompute = 0
-        self._model = VantageModel(self.config, array.candidates_per_miss)
+        self._model = VantageModel(self.config)
         self.recomputes = 0
         self.recompute_bins = 0
 

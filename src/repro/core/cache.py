@@ -775,64 +775,6 @@ class VantageCache(PartitionedCache):
         self.line_ts[slot] = self.current_ts[part]
 
     # ------------------------------------------------------------------
-    # Fast-forward state export/import.
-    # ------------------------------------------------------------------
-
-    def model_for_fastfwd(self):
-        """The closed-form transfer-function model a fast-forward
-        replay of this cache evaluates, or None when the concrete
-        class carries extra state the replay would not maintain
-        (subclasses with RRPVs, histograms, ...)."""
-        if type(self) is not VantageCache:
-            return None
-        from repro.core.analytical import VantageModel
-
-        return VantageModel(self.config, self.array.candidates_per_miss)
-
-    def fastfwd_state(self) -> dict:
-        """Extend the base snapshot with every Vantage register a model
-        replay advances: the per-partition counters and clocks of Fig 4
-        plus the per-line owner/timestamp columns (a replay rebases
-        ``line_ts``, so the restore must be able to undo it)."""
-        state = super().fastfwd_state()
-        state.update(
-            actual_size=list(self.actual_size),
-            current_ts=list(self.current_ts),
-            keep_width=list(self.keep_width),
-            access_counter=list(self.access_counter),
-            cands_seen=list(self.cands_seen),
-            cands_demoted=list(self.cands_demoted),
-            demotions=list(self.demotions),
-            promotions=list(self.promotions),
-            unmanaged_size=self.unmanaged_size,
-            unmanaged_ts=self.unmanaged_ts,
-            unmanaged_counter=self._unmanaged_counter,
-            evictions_unmanaged=self.evictions_unmanaged,
-            evictions_managed=self.evictions_managed,
-            line_ts=self.line_ts[:],
-            part_of=self.part_of[:],
-        )
-        return state
-
-    def fastfwd_restore(self, state: dict) -> None:
-        super().fastfwd_restore(state)
-        self.actual_size[:] = state["actual_size"]
-        self.current_ts[:] = state["current_ts"]
-        self.keep_width[:] = state["keep_width"]
-        self.access_counter[:] = state["access_counter"]
-        self.cands_seen[:] = state["cands_seen"]
-        self.cands_demoted[:] = state["cands_demoted"]
-        self.demotions[:] = state["demotions"]
-        self.promotions[:] = state["promotions"]
-        self.unmanaged_size = state["unmanaged_size"]
-        self.unmanaged_ts = state["unmanaged_ts"]
-        self._unmanaged_counter = state["unmanaged_counter"]
-        self.evictions_unmanaged = state["evictions_unmanaged"]
-        self.evictions_managed = state["evictions_managed"]
-        self.line_ts[:] = state["line_ts"]
-        self.part_of[:] = state["part_of"]
-
-    # ------------------------------------------------------------------
     # Introspection helpers.
     # ------------------------------------------------------------------
 

@@ -537,8 +537,4 @@ def _vantage_batch(cache, ctx, rrpv):
         memory.total_queue_cycles = mem_queue
         return now, unfinished, reason, cid
 
-    # Every exit parks the in-flight core's cursor and time, so
-    # the event loop (and the fast-forward layer) may stop the
-    # kernel at any boundary and re-enter without state loss.
-    kernel.parks_state = True
     return kernel

@@ -55,7 +55,7 @@ from repro import traces
 from repro.analysis.stats import SizeTimeSeries
 from repro.core import VantageConfig
 from repro.harness import results_cache
-from repro.harness.env import env_int, fastfwd_requested, fastfwd_tolerance
+from repro.harness.env import env_int
 from repro.sim import SystemConfig, SystemResult
 from repro.telemetry import Distribution
 from repro.workloads import Mix
@@ -125,13 +125,6 @@ class SimJob:
     Mirrors the signature of :func:`~repro.harness.runner.run_mix`;
     ``vantage_config`` overrides the scheme's default Vantage
     parameters (Figure 9's u-sweep).
-
-    ``fastfwd`` / ``fastfwd_tol`` select analytical fast-forward and
-    its detector tolerance.  Their defaults are read from
-    ``REPRO_FASTFWD`` / ``REPRO_FASTFWD_TOL`` once, when the job is
-    built, and validated there; after that the job -- and so its
-    results-cache key -- carries them, so approximate and exact
-    outcomes never share a key.
     """
 
     mix: Mix
@@ -143,16 +136,6 @@ class SimJob:
     size_sample_cycles: int | None = None
     use_l1: bool = False
     vantage_config: VantageConfig | None = None
-    fastfwd: bool = field(default_factory=fastfwd_requested)
-    fastfwd_tol: float = field(default_factory=fastfwd_tolerance)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.fastfwd, bool):
-            raise TypeError(f"fastfwd must be a bool, got {self.fastfwd!r}")
-        if not (isinstance(self.fastfwd_tol, (int, float)) and self.fastfwd_tol >= 0):
-            raise ValueError(
-                f"fastfwd_tol must be a number >= 0, got {self.fastfwd_tol!r}"
-            )
 
 
 @dataclass
@@ -218,8 +201,6 @@ def execute_job(job: SimJob) -> SimOutcome:
         size_sample_cycles=job.size_sample_cycles,
         use_l1=job.use_l1,
         vantage_config=job.vantage_config,
-        use_fastfwd=job.fastfwd,
-        fastfwd_tol=job.fastfwd_tol,
     )
     wall = time.perf_counter() - start
     fraction = None

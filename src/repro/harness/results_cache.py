@@ -7,8 +7,7 @@ or analysis code costs nothing, and a mix suite interrupted halfway
 resumes where it stopped.
 
 Keys are SHA-256 digests of a canonical JSON encoding of the job
-(plus ``CACHE_VERSION``, the scheme's registry fingerprint and, for
-fast-forward jobs, the trace chunk size);
+(plus ``CACHE_VERSION`` and the scheme's registry fingerprint);
 payloads are pickled :class:`~repro.harness.parallel.SimOutcome`
 objects.  The fingerprint covers the builder source of the scheme and
 its array, so editing how a scheme is *constructed* invalidates its
@@ -31,8 +30,6 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-
-from repro.traces import chunks
 
 #: Bump when simulation behaviour changes (results would differ).
 CACHE_VERSION = 2
@@ -105,8 +102,6 @@ def job_key(job) -> str:
         "job": _canonical(job),
         "registry": scheme_fingerprint(job.scheme),
     }
-    if job.fastfwd:  # skip spans stop at chunk ends
-        payload["chunk_pairs"] = chunks.DEFAULT_CHUNK_PAIRS
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

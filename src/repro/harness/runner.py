@@ -25,7 +25,6 @@ from repro.harness.schemes import (
     scheme_reuse_aware,
 )
 from repro.sim import CMPSystem, SystemConfig, SystemResult
-from repro.sim.fastfwd import DEFAULT_TOL
 from repro.telemetry import StatGroup
 from repro.workloads import Mix
 
@@ -102,8 +101,6 @@ def run_mix(
     size_sample_cycles: int | None = None,
     use_l1: bool = False,
     vantage_config=None,
-    use_fastfwd: bool = False,
-    fastfwd_tol: float = DEFAULT_TOL,
 ) -> MixRun:
     """Simulate ``mix`` under ``scheme``.
 
@@ -112,10 +109,6 @@ def run_mix(
     with it.
     ``vantage_config`` overrides the Vantage parameters derived from
     the scheme name (Figure 9's unmanaged-region sweep).
-    ``use_fastfwd`` / ``fastfwd_tol`` pass through to
-    :class:`~repro.sim.system.CMPSystem`; the run is exact unless
-    ``use_fastfwd`` is set (the environment is read where jobs are
-    built, see :class:`~repro.harness.parallel.SimJob`).
     """
     if mix.num_cores != config.num_cores:
         raise ValueError(
@@ -145,8 +138,6 @@ def run_mix(
         use_l1=use_l1,
         size_series=series,
         size_sample_cycles=size_sample_cycles,
-        use_fastfwd=use_fastfwd,
-        fastfwd_tol=fastfwd_tol,
     )
     tree = telemetry.system_tree(cache=cache, system=system, policy=policy)
     result = system.run(instructions)

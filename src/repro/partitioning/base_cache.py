@@ -348,40 +348,6 @@ class PartitionedCache(ABC):
                 counters[i] = 0
 
     # ------------------------------------------------------------------
-    # Fast-forward state export/import.
-    # ------------------------------------------------------------------
-
-    def fastfwd_state(self) -> dict:
-        """Snapshot every register a fast-forward replay may advance.
-
-        The fast-forward layer (``repro.sim.fastfwd``) snapshots the
-        cache before committing a model replay and restores the
-        snapshot if the commit fails partway, so an aborted replay
-        re-seeds *exactly* the state the detector measured.  Subclasses
-        extend the dict with their scheme-specific registers; every
-        value must be an independent copy (no aliasing of live state).
-        """
-        st = self.stats
-        return {
-            "accesses": list(st.accesses),
-            "hits": list(st.hits),
-            "misses": list(st.misses),
-            "evictions": list(st.evictions),
-            "sizes": list(self._sizes),
-        }
-
-    def fastfwd_restore(self, state: dict) -> None:
-        """Restore a :meth:`fastfwd_state` snapshot, in place (fused
-        and batch kernels hoist these lists, so they are never
-        rebound)."""
-        st = self.stats
-        st.accesses[:] = state["accesses"]
-        st.hits[:] = state["hits"]
-        st.misses[:] = state["misses"]
-        st.evictions[:] = state["evictions"]
-        self._sizes[:] = state["sizes"]
-
-    # ------------------------------------------------------------------
     # Fused access kernels.
     # ------------------------------------------------------------------
 

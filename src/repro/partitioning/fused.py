@@ -744,10 +744,6 @@ def _baseline_sa_lru_batch(cache, array, policy, ctx):
         memory.total_queue_cycles = mem_queue
         return now, unfinished, reason, cid
 
-    # Every exit parks the in-flight core's cursor and time, so
-    # the event loop (and the fast-forward layer) may stop the
-    # kernel at any boundary and re-enter without state loss.
-    kernel.parks_state = True
     return kernel
 
 
@@ -1003,10 +999,6 @@ def _baseline_generic_batch(cache, array, policy, ctx):
         memory.total_queue_cycles = mem_queue
         return now, unfinished, reason, cid
 
-    # Every exit parks the in-flight core's cursor and time, so
-    # the event loop (and the fast-forward layer) may stop the
-    # kernel at any boundary and re-enter without state loss.
-    kernel.parks_state = True
     return kernel
 
 
@@ -1216,10 +1208,6 @@ def build_waypart_batch(cache: WayPartitionedCache, ctx):
         memory.total_queue_cycles = mem_queue
         return now, unfinished, reason, cid
 
-    # Every exit parks the in-flight core's cursor and time, so
-    # the event loop (and the fast-forward layer) may stop the
-    # kernel at any boundary and re-enter without state loss.
-    kernel.parks_state = True
     return kernel
 
 
@@ -1437,8 +1425,4 @@ def build_pipp_batch(cache: PIPPCache, ctx):
         memory.total_queue_cycles = mem_queue
         return now, unfinished, reason, cid
 
-    # Every exit parks the in-flight core's cursor and time, so
-    # the event loop (and the fast-forward layer) may stop the
-    # kernel at any boundary and re-enter without state loss.
-    kernel.parks_state = True
     return kernel

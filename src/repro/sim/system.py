@@ -42,7 +42,6 @@ from repro import telemetry
 from repro.analysis.stats import SizeTimeSeries
 from repro.partitioning.base_cache import BatchContext
 from repro.sim.configs import SystemConfig
-from repro.sim.fastfwd import DEFAULT_TOL
 from repro.sim.l1 import L1Cache
 from repro.sim.memory import MemoryModel
 from repro.traces import TraceSpec, get_store
@@ -100,14 +99,6 @@ class CMPSystem:
         then memory instructions, not L2 accesses).
     size_series / size_sample_cycles:
         Optional :class:`SizeTimeSeries` sampled on the given period.
-    use_fastfwd / fastfwd_tol:
-        Analytical fast-forward of converged epoch tails (see
-        :mod:`repro.sim.fastfwd`); off by default, so a run is exact
-        unless its caller asks otherwise.  ``fastfwd_tol`` is the
-        detector tolerance (``0`` = detection-only mode that logs
-        triggers but skips nothing).  Requires the batch layer;
-        ineligible configurations decline with a recorded reason
-        instead of diverging.
     """
 
     def __init__(
@@ -119,8 +110,6 @@ class CMPSystem:
         use_l1: bool = False,
         size_series: SizeTimeSeries | None = None,
         size_sample_cycles: int | None = None,
-        use_fastfwd: bool = False,
-        fastfwd_tol: float = DEFAULT_TOL,
     ):
         self.cache = cache
         self.trace_factories = list(traces)
@@ -158,14 +147,6 @@ class CMPSystem:
         # batch layer switches off with it (and with caches that have
         # no fused kernel installed).
         self._batch_layer = bool(getattr(cache, "fused", False))
-        # Analytical fast-forward (repro.sim.fastfwd) rides the batch
-        # layer, so it switches off with it.  The layer itself may
-        # still decline at run time (``fastfwd.decline_reason``).
-        self._use_fastfwd = use_fastfwd and self._batch_layer
-        self._fastfwd_tol = fastfwd_tol
-        #: The run's :class:`~repro.sim.fastfwd.FastForward` instance
-        #: (None until a fast-forward-requested run starts).
-        self.fastfwd = None
         self.batch_calls = 0
         self._final_times = [0.0] * config.num_cores
         self._instruction_counts = [0] * config.num_cores
@@ -230,56 +211,6 @@ class CMPSystem:
             lambda: self.samples,
             "partition-size time-series samples taken",
         )
-        if self._use_fastfwd:
-            # Registered only when fast-forward was requested, so the
-            # default stats tree (and the golden snapshots pinning it)
-            # is untouched.  Values pull through ``self.fastfwd``
-            # lazily: the instance only exists once ``run`` starts.
-            f = group.group("fastfwd", "analytical fast-forward layer")
-
-            def _ff(name, default=0):
-                return lambda: getattr(self.fastfwd, name, default)
-
-            f.stat(
-                "active",
-                lambda: self.fastfwd is not None and self.fastfwd.enabled,
-                "the layer accepted the configuration at run start",
-            )
-            f.stat(
-                "decline_reason",
-                _ff("decline_reason", None),
-                "why the layer declined (None when active)",
-            )
-            f.stat(
-                "detect_only",
-                _ff("detect_only", False),
-                "REPRO_FASTFWD_TOL=0: log triggers, never skip",
-            )
-            f.stat("windows", _ff("windows"), "detector windows measured")
-            f.stat("triggers", _ff("triggers"), "times the detector fired")
-            f.stat("skips", _ff("skips"), "model replays committed")
-            f.stat(
-                "aborts",
-                _ff("aborts"),
-                "fired triggers whose plan was rejected (exact sim resumed)",
-            )
-            f.stat(
-                "skipped_accesses",
-                _ff("skipped_accesses"),
-                "accesses replayed through the model instead of simulated",
-            )
-            f.stat(
-                "would_skip_accesses",
-                _ff("would_skip_accesses"),
-                "accesses a skip would have covered (detection-only)",
-            )
-            f.stat(
-                "skipped_fraction",
-                lambda: (
-                    self.fastfwd.skipped_fraction() if self.fastfwd else 0.0
-                ),
-                "skipped_accesses over all accesses",
-            )
 
     def _build_batch_kernel(
         self,
@@ -413,6 +344,12 @@ class CMPSystem:
           (see :class:`BatchContext`), so the kernels look hashes up
           instead of computing them per miss.
         """
+        if instructions_per_core < 1:
+            # Checked here, not in SimJob.__post_init__: unpickled
+            # jobs (workers, the daemon) skip __post_init__.
+            raise ValueError(
+                f"instructions_per_core must be >= 1, got {instructions_per_core!r}"
+            )
         config = self.config
         cache = self.cache
         policy = self.policy
@@ -474,27 +411,6 @@ class CMPSystem:
                 batched[cid] = chunked[cid]
             index_column = cache.array.index_column
 
-        ff = None
-        if self._use_fastfwd:
-            from repro.sim.fastfwd import FastForward
-
-            self.fastfwd = FastForward(
-                self,
-                batch_kernel,
-                chunked,
-                bufs,
-                positions,
-                limits,
-                instructions,
-                finished_at,
-                times,
-                heap,
-                instructions_per_core,
-                self._fastfwd_tol,
-            )
-            if self.fastfwd.enabled:
-                ff = self.fastfwd
-
         def _refill(cid: int):
             # One store lookup (LRU / disk / compile) per chunk keeps
             # trace production out of the hot loop entirely.  A stream
@@ -548,23 +464,11 @@ class CMPSystem:
             if batch_kernel is not None:
                 # Whole-loop dispatch: one kernel call runs scheduling
                 # events until a boundary only this loop can handle.
-                # With fast-forward enabled, detector windows are extra
-                # reason-1 stops below the real service time: the
-                # kernel parks identically, so they are free of side
-                # effects on the simulation itself.
                 self.batch_calls += 1
-                if ff is not None and ff.next_window < next_service:
-                    call_service = ff.next_window
-                else:
-                    call_service = next_service
                 now, unfinished, reason, cid = batch_kernel(
-                    call_service, unfinished
+                    next_service, unfinished
                 )
                 if reason == 1:
-                    if now < next_service:
-                        # Window boundary only: measure, maybe replay.
-                        ff.on_window(now, next_epoch, next_sample)
-                        continue
                     # Epoch/sample service due at ``now``; the kernel
                     # parked the in-flight core, so re-entry resumes it
                     # through the ordinary selection scan.
@@ -572,10 +476,6 @@ class CMPSystem:
                         self._repartition()
                         while now >= next_epoch:
                             next_epoch += epoch_cycles
-                        if ff is not None:
-                            # New targets: restart the window grid and
-                            # drop the stale convergence evidence.
-                            ff.on_epoch(now)
                     if now >= next_sample:
                         self.samples += 1
                         self.size_series.sample(

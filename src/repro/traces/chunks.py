@@ -14,7 +14,7 @@ from array import array
 from itertools import chain, islice
 
 #: Pairs per chunk (4K pairs = 64 KiB of int64), sized to what short
-#: jobs read.  Fast-forward job keys include it (spans stop at chunk ends).
+#: jobs read.
 DEFAULT_CHUNK_PAIRS = 4_096
 
 
@@ -40,24 +40,6 @@ def compile_chunk(iterator, chunk_pairs: int) -> array:
 def chunk_nbytes(chunk_pairs: int) -> int:
     """On-disk / in-memory size of one chunk in bytes."""
     return 2 * chunk_pairs * array("q").itemsize
-
-
-def segment_profile(buf, start: int, limit: int, max_pairs: int) -> tuple[int, int]:
-    """Accesses and summed instruction gaps of a buffer segment.
-
-    Profiles up to ``max_pairs`` ``(gap, addr)`` pairs of ``buf``
-    starting at flat index ``start`` (bounded by ``limit``), returning
-    ``(pairs, gap_sum)``.  The fast-forward planner uses this to cost a
-    candidate skip span at C speed: ``sum`` over an extended slice
-    touches no Python-level loop, so profiling a whole chunk tail costs
-    microseconds, not the milliseconds simulating it would.
-    """
-    if max_pairs <= 0 or start >= limit:
-        return 0, 0
-    end = start + 2 * max_pairs
-    if end > limit:
-        end = limit
-    return (end - start) // 2, sum(buf[start:end:2])
 
 
 def chunk_instructions(buf) -> int:

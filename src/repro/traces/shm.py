@@ -23,7 +23,7 @@ and the scavenger reclaims anything a crashed owner left behind.  On
 platforms without ``/dev/shm`` the fabric quietly disables itself and
 every consumer falls back to the private layers.
 
-Segment layout (DESIGN.md section 13)::
+Segment layout (DESIGN.md section 12)::
 
     offset   0: int64 magic      (SEGMENT_MAGIC)
     offset   8: int64 version    (SEGMENT_VERSION)

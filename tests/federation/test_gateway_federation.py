@@ -131,36 +131,38 @@ class TestDedupe:
         assert gateway.pool.routed == 1
 
 
-class TestFastForwardKeys:
-    def test_fastfwd_outcome_never_served_for_exact_job(self, fleet):
+class TestVantageConfigKeys:
+    def test_vantage_config_outcome_never_served_for_default_job(self, fleet):
         """The gateway caches and coalesces by job key, which covers
-        the job's fast-forward fields: an exact submission after a
-        fast-forward one of the same job is simulated exactly."""
+        the job's ``vantage_config``: a default submission after an
+        overridden one of the same job is simulated on its own."""
         from dataclasses import replace
 
+        from repro.core import VantageConfig
         from repro.harness import SimJob
         from repro.harness.parallel import execute_job
         from repro.sim import small_system
         from repro.workloads import make_mix
 
         gateway = fleet.gateway.gateway
-        exact_job = SimJob(
+        default_job = SimJob(
             make_mix("sftn", 1),
             "vantage-z4/52",
-            small_system(epoch_cycles=150_000),
+            small_system(l2_bytes=64 * 1024, epoch_cycles=20_000),
             30_000,
             seed=0,
-            fastfwd=False,
         )
-        fast_job = replace(exact_job, fastfwd=True)
+        variant_job = replace(
+            default_job, vantage_config=VantageConfig(unmanaged_fraction=0.3)
+        )
         with fleet.gateway.client() as fed:
-            fast = fed.submit(fast_job)
-            served = fed.submit_batch([exact_job]).raise_on_error()
+            variant = fed.submit(variant_job)
+            served = fed.submit_batch([default_job]).raise_on_error()
         assert served.cached == [False]
         assert gateway.cache_hits == 0
         assert gateway.pool.routed == 2
-        inline = execute_job(exact_job)
-        assert fast.result != inline.result, "fast-forward skipped nothing"
+        inline = execute_job(default_job)
+        assert variant.result != inline.result, "the override changed nothing"
         assert served.outcomes[0].result == inline.result
 
 

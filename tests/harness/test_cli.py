@@ -25,6 +25,16 @@ class TestParser:
         assert exc.value.code == 2
         assert "--epoch-cycles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run-mix", "submit", "fed-submit"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_instructions_must_be_positive(self, command, value, capsys):
+        """``--instructions 0`` is a usage error, caught before any
+        simulation or daemon round trip."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--instructions", value])
+        assert exc.value.code == 2
+        assert "--instructions" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_apps(self, capsys):

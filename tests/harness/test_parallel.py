@@ -7,15 +7,18 @@ The guarantees under test:
 - a cache hit returns the same outcome as a fresh simulation;
 - duplicate jobs (and a baseline repeated inside a scheme list) are
   simulated only once;
-- fast-forward (approximate) and exact outcomes never share a key.
+- every job field is part of the results-cache key, so jobs that
+  differ in any input never share an outcome.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
 
+from repro.core import VantageConfig
 from repro.harness import SimJob, relative_throughputs, run_jobs, run_mix
 from repro.harness import results_cache
 from repro.harness.parallel import execute_job
@@ -78,67 +81,62 @@ def test_duplicate_jobs_simulated_once(cache_dir):
 
 
 def test_job_key_distinguishes_inputs():
+    """Perturbing any one ``SimJob`` field -- or one field of its
+    ``SystemConfig`` -- changes the results-cache key."""
     config = small_system()
     mix = make_mix("sftn", 1)
     base = SimJob(mix, "lru-sa16", config, INSTRUCTIONS, seed=0)
     assert results_cache.job_key(base) == results_cache.job_key(
         SimJob(mix, "lru-sa16", config, INSTRUCTIONS, seed=0)
     )
-    variants = [
-        SimJob(mix, "vantage-z4/16", config, INSTRUCTIONS, seed=0),
-        SimJob(mix, "lru-sa16", config, INSTRUCTIONS, seed=1),
-        SimJob(mix, "lru-sa16", config, INSTRUCTIONS + 1, seed=0),
-        SimJob(make_mix("ttnn", 1), "lru-sa16", config, INSTRUCTIONS, seed=0),
-        SimJob(mix, "lru-sa16", config, INSTRUCTIONS, seed=0, fastfwd=True),
-        SimJob(mix, "lru-sa16", config, INSTRUCTIONS, seed=0, fastfwd_tol=0.5),
-    ]
-    keys = {results_cache.job_key(v) for v in variants}
+    perturbed = {
+        "mix": make_mix("ttnn", 1),
+        "scheme": "vantage-z4/16",
+        "config": dataclasses.replace(config, epoch_cycles=config.epoch_cycles + 1),
+        "instructions": INSTRUCTIONS + 1,
+        "seed": 1,
+        "partitioned": True,
+        "size_sample_cycles": 1_000,
+        "use_l1": True,
+        "vantage_config": VantageConfig(unmanaged_fraction=0.3),
+    }
+    # A new SimJob field must get a perturbation here.
+    assert set(perturbed) == {f.name for f in dataclasses.fields(SimJob)}
+    for name, value in perturbed.items():
+        assert getattr(base, name) != value, name
+    keys = {
+        results_cache.job_key(dataclasses.replace(base, **{name: value}))
+        for name, value in perturbed.items()
+    }
     assert results_cache.job_key(base) not in keys
-    assert len(keys) == len(variants)
+    assert len(keys) == len(perturbed)
 
 
-def test_fastfwd_key_covers_chunk_size(monkeypatch):
-    """A fast-forward skip span stops at a chunk end, so approximate
-    outcomes are keyed by the chunk size; exact keys ignore it."""
-    from repro.traces import chunks
-
-    config = small_system()
-    mix = make_mix("sftn", 1)
-    exact = SimJob(mix, "vantage-z4/52", config, INSTRUCTIONS, seed=0, fastfwd=False)
-    approx = SimJob(mix, "vantage-z4/52", config, INSTRUCTIONS, seed=0, fastfwd=True)
-    exact_key = results_cache.job_key(exact)
-    approx_key = results_cache.job_key(approx)
-    monkeypatch.setattr(chunks, "DEFAULT_CHUNK_PAIRS", 2 * chunks.DEFAULT_CHUNK_PAIRS)
-    assert results_cache.job_key(exact) == exact_key
-    assert results_cache.job_key(approx) != approx_key
-
-
-def _fastfwd_probe_job() -> SimJob:
-    """A job on which fast-forward skips work (so its outcome differs
-    from the exact one); the fast-forward fields come from the
-    environment, as for any job built in a sweep script."""
+def _probe_job(vantage_config: VantageConfig | None = None) -> SimJob:
+    """A job whose outcome changes with its ``vantage_config``."""
     return SimJob(
         make_mix("sftn", 1),
         "vantage-z4/52",
-        small_system(epoch_cycles=150_000),
+        small_system(l2_bytes=64 * 1024, epoch_cycles=20_000),
         30_000,
         seed=0,
+        vantage_config=vantage_config,
     )
 
 
-def test_fastfwd_sweep_does_not_poison_exact_results(cache_dir, monkeypatch):
-    """A ``REPRO_FASTFWD=1`` sweep, then an exact sweep in the same
-    results cache: the exact sweep gets the exact outcome, not the
-    approximate one the first sweep stored."""
-    monkeypatch.setenv("REPRO_FASTFWD", "1")
-    fast = run_jobs([_fastfwd_probe_job()], workers=1)[0]
+def test_vantage_config_sweep_does_not_poison_default_results(cache_dir):
+    """A sweep with an overridden ``vantage_config``, then a default
+    sweep in the same results cache: the default sweep gets its own
+    outcome, not the one the first sweep stored."""
+    variant = run_jobs(
+        [_probe_job(VantageConfig(unmanaged_fraction=0.3))], workers=1
+    )[0]
 
-    monkeypatch.setenv("REPRO_FASTFWD", "0")
-    exact_job = _fastfwd_probe_job()
-    inline = execute_job(exact_job)
-    assert fast.result != inline.result, "fast-forward skipped nothing"
+    default_job = _probe_job()
+    inline = execute_job(default_job)
+    assert variant.result != inline.result, "the override changed nothing"
 
-    served = run_jobs([exact_job], workers=1)[0]
+    served = run_jobs([default_job], workers=1)[0]
     assert served.result == inline.result
     assert len(list(cache_dir.rglob("*.pkl"))) == 2
 

@@ -23,7 +23,6 @@ import random
 import pytest
 
 from repro import telemetry
-from repro.harness.env import require_bitwise
 from repro.harness.runner import build_cache, build_policy, run_mix
 from repro.harness.schemes import scheme_partitioned
 from repro.sim import CMPSystem
@@ -31,14 +30,6 @@ from repro.sim.configs import small_system
 from repro.traces import TraceSpec
 from repro.workloads import make_mix
 from repro.workloads.mixes import mix_classes
-
-@pytest.fixture(autouse=True)
-def _bitwise_guard():
-    """The batch-parity suite pins exact simulation; a stray
-    ``REPRO_FASTFWD=1`` in the environment must fail loudly, not
-    produce baffling diffs."""
-    require_bitwise("the batch-parity suite")
-
 
 INSTRUCTIONS = 6_000
 

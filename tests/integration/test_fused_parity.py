@@ -21,21 +21,12 @@ import random
 import pytest
 
 from repro import telemetry
-from repro.harness.env import require_bitwise
 from repro.harness.runner import build_policy, run_mix
 from repro.harness.schemes import build_cache, scheme_partitioned
 from repro.sim import CMPSystem
 from repro.sim.configs import small_system
 from repro.workloads import make_mix
 from repro.workloads.mixes import mix_classes
-
-
-@pytest.fixture(autouse=True)
-def _bitwise_guard():
-    """The fused-parity suite pins exact simulation; a stray
-    ``REPRO_FASTFWD=1`` in the environment must fail loudly, not
-    produce baffling diffs."""
-    require_bitwise("the fused-parity suite")
 
 
 INSTRUCTIONS = 6_000

