@@ -43,8 +43,8 @@ class SetAssociativeArray(CacheArray):
         self._hash = H3Hash(self.num_sets, seed) if hashed else None
         self._set_mask = self.num_sets - 1
         # Bounded per-instance memo of the H3 set index, for the scalar
-        # callers of set_index() (the object path and the single-access
-        # closures); batch kernels read index_column() instead.
+        # callers of set_index() (the object path); batch kernels read
+        # index_column() instead.
         # Unbounded, a long random-address run would hold one entry per
         # distinct address ever seen; instead the memo is flushed
         # wholesale when it reaches the cap (recomputing an H3 hash is

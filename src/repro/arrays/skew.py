@@ -42,8 +42,7 @@ class SkewAssociativeArray(CacheArray):
             raise ValueError("num_lines must fit in one fused-hash lane")
         self.hashes = H3Family(num_ways, self.num_sets, seed)
         # Bounded per-instance memo of position tuples, for the scalar
-        # callers of positions() (the object path and the
-        # single-access closures); batch kernels read
+        # callers of positions() (the object path); batch kernels read
         # index_column() instead, and relocations derive positions
         # from _pos_by_slot.  Flushed wholesale at the cap like
         # SetAssociativeArray._index_cache (correctness never depends

@@ -6,9 +6,9 @@ from repro.core.config import VantageConfig
 from repro.core.feedback import build_threshold_table, lookup_threshold
 from repro.core.rrip_variant import VantageDRRIPCache
 
-# Imported last, for its side effects: registers the fused access
+# Imported last, for its side effects: registers the batch access
 # kernels for the Vantage controllers.
-import repro.core.fused  # noqa: E402,F401
+from repro.core import fused  # noqa: E402,F401
 
 __all__ = [
     "AnalyticalVantageCache",

@@ -137,9 +137,6 @@ class VantageCache(PartitionedCache):
         # them is behaviour-preserving.
         self._zwalk = isinstance(array, ZCacheArray)
 
-        if type(self) is VantageCache:
-            self._install_fused()
-
     # ------------------------------------------------------------------
     # Configuration / allocation interface.
     # ------------------------------------------------------------------
@@ -174,8 +171,9 @@ class VantageCache(PartitionedCache):
                 f"targets sum to {sum(units)}, above the managed region "
                 f"({self.allocation_total} lines)"
             )
-        # In place: fused access kernels capture these lists at build
-        # time, and UCP reallocates every epoch.
+        # In place, like the other schemes' allocation registers that
+        # batch kernels capture: any reference taken before the epoch
+        # sees the new targets.
         self.target[:] = units
         self._tables[:] = [self._compile_table(t) for t in units]
 

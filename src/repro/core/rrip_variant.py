@@ -54,8 +54,6 @@ class VantageDRRIPCache(VantageCache):
         self.setpoint_rrpv = [RRPV_MAX] * num_partitions
         self.psel = [PSEL_MAX // 2] * num_partitions
         self._rng = random.Random(seed)
-        if type(self) is VantageDRRIPCache:
-            self._install_fused()
 
     # ------------------------------------------------------------------
     # Per-line metadata hooks.

@@ -204,10 +204,9 @@ def execute_job(job: SimJob) -> SimOutcome:
     )
     wall = time.perf_counter() - start
     fraction = None
-    cache = run.cache
-    if hasattr(cache, "managed_eviction_fraction"):
-        fraction = cache.managed_eviction_fraction()
-    outcome = SimOutcome(
+    if hasattr(run.cache, "managed_eviction_fraction"):
+        fraction = run.cache.managed_eviction_fraction()
+    return SimOutcome(
         result=run.result,
         size_series=run.size_series,
         managed_eviction_fraction=fraction,
@@ -215,11 +214,6 @@ def execute_job(job: SimJob) -> SimOutcome:
         wall_time_s=wall,
         trace_counters=traces.get_store().counters(),
     )
-    # Break the cache <-> fused-kernel cycle so refcounting frees the
-    # run's cache, array, policy and allocator state on return rather
-    # than at the next full GC (resident workers run job after job).
-    cache.remove_fused()
-    return outcome
 
 
 def plan_jobs(

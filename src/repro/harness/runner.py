@@ -65,8 +65,16 @@ def build_policy(
         ]
         policy_cls = UCPPolicy
     if cache.allocation_unit == "ways":
+        # A cache with more ways than its UMONs (pipp-sa64 on the
+        # 4-core system) gets each curve interpolated to one point per
+        # way, as Vantage's are to 256 points; narrower caches keep
+        # the raw way-granularity curves.
+        ways = cache.allocation_total
         return policy_cls(
-            monitors, total_units=cache.allocation_total, min_units=1
+            monitors,
+            total_units=ways,
+            min_units=1,
+            granularity=ways if ways > umon_ways else None,
         )
     return policy_cls(
         monitors,

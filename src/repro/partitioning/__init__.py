@@ -11,9 +11,9 @@ from repro.partitioning.pipp import PIPPCache
 from repro.partitioning.selective import SelectiveAllocationCache
 from repro.partitioning.way_partitioning import WayPartitionedCache
 
-# Imported last, for its side effects: registers the fused access
+# Imported last, for its side effects: registers the batch access
 # kernels for the schemes defined above.
-import repro.partitioning.fused  # noqa: E402,F401
+from repro.partitioning import fused  # noqa: E402,F401
 
 __all__ = [
     "BaselineCache",

@@ -55,31 +55,14 @@ SHARED_POLICIES = {
 
 
 def fused_default() -> bool:
-    """Whether caches should install their fused access kernels.
+    """Whether runs should use the batch access kernels.
 
-    Read from ``REPRO_FUSED`` at cache construction ("0" disables);
-    the object-oriented access path stays available as the fallback
-    and as the oracle the fused kernels are pinned against.
+    Read from ``REPRO_FUSED`` ("0" disables) when a
+    :class:`~repro.sim.system.CMPSystem` is built; the object-oriented
+    ``access`` methods stay the fallback and the oracle the batch
+    kernels are pinned against.
     """
     return os.environ.get("REPRO_FUSED", "1") != "0"
-
-
-#: Registry of fused access-kernel builders, keyed by concrete cache
-#: class.  A builder is called as ``builder(cache)`` and returns a
-#: closure with the signature of :meth:`PartitionedCache.access`, or
-#: ``None`` when the cache's array/policy combination has no fused
-#: kernel (the object path is used unchanged).
-_FUSED_KERNELS: dict[type, Callable] = {}
-
-
-def register_fused_kernel(cls: type):
-    """Class decorator registering a fused kernel builder for ``cls``."""
-
-    def decorator(builder: Callable):
-        _FUSED_KERNELS[cls] = builder
-        return builder
-
-    return decorator
 
 
 #: Registry of batch access-kernel builders, keyed by concrete cache
@@ -115,7 +98,7 @@ class BatchContext:
 
     All list fields are the *live* scheduler state of the running
     ``CMPSystem.run`` invocation, shared by reference and mutated in
-    place by the kernel: the single-access fallback loop and the
+    place by the kernel: the event loop's object-path fallback and the
     kernel read and write the same cursors, so control can bounce
     between them mid-run with no hand-off step.
 
@@ -244,9 +227,9 @@ class CacheStats:
         return miss / acc if acc else 0.0
 
     def reset(self) -> None:
-        # In place: fused access kernels capture these lists at build
-        # time, so rebinding them would silently disconnect a kernel
-        # from the stats it reports into.
+        # In place: batch kernels capture these lists at build time,
+        # so rebinding them would silently disconnect a kernel from
+        # the stats it reports into.
         for counters in (self.accesses, self.hits, self.misses, self.evictions):
             for i in range(len(counters)):
                 counters[i] = 0
@@ -313,8 +296,6 @@ class PartitionedCache(ABC):
         #: Optional measurement hook called as ``fn(victim_slot, victim_part)``
         #: immediately *before* an occupied victim is evicted.
         self.eviction_hook: Callable[[int, int], None] | None = None
-        #: True when a fused access kernel is installed on this instance.
-        self.fused = False
 
     # ------------------------------------------------------------------
     # Public surface.
@@ -348,46 +329,6 @@ class PartitionedCache(ABC):
                 counters[i] = 0
 
     # ------------------------------------------------------------------
-    # Fused access kernels.
-    # ------------------------------------------------------------------
-
-    def _install_fused(self) -> None:
-        """Install this class's fused access kernel, if one is
-        registered and ``REPRO_FUSED`` permits.
-
-        Called at the end of each registered concrete class's
-        ``__init__`` (guarded by ``type(self) is Cls`` so subclasses
-        that override the access path are never fused).  The kernel is
-        a closure bound to this instance's state columns, installed as
-        an *instance* attribute shadowing the ``access`` method; the
-        method itself remains the semantic definition and the
-        ``REPRO_FUSED=0`` fallback.
-        """
-        if not fused_default():
-            return
-        builder = _FUSED_KERNELS.get(type(self))
-        if builder is None:
-            return
-        kernel = builder(self)
-        if kernel is None:
-            return
-        self.__dict__["access"] = kernel
-        self.fused = True
-
-    def remove_fused(self) -> None:
-        """Drop the instance-level fused kernel, restoring the method.
-
-        The kernel closes over this cache, so while it is installed
-        the cache sits in a reference cycle that only a full garbage
-        collection frees.  Dropping it lets refcounting free the cache
-        (array, policy and all) as soon as the last outside reference
-        goes -- :func:`~repro.harness.parallel.execute_job` calls this
-        once a run's outcome is built.
-        """
-        self.__dict__.pop("access", None)
-        self.fused = False
-
-    # ------------------------------------------------------------------
     # Batch access kernels.
     # ------------------------------------------------------------------
 
@@ -410,7 +351,7 @@ class PartitionedCache(ABC):
         epoch/sample service is due at ``now`` (repartition/sample,
         then re-enter), ``2`` = core ``cid``'s chunk is exhausted
         (refill, then re-enter), ``4`` = core ``cid`` is not chunked
-        (run one event on the single-access path, then re-enter),
+        (run one event through :meth:`access`, then re-enter),
         ``3`` = the last unfinished core crossed its target (``now``
         is the run's final cycle count).  Before every return the
         kernel parks the in-flight core back in the scheduler
@@ -421,7 +362,7 @@ class PartitionedCache(ABC):
 
         Caches with measurement hooks installed decline batching:
         hooks may read hoisted registers mid-segment, so hooked runs
-        take the single-access fused path instead.
+        take the object path (:meth:`access`) instead.
         """
         if self.eviction_hook is not None:
             return None
@@ -575,8 +516,6 @@ class BaselineCache(PartitionedCache):
         if policy.num_lines != array.num_lines:
             raise ValueError("policy and array disagree on num_lines")
         self.policy = policy
-        if type(self) is BaselineCache:
-            self._install_fused()
 
     @property
     def allocation_total(self) -> int:

@@ -1,26 +1,34 @@
-"""Fused access kernels for the non-Vantage cache front-ends.
+"""Batch access kernels for the non-Vantage cache front-ends.
 
-Each builder returns a closure replacing ``cache.access`` with the hit
-detection, policy update, victim selection and install bookkeeping of
-one (array geometry, replacement policy) pair fused into a single
-function: no ``Candidate`` construction, no per-access method dispatch
-through the ``PartitionedCache``/``ReplacementPolicy`` seams, and all
-hot state (tag column, policy state column, owner column, stats
-counters) captured as closure cells.
+Each builder returns a kernel that runs the *whole* multi-core event
+loop -- core selection (two-minimum scan or heap), chunk cursors,
+timing, L1 filtering, policy observation, the cache access body and
+finish bookkeeping -- in one Python frame, returning only at
+boundaries the event loop itself must handle (see
+``PartitionedCache.build_batch_kernel`` for the protocol).  The access
+body fuses the hit detection, policy update, victim selection and
+install bookkeeping of one (array geometry, replacement policy) pair:
+no ``Candidate`` construction, no per-access method dispatch through
+the ``PartitionedCache``/``ReplacementPolicy`` seams, all hot state
+(tag column, policy state column, owner column, stats counters)
+captured as closure cells, and the policy tick registers and the
+memory-model counters hoisted into frame locals and flushed before
+every return.
 
 Behaviour is pinned bitwise-identical to the object-oriented access
-methods they shadow -- the same stats counters, the same RNG draws,
-the same telemetry bumps -- which ``REPRO_FUSED=0`` (running the
-object path) and the parity tests enforce.  Builders return ``None``
-for combinations without a kernel; those caches simply keep the
-object path.
+methods -- the same stats counters, the same RNG draws, the same
+telemetry bumps -- which ``REPRO_FUSED=0`` (running the object path)
+and the parity tests enforce.  Builders return ``None`` for
+combinations without a kernel; those runs keep the object path.
 
 This module must not import ``repro.core`` (the Vantage kernels live
-in ``repro.core.fused``); it is imported for its registration side
-effects at the end of ``repro.partitioning.__init__``.
+in that package's ``fused`` module); it is imported for its
+registration side effects at the end of ``repro.partitioning``.
 """
 
 from __future__ import annotations
+
+import heapq as _heapq
 
 from repro.arrays.base import CacheArray
 from repro.arrays.set_assoc import SetAssociativeArray
@@ -29,7 +37,6 @@ from repro.partitioning.base_cache import (
     NO_PART,
     BaselineCache,
     register_batch_kernel,
-    register_fused_kernel,
     scheduler_cells,
 )
 from repro.partitioning.pipp import STREAM_WAYS, PIPPCache
@@ -40,478 +47,6 @@ from repro.replacement.other import LFU_MAX, LFUPolicy
 from repro.replacement.rrip import RRPV_MAX, SRRIPPolicy, _RRIPBase
 
 _TS_MASK = TIMESTAMP_MOD - 1
-
-
-@register_fused_kernel(BaselineCache)
-def build_baseline_kernel(cache: BaselineCache):
-    array = cache.array
-    policy = cache.policy
-    if type(array) is SetAssociativeArray and type(policy) is CoarseLRUPolicy:
-        return _baseline_sa_lru_kernel(cache, array, policy)
-    if type(array).candidate_slots is CacheArray.candidate_slots:
-        # No fast-path walk: keep the Candidate-list object path.
-        return None
-    if type(policy).select_victim_index is ReplacementPolicy.select_victim_index:
-        # Policy without an index-based victim scan: object path.
-        return None
-    return _baseline_generic_kernel(cache, array, policy)
-
-
-def _baseline_sa_lru_kernel(cache, array, policy):
-    """BaselineCache on a set-associative array with coarse LRU, fully
-    inlined: the single hottest baseline configuration (LRU-SA16)."""
-    lookup = array._slot_of.get
-    slot_of = array._slot_of
-    tags = array._tags
-    set_index = array.set_index
-    set_free = array._set_free
-    num_ways = array.num_ways
-    state = policy.state
-    granularity = policy._granularity
-    part_of = cache.part_of
-    sizes = cache._sizes
-    # Shared-region bookkeeping (0 = off).  _shared_hit stays a bound
-    # call: it only mutates live cache state, none of which this
-    # kernel hoists as scalars.
-    shared_code = cache._shared_code
-    shared_hit = cache._shared_hit
-    touched_by = cache.touched_by
-    st = cache.stats
-    st_acc = st.accesses
-    st_hit = st.hits
-    st_miss = st.misses
-    st_evict = st.evictions
-    collect = array._collect
-
-    def access(addr: int, part: int = 0) -> bool:
-        slot = lookup(addr)
-        if slot is not None:
-            # CoarseLRUPolicy.on_hit: stamp + global tick.
-            state[slot] = policy.current_ts
-            acc = policy._accesses + 1
-            if acc >= granularity:
-                policy._accesses = 0
-                policy.current_ts = (policy.current_ts + 1) & _TS_MASK
-            else:
-                policy._accesses = acc
-            st_acc[part] += 1
-            st_hit[part] += 1
-            if shared_code and part_of[slot] != part:
-                shared_hit(slot, part)
-            return True
-
-        st_acc[part] += 1
-        st_miss[part] += 1
-        si = set_index(addr)
-        base = si * num_ways
-        if set_free[si]:
-            # candidate_slots stops at (and installs into) the first
-            # empty way.
-            scanned = 0
-            slot = -1
-            for s in range(base, base + num_ways):
-                scanned += 1
-                if tags[s] < 0:
-                    slot = s
-                    break
-            if collect:
-                array.stat_walks += 1
-                array.stat_candidates += scanned
-            tags[slot] = addr
-            slot_of[addr] = slot
-            set_free[si] -= 1
-        else:
-            if collect:
-                array.stat_walks += 1
-                array.stat_candidates += num_ways
-            # CoarseLRUPolicy.select_victim_index: oldest timestamp,
-            # first of equals.
-            cur = policy.current_ts
-            slot = base
-            best_age = (cur - state[base]) & _TS_MASK
-            for s in range(base + 1, base + num_ways):
-                age = (cur - state[s]) & _TS_MASK
-                if age > best_age:
-                    best_age = age
-                    slot = s
-            owner = part_of[slot]
-            if owner >= 0:
-                hook = cache.eviction_hook
-                if hook is not None:
-                    hook(slot, owner)
-                st_evict[owner] += 1
-                sizes[owner] -= 1
-            del slot_of[tags[slot]]
-            tags[slot] = addr
-            slot_of[addr] = slot
-        if collect:
-            array.stat_installs += 1
-        part_of[slot] = part
-        if shared_code:
-            touched_by[slot] = 1 << part
-        sizes[part] += 1
-        # CoarseLRUPolicy.on_insert: stamp + tick.
-        state[slot] = policy.current_ts
-        acc = policy._accesses + 1
-        if acc >= granularity:
-            policy._accesses = 0
-            policy.current_ts = (policy.current_ts + 1) & _TS_MASK
-        else:
-            policy._accesses = acc
-        return False
-
-    return access
-
-
-def _baseline_generic_kernel(cache, array, policy):
-    """BaselineCache on any fast-path array (zcache, skew, sa) with
-    any indexed policy: hit/insert updates are inlined for the common
-    policy classes, victim selection stays a bound policy call."""
-    lookup = array._slot_of.get
-    candidate_slots = array.candidate_slots
-    install_walk = array.install_walk
-    moves_buf = array._install_moves
-    state = policy.state if isinstance(policy, SlotStatePolicy) else None
-    pol_cls = type(policy)
-    select_index = policy.select_victim_index
-
-    # Hit dispatch: inline the per-policy state bump when the policy
-    # keeps the stock implementation, otherwise call through.
-    lru_hit = pol_cls is CoarseLRUPolicy
-    plru_hit = pol_cls is PerfectLRUPolicy
-    rrip_hit = pol_cls.on_hit is _RRIPBase.on_hit
-    lfu_hit = pol_cls is LFUPolicy
-    on_hit = policy.on_hit
-    # Insert dispatch: only the unconditional stamps are inlined
-    # (BRRIP/DRRIP draw RNG and vote; the bound call keeps them exact).
-    lru_insert = pol_cls is CoarseLRUPolicy
-    plru_insert = pol_cls is PerfectLRUPolicy
-    srrip_insert = pol_cls is SRRIPPolicy
-    on_insert = policy.on_insert
-    # Relocation dispatch: SlotStatePolicy.on_move is a plain state
-    # copy; subclasses that override it get the bound call.
-    plain_move = pol_cls.on_move is SlotStatePolicy.on_move and state is not None
-    on_move = policy.on_move
-
-    granularity = getattr(policy, "_granularity", 1)
-    part_of = cache.part_of
-    sizes = cache._sizes
-    shared_code = cache._shared_code
-    shared_hit = cache._shared_hit
-    touched_by = cache.touched_by
-    st = cache.stats
-    st_acc = st.accesses
-    st_hit = st.hits
-    st_miss = st.misses
-    st_evict = st.evictions
-
-    def access(addr: int, part: int = 0) -> bool:
-        slot = lookup(addr)
-        if slot is not None:
-            if lru_hit:
-                state[slot] = policy.current_ts
-                acc = policy._accesses + 1
-                if acc >= granularity:
-                    policy._accesses = 0
-                    policy.current_ts = (policy.current_ts + 1) & _TS_MASK
-                else:
-                    policy._accesses = acc
-            elif rrip_hit:
-                state[slot] = 0
-            elif plru_hit:
-                clock = policy._clock + 1
-                policy._clock = clock
-                state[slot] = clock
-            elif lfu_hit:
-                if state[slot] < LFU_MAX:
-                    state[slot] += 1
-            else:
-                on_hit(slot, part, addr)
-            st_acc[part] += 1
-            st_hit[part] += 1
-            if shared_code and part_of[slot] != part:
-                shared_hit(slot, part)
-            return True
-
-        st_acc[part] += 1
-        st_miss[part] += 1
-        slots, parents, has_empty = candidate_slots(addr)
-        if has_empty:
-            index = len(slots) - 1
-        else:
-            index = select_index(slots)
-            vslot = slots[index]
-            if shared_code:
-                touched_by[vslot] = 0
-            owner = part_of[vslot]
-            if owner >= 0:
-                hook = cache.eviction_hook
-                if hook is not None:
-                    hook(vslot, owner)
-                st_evict[owner] += 1
-                sizes[owner] -= 1
-                part_of[vslot] = NO_PART
-        landing = install_walk(addr, slots, parents, index)
-        if moves_buf:
-            for k in range(0, len(moves_buf), 2):
-                src = moves_buf[k]
-                dst = moves_buf[k + 1]
-                if plain_move:
-                    state[dst] = state[src]
-                else:
-                    on_move(src, dst)
-                part_of[dst] = part_of[src]
-                part_of[src] = NO_PART
-                if shared_code:
-                    touched_by[dst] = touched_by[src]
-                    touched_by[src] = 0
-        part_of[landing] = part
-        if shared_code:
-            touched_by[landing] = 1 << part
-        sizes[part] += 1
-        if lru_insert:
-            state[landing] = policy.current_ts
-            acc = policy._accesses + 1
-            if acc >= granularity:
-                policy._accesses = 0
-                policy.current_ts = (policy.current_ts + 1) & _TS_MASK
-            else:
-                policy._accesses = acc
-        elif srrip_insert:
-            state[landing] = RRPV_MAX - 1
-        elif plru_insert:
-            clock = policy._clock + 1
-            policy._clock = clock
-            state[landing] = clock
-        else:
-            on_insert(landing, part, addr)
-        return False
-
-    return access
-
-
-@register_fused_kernel(WayPartitionedCache)
-def build_waypart_kernel(cache: WayPartitionedCache):
-    array = cache.array
-    policy = cache.policy
-    if type(array) is not SetAssociativeArray or type(policy) is not CoarseLRUPolicy:
-        return None
-
-    lookup = array._slot_of.get
-    slot_of = array._slot_of
-    tags = array._tags
-    set_index = array.set_index
-    set_free = array._set_free
-    num_ways = array.num_ways
-    state = policy.state
-    granularity = policy._granularity
-    way_owner = cache._way_owner
-    part_of = cache.part_of
-    sizes = cache._sizes
-    shared_code = cache._shared_code
-    shared_hit = cache._shared_hit
-    touched_by = cache.touched_by
-    st = cache.stats
-    st_acc = st.accesses
-    st_hit = st.hits
-    st_miss = st.misses
-    st_evict = st.evictions
-    collect = array._collect
-
-    def access(addr: int, part: int = 0) -> bool:
-        slot = lookup(addr)
-        if slot is not None:
-            state[slot] = policy.current_ts
-            acc = policy._accesses + 1
-            if acc >= granularity:
-                policy._accesses = 0
-                policy.current_ts = (policy.current_ts + 1) & _TS_MASK
-            else:
-                policy._accesses = acc
-            st_acc[part] += 1
-            st_hit[part] += 1
-            if shared_code and part_of[slot] != part:
-                shared_hit(slot, part)
-            return True
-
-        st_acc[part] += 1
-        st_miss[part] += 1
-        base = set_index(addr) * num_ways
-        # One pass over this partition's ways: install into the first
-        # empty one (the object path's _first_empty over the filtered
-        # candidate list), else evict the oldest (first of equals).
-        cur = policy.current_ts
-        victim = -1
-        best_age = -1
-        empty = -1
-        for way in range(num_ways):
-            if way_owner[way] != part:
-                continue
-            s = base + way
-            if tags[s] < 0:
-                empty = s
-                break
-            age = (cur - state[s]) & _TS_MASK
-            if age > best_age:
-                best_age = age
-                victim = s
-        if empty >= 0:
-            slot = empty
-            tags[slot] = addr
-            slot_of[addr] = slot
-            set_free[base // num_ways] -= 1
-        else:
-            slot = victim
-            owner = part_of[slot]
-            if owner >= 0:
-                hook = cache.eviction_hook
-                if hook is not None:
-                    hook(slot, owner)
-                st_evict[owner] += 1
-                sizes[owner] -= 1
-            del slot_of[tags[slot]]
-            tags[slot] = addr
-            slot_of[addr] = slot
-        if collect:
-            array.stat_installs += 1
-        part_of[slot] = part
-        if shared_code:
-            touched_by[slot] = 1 << part
-        sizes[part] += 1
-        state[slot] = policy.current_ts
-        acc = policy._accesses + 1
-        if acc >= granularity:
-            policy._accesses = 0
-            policy.current_ts = (policy.current_ts + 1) & _TS_MASK
-        else:
-            policy._accesses = acc
-        return False
-
-    return access
-
-
-@register_fused_kernel(PIPPCache)
-def build_pipp_kernel(cache: PIPPCache):
-    array = cache.array
-
-    lookup = array._slot_of.get
-    slot_of = array._slot_of
-    tags = array._tags
-    set_index = array.set_index
-    set_free = array._set_free
-    num_ways = array.num_ways
-    rng_random = cache._rng.random
-    p_prom = cache.p_prom
-    p_stream = cache.p_stream
-    streaming = cache.streaming
-    alloc_ways = cache._alloc_ways
-    chains = cache._chains
-    pos_of = cache._pos_of
-    promotions = cache.promotions
-    win_accesses = cache._win_accesses
-    win_misses = cache._win_misses
-    part_of = cache.part_of
-    sizes = cache._sizes
-    shared_code = cache._shared_code
-    shared_hit = cache._shared_hit
-    touched_by = cache.touched_by
-    st = cache.stats
-    st_acc = st.accesses
-    st_hit = st.hits
-    st_miss = st.misses
-    st_evict = st.evictions
-    collect = array._collect
-
-    def access(addr: int, part: int = 0) -> bool:
-        win_accesses[part] += 1
-        slot = lookup(addr)
-        if slot is not None:
-            st_acc[part] += 1
-            st_hit[part] += 1
-            # Single-step chain promotion with probability p_prom
-            # (p_stream for streaming partitions): exactly one RNG
-            # draw per hit, like the object path.
-            if rng_random() < (p_stream if streaming[part] else p_prom):
-                promotions[part] += 1
-                chain = chains[slot // num_ways]
-                i = pos_of[slot]
-                if i + 1 < len(chain):
-                    other = chain[i + 1]
-                    chain[i] = other
-                    chain[i + 1] = slot
-                    pos_of[other] = i
-                    pos_of[slot] = i + 1
-            if shared_code and part_of[slot] != part:
-                shared_hit(slot, part)
-            return True
-
-        st_acc[part] += 1
-        st_miss[part] += 1
-        win_misses[part] += 1
-        si = set_index(addr)
-        chain = chains[si]
-        base = si * num_ways
-        if set_free[si]:
-            slot = -1
-            for s in range(base, base + num_ways):
-                if tags[s] < 0:
-                    slot = s
-                    break
-            tags[slot] = addr
-            slot_of[addr] = slot
-            set_free[si] -= 1
-        else:
-            # The victim is always the LRU end of the set's chain.
-            slot = chain[0]
-            owner = part_of[slot]
-            if owner >= 0:
-                hook = cache.eviction_hook
-                if hook is not None:
-                    hook(slot, owner)
-                st_evict[owner] += 1
-                sizes[owner] -= 1
-            # _chain_pop_lru, inlined.
-            del chain[0]
-            pos_of[slot] = -1
-            for i in range(len(chain)):
-                pos_of[chain[i]] = i
-            del slot_of[tags[slot]]
-            tags[slot] = addr
-            slot_of[addr] = slot
-        if collect:
-            array.stat_installs += 1
-        part_of[slot] = part
-        if shared_code:
-            touched_by[slot] = 1 << part
-        sizes[part] += 1
-        # _chain_insert at the partition's insertion position.
-        index = STREAM_WAYS if streaming[part] else alloc_ways[part]
-        if index > len(chain):
-            index = len(chain)
-        chain.insert(index, slot)
-        for i in range(index, len(chain)):
-            pos_of[chain[i]] = i
-        return False
-
-    return access
-
-
-# ----------------------------------------------------------------------
-# Batch scheduling kernels (mega-kernel protocol).
-# ----------------------------------------------------------------------
-#
-# Each builder returns a kernel that runs the *whole* multi-core event
-# loop -- core selection (two-minimum scan or heap), chunk cursors,
-# timing, L1 filtering, policy observation, the cache access body and
-# finish bookkeeping -- in one Python frame, returning only at
-# boundaries the event loop itself must handle (see
-# ``PartitionedCache.build_batch_kernel`` for the protocol).  The
-# access bodies are verbatim copies of the fused closures above with
-# the policy tick registers and the memory-model counters hoisted into
-# frame locals and flushed before every return.
-
-import heapq as _heapq
-
 _INF = float("inf")
 _heappush = _heapq.heappush
 _heappop = _heapq.heappop

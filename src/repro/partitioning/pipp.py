@@ -73,8 +73,6 @@ class PIPPCache(PartitionedCache):
         # Telemetry counters.
         self.promotions = [0] * num_partitions
         self.stream_windows = [0] * num_partitions
-        if type(self) is PIPPCache:
-            self._install_fused()
 
     @property
     def allocation_total(self) -> int:
@@ -85,7 +83,8 @@ class PIPPCache(PartitionedCache):
             raise ValueError("allocation vector length mismatch")
         if any(u < 1 for u in units):
             raise ValueError("PIPP requires at least one way per partition")
-        # In place: the fused access kernel captures this list.
+        # In place: the batch kernel captures this list for the whole
+        # run.
         self._alloc_ways[:] = units
 
     def insertion_position(self, part: int) -> int:

@@ -59,8 +59,6 @@ class WayPartitionedCache(PartitionedCache):
         base, extra = divmod(array.num_ways, num_partitions)
         self._way_counts = [base + (1 if p < extra else 0) for p in range(num_partitions)]
         self._way_owner = self._assign_ways(self._way_counts)
-        if type(self) is WayPartitionedCache:
-            self._install_fused()
 
     @property
     def allocation_total(self) -> int:
@@ -79,8 +77,8 @@ class WayPartitionedCache(PartitionedCache):
             raise ValueError(
                 f"way allocations must sum to {self.array.num_ways}, got {sum(units)}"
             )
-        # In place: the fused access kernel captures both lists, and
-        # UCP reallocates every epoch.
+        # In place: the batch kernel captures ``_way_owner`` for the
+        # whole run, and UCP reallocates every epoch.
         self._way_counts[:] = units
         self._way_owner[:] = self._assign_ways(units)
 

@@ -12,9 +12,9 @@ work assumes a shared service arbitrating partitioning studies:
 - :mod:`~repro.service.jobqueue`: priority queue that dedupes
   submissions through the harness's content-addressed job keys;
 - :mod:`~repro.service.workers`: the local execution backend --
-  supervised persistent worker processes (warm trace store and fused
-  kernels, per-job timeouts, bounded crash retries, shared-memory
-  trace publishing);
+  supervised persistent worker processes (warm trace store and
+  imported modules, per-job timeouts, bounded crash retries,
+  shared-memory trace publishing);
 - :mod:`~repro.service.server`: the one asyncio protocol server,
   shared by the daemon (over the worker pool) and the federation
   gateway (over :class:`~repro.federation.gateway.NodePool`);

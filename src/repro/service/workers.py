@@ -2,8 +2,8 @@
 
 The batch harness tears its ``ProcessPoolExecutor`` down after every
 sweep; the daemon instead keeps a fixed set of worker *processes*
-resident, so each worker's in-process trace-chunk LRU and fused
-kernels stay warm across requests from every client.
+resident, so each worker's in-process trace-chunk LRU and imported
+modules stay warm across requests from every client.
 
 Each worker is one forked process running :func:`_worker_main`: a
 loop that receives a pickled :class:`~repro.harness.parallel.SimJob`

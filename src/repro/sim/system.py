@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.analysis.stats import SizeTimeSeries
-from repro.partitioning.base_cache import BatchContext
+from repro.partitioning.base_cache import BatchContext, fused_default
 from repro.sim.configs import SystemConfig
 from repro.sim.l1 import L1Cache
 from repro.sim.memory import MemoryModel
@@ -111,6 +111,12 @@ class CMPSystem:
         size_series: SizeTimeSeries | None = None,
         size_sample_cycles: int | None = None,
     ):
+        if size_sample_cycles is not None and size_sample_cycles < 1:
+            # A period below one cycle never advances the sample clock:
+            # a negative one hangs the run, zero samples nothing.
+            raise ValueError(
+                f"size_sample_cycles must be >= 1, got {size_sample_cycles!r}"
+            )
         self.cache = cache
         self.trace_factories = list(traces)
         if len(self.trace_factories) != config.num_cores:
@@ -142,11 +148,9 @@ class CMPSystem:
         # is exactly the stall total); epoch/sample counters are
         # per-epoch and always maintained.
         self._collect = telemetry.enabled()
-        # Batching layers on top of the fused kernels: with
-        # ``REPRO_FUSED=0`` the object path stays the oracle, so the
-        # batch layer switches off with it (and with caches that have
-        # no fused kernel installed).
-        self._batch_layer = bool(getattr(cache, "fused", False))
+        # ``REPRO_FUSED=0`` switches the batch layer off, leaving every
+        # event to ``cache.access`` (the object path, the oracle).
+        self._batch_layer = fused_default()
         self.batch_calls = 0
         self._final_times = [0.0] * config.num_cores
         self._instruction_counts = [0] * config.num_cores
@@ -316,13 +320,13 @@ class CMPSystem:
         point, as in the paper.
 
         The oracle is this loop on the object path (``REPRO_FUSED=0``:
-        no fused kernels, so no batch kernel, and every event goes
-        through ``cache.access``).  The fast path -- the batch kernel,
-        with the single-access fused closures for events it hands
-        back -- must match it bitwise, which the parity suites
-        (``tests/integration/``, ``tests/sim/test_reference_parity.py``)
-        assert.  The loop itself carries three strength reductions over
-        a plain ``(t, cid)`` heap:
+        no batch kernel, so every event goes through ``cache.access``).
+        The fast path -- the batch kernel, with ``cache.access`` for the
+        events it hands back -- must match it bitwise, which the parity
+        suites (``tests/integration/``,
+        ``tests/sim/test_reference_parity.py``) assert.  The loop itself
+        carries three strength reductions over a plain ``(t, cid)``
+        heap:
 
         - cores with few peers are scheduled by a linear two-minimum
           scan instead of a heap -- strict ``<`` picks the lowest core
@@ -388,7 +392,7 @@ class CMPSystem:
 
         # ``batched`` is filled in only after a kernel builds, so the
         # kernels themselves can rely on it: a False entry sends the
-        # core to the single-access path (reason 4).
+        # core to ``cache.access`` (reason 4).
         batched = [False] * num_cores
         batch_kernel = mon_columns = None
         if self._batch_layer and any(chunked):
@@ -493,7 +497,7 @@ class CMPSystem:
                 if reason == 3:
                     break
                 # reason 4: core ``cid`` is not chunked -- fall through
-                # and run one event on the single-access path (the scan
+                # and run one event through ``cache.access`` (the scan
                 # below re-selects it).
 
             if use_heap:

@@ -1,11 +1,10 @@
 """A finished job frees its cache by refcounting alone.
 
-Every fused cache installs its single-access kernel as an instance
-attribute, and the kernel closes over the cache: a reference cycle
-that only a full garbage collection breaks.  ``execute_job`` drops the
-kernel once the outcome is built, so a resident worker's memory goes
-back to the allocator when each job returns instead of piling up
-until the next generation-2 collection.
+No part of a run may hold its cache in a reference cycle: the batch
+kernels are local to ``CMPSystem.run`` and no cache keeps a closure
+over itself, so a resident worker's memory goes back to the allocator
+when each job returns instead of piling up until the next
+generation-2 collection.
 
 The test runs with the collector disabled: every cache built during
 ``execute_job`` must be dead when the call returns, and a collection

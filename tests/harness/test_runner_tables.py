@@ -77,6 +77,22 @@ class TestBuildPolicy:
         assert policy.granularity == 256
         assert policy.total_units == cache.allocation_total
 
+    @pytest.mark.parametrize(
+        "scheme", ["pipp-sa64", "waypart-sa64", "pipp-sa32", "waypart-sa32"]
+    )
+    def test_way_scheme_wider_than_umon_repartitions(self, scheme):
+        """A way-partitioned cache wider than the 16-way UMONs gets
+        each miss curve interpolated to one point per way, so Lookahead
+        can allocate every way at each epoch instead of rejecting the
+        17-point curves."""
+        config = tiny_4core(epoch_cycles=10_000)
+        run = run_mix(make_mix("sftn", 1), scheme, config, instructions=20_000)
+        ways = run.cache.allocation_total
+        assert run.system.policy.granularity == ways
+        assert run.system.epochs > 0
+        allocation = run.system.policy.last_allocation
+        assert sum(allocation) == ways and min(allocation) >= 1
+
 
 class TestEnv:
     def test_env_int_default(self, monkeypatch):

@@ -1,21 +1,29 @@
 """Cross-path parity for the batch access kernel layer.
 
-The batch kernels run whole segments of compiled trace chunks inside
-one closure call, returning to the event loop only at epoch/sample
-boundaries, chunk refills, non-chunked cores and run completion.  They
-are strength reductions over the object path (``REPRO_FUSED=0``: no
-fused kernels, hence no batch kernel, every event through
-``cache.access``), the oracle -- so both lanes must produce
-bitwise-identical results:
+Every scheme has one fast body, its batch kernel, and one oracle, its
+object-path ``access`` method.  The batch kernels run whole segments
+of compiled trace chunks inside one closure call, returning to the
+event loop only at epoch/sample boundaries, chunk refills,
+non-chunked cores and run completion.  They are strength reductions
+over the object path (``REPRO_FUSED=0``: no batch kernel, every event
+through ``cache.access``) -- so both lanes must produce
+bitwise-identical results and stats trees:
 
-* across every scheme family, on randomly drawn mixes and seeds,
-* with mid-run ``set_allocations`` (epoch repartitions land *between*
-  batched segments: the kernel parks at the service boundary and the
-  loop re-enters it),
+* across every scheme family, on randomly drawn mixes and seeds, with
+  mid-run ``set_allocations`` and PIPP stream reclassification (epoch
+  repartitions land *between* batched segments: the kernel parks at
+  the service boundary and the loop re-enters it),
 * on the heap scheduler path (``num_cores > 8``), which has its own
   run continuation,
 * with plain-callable cores mixed in, whose events the kernel hands
-  back to the single-access fused path (reason 4).
+  back to the object path (reason 4),
+* with measurement hooks installed, which the kernels decline: a
+  hooked run takes the object path and must match an unhooked run on
+  the default lane.
+
+Combinations of scheme, mix and seed are drawn from seeded RNGs: the
+point is cross-path identity on inputs nobody hand-picked, with the
+golden-stats suite pinning the hand-picked ones.
 """
 
 import random
@@ -37,6 +45,14 @@ INSTRUCTIONS = 6_000
 #: batched segments at service boundaries (reason-1 returns).
 EPOCH_CYCLES = 20_000
 
+#: L2 size for the hooked and mixed-feed runs: small enough to fill
+#: (and so evict, firing the hooks) within ``INSTRUCTIONS``.
+SMALL_L2_BYTES = 8 * 1024
+
+#: Epoch for the hooked runs: short enough that every partitioned
+#: combo crosses one (the shortest, waypart-sa16, runs ~12k cycles).
+HOOKED_EPOCH_CYCLES = 10_000
+
 SCHEMES = [
     "vantage-z4/52",
     "vantage-sa16",
@@ -49,18 +65,14 @@ SCHEMES = [
 ]
 
 
-def _short_epoch(scheme: str) -> bool:
-    return scheme_partitioned(scheme) and not scheme.startswith("pipp")
-
-
 def _config(scheme: str, **overrides):
-    if _short_epoch(scheme):
-        return small_system(epoch_cycles=EPOCH_CYCLES, **overrides)
+    if scheme_partitioned(scheme):
+        overrides.setdefault("epoch_cycles", EPOCH_CYCLES)
     return small_system(**overrides)
 
 
-def _draw_combos():
-    rng = random.Random(0xBA7C4)
+def _draw_combos(seed: int):
+    rng = random.Random(seed)
     classes = mix_classes()
     return [
         (scheme, rng.choice(classes), rng.randrange(4), rng.randrange(1000))
@@ -68,7 +80,17 @@ def _draw_combos():
     ]
 
 
-COMBOS = _draw_combos()
+#: Two independent draws of one combo per scheme; the second also
+#: drives the hooked runs.
+COMBOS = _draw_combos(0xBA7C4)
+HOOKED_COMBOS = _draw_combos(0x5EED5)
+
+
+def _assert_repartitioned(scheme, system, stats):
+    """A partitioned run really crossed an epoch and allocated."""
+    if scheme_partitioned(scheme):
+        assert stats["sim"]["epochs"] > 0, f"{scheme}: crossed no epoch"
+        assert system.policy.last_allocation, f"{scheme}: never allocated"
 
 
 def _both_lanes(monkeypatch, mix, scheme, config, seed):
@@ -82,17 +104,16 @@ def _both_lanes(monkeypatch, mix, scheme, config, seed):
     return fast, plain
 
 
-@pytest.mark.parametrize("scheme,mix_class,mix_index,seed", COMBOS)
+@pytest.mark.parametrize("scheme,mix_class,mix_index,seed", COMBOS + HOOKED_COMBOS)
 def test_batch_matches_single_access(monkeypatch, scheme, mix_class, mix_index, seed):
     """Whole-segment dispatch vs the object path's per-access loop,
     every scheme."""
     mix = make_mix(mix_class, mix_index)
     batched, plain = _both_lanes(monkeypatch, mix, scheme, _config(scheme), seed)
     assert batched.system.batch_calls > 0
-    if _short_epoch(scheme) and batched.result.total_cycles > EPOCH_CYCLES:
+    if batched.result.total_cycles > EPOCH_CYCLES:
         # The run outlasted an epoch, so it must have repartitioned.
-        assert batched.stats()["sim"]["epochs"] > 0
-        assert batched.system.policy.last_allocation
+        _assert_repartitioned(scheme, batched.system, batched.stats())
 
     assert batched.result == plain.result
     assert batched.stats() == plain.stats()
@@ -169,31 +190,82 @@ def test_heap_scheduler_batch_parity(monkeypatch, scheme):
     assert batched.stats() == plain.stats()
 
 
-def _mixed_feed_run(scheme: str, seed: int):
-    """Cores 0 and 2 keep their :class:`TraceSpec` (chunk-fed); cores 1
-    and 3 get the same streams as plain callables (generator-fed)."""
-    mix = make_mix("sftn", 1)
-    config = _config(scheme)
+def _build_run(scheme, config, factories, seed, hooked=False):
+    """A system for ``scheme`` over ``factories``; ``hooked`` installs
+    recording eviction (and, for Vantage, demotion) hooks.  Returns the
+    result, the stats snapshot, the hook log and the system."""
     cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=seed)
     policy = (
         build_policy(cache, config, seed) if scheme_partitioned(scheme) else None
     )
+    log = []
+    if hooked:
+        cache.eviction_hook = lambda slot, part: log.append(("evict", slot, part))
+        if hasattr(cache, "demotion_hook"):
+            cache.demotion_hook = lambda slot, part: log.append(
+                ("demote", slot, part)
+            )
+    system = CMPSystem(cache, factories, config, policy=policy)
+    tree = telemetry.system_tree(cache=cache, system=system, policy=policy)
+    result = system.run(INSTRUCTIONS)
+    return result, tree.snapshot(), log, system
+
+
+@pytest.mark.parametrize("scheme,mix_class,mix_index,seed", HOOKED_COMBOS)
+def test_hooked_run_matches_default_lane(
+    monkeypatch, scheme, mix_class, mix_index, seed
+):
+    """The batch kernels decline hooked caches, so a hooked run takes
+    the object path on the default lane -- including the demotion
+    hook's switch off Vantage's inlined ``_demote``.  Observing must
+    not change the simulation: the hooked run matches an unhooked run
+    on the batch kernel."""
+    monkeypatch.delenv("REPRO_FUSED", raising=False)
+    mix = make_mix(mix_class, mix_index)
+    config = _config(
+        scheme, l2_bytes=SMALL_L2_BYTES, epoch_cycles=HOOKED_EPOCH_CYCLES
+    )
+
+    result, stats, log, system = _build_run(
+        scheme, config, mix.trace_factories(seed), seed, hooked=True
+    )
+    assert system.batch_calls == 0
+    assert any(event[0] == "evict" for event in log)
+    if hasattr(system.cache, "demotion_hook"):
+        assert any(event[0] == "demote" for event in log)
+    _assert_repartitioned(scheme, system, stats)
+
+    fast_result, fast_stats, _log, fast = _build_run(
+        scheme, config, mix.trace_factories(seed), seed
+    )
+    assert fast.batch_calls > 0
+
+    assert result == fast_result
+    assert stats == fast_stats
+
+
+def _mixed_feed_run(scheme: str, seed: int):
+    """Cores 0 and 2 keep their :class:`TraceSpec` (chunk-fed); cores 1
+    and 3 get the same streams as plain callables (generator-fed)."""
+    mix = make_mix("sftn", 1)
+    config = _config(scheme, l2_bytes=SMALL_L2_BYTES)
     specs = mix.trace_factories(seed)
     factories = [
         spec if cid % 2 == 0 else spec.generator for cid, spec in enumerate(specs)
     ]
-    system = CMPSystem(cache, factories, config, policy=policy)
-    tree = telemetry.system_tree(cache=cache, system=system, policy=policy)
-    result = system.run(INSTRUCTIONS)
-    return result, tree.snapshot(), system
+    result, stats, _log, system = _build_run(scheme, config, factories, seed)
+    return result, stats, system
 
 
-@pytest.mark.parametrize("scheme", ["vantage-z4/52", "lru-sa16"])
+@pytest.mark.parametrize(
+    "scheme", ["vantage-z4/52", "lru-sa16", "waypart-sa16", "pipp-sa16"]
+)
 def test_plain_callable_cores_bounce_through_reason_4(monkeypatch, scheme):
     """Plain-callable cores have no chunks: the batch kernel hands each
     of their events back to the event loop (reason 4), which runs it
-    on the single-access fused closure.  The interleaving must match
-    the object path bitwise."""
+    through ``cache.access`` -- on a cache whose policy registers the
+    way-partitioning and PIPP kernels hoist between entries.  The
+    interleaving must match the object path bitwise."""
     monkeypatch.delenv("REPRO_FUSED", raising=False)
     result, stats, system = _mixed_feed_run(scheme, seed=21)
     assert all(isinstance(f, TraceSpec) for f in system.trace_factories[::2])
@@ -202,6 +274,7 @@ def test_plain_callable_cores_bounce_through_reason_4(monkeypatch, scheme):
     # (reason 2) and the final return (reason 3) account for: the rest
     # are reason-4 bounces.
     assert system.batch_calls > system.epochs + sum(system.trace_chunks) + 1
+    assert sum(system.cache.stats.evictions) > 0
 
     monkeypatch.setenv("REPRO_FUSED", "0")
     plain_result, plain_stats, plain = _mixed_feed_run(scheme, seed=21)

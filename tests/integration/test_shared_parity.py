@@ -6,9 +6,9 @@ is dormant on every multiprogrammed mix: the per-line ``touched_by``
 bitmask, the on-shared-hit policies (keep-owner / migrate-to-requester
 / promote-to-shared), Vantage's unmanaged parking for promoted lines,
 and the reuse-aware UCP stack.  All of it is replicated across the
-object path (``REPRO_FUSED=0``, the reference) and the fast path (batch
-kernels plus single-access fused closures), so the parity guarantee
-that covers private mixes must hold here:
+object path (``REPRO_FUSED=0``, the reference) and the fast path (the
+batch kernels), so the parity guarantee that covers private mixes must
+hold here:
 
 * the ``reuse-aware`` scheme on both lanes, for every sharing shape,
 * every shared-hit policy on every scheme family, object vs fast.
@@ -156,22 +156,23 @@ def _run_direct(family, policy_name, flags, monkeypatch, seed):
     system = CMPSystem(cache, mix.trace_factories(seed), config)
     tree = telemetry.system_tree(cache=cache, system=system, policy=None)
     result = system.run(INSTRUCTIONS)
-    return result, tree.snapshot(), cache
+    return result, tree.snapshot(), system
 
 
 @pytest.mark.parametrize("policy_name", POLICIES)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_shared_policy_paths_agree(monkeypatch, family, policy_name):
     """Object vs fast path, for each (scheme family, policy)."""
-    base_result, base_stats, base_cache = _run_direct(
+    base_result, base_stats, base = _run_direct(
         family, policy_name, dict(OBJECT_PATH), monkeypatch, seed=9
     )
-    assert sum(base_cache.shared_hits) > 0
+    assert base.batch_calls == 0
+    assert sum(base.cache.shared_hits) > 0
     if policy_name == "migrate-to-requester":
-        assert sum(base_cache.shared_moves) > 0
+        assert sum(base.cache.shared_moves) > 0
 
-    result, stats, cache = _run_direct(family, policy_name, {}, monkeypatch, seed=9)
-    assert cache.fused
+    result, stats, fast = _run_direct(family, policy_name, {}, monkeypatch, seed=9)
+    assert fast.batch_calls > 0
     assert result == base_result
     assert stats == base_stats
 
@@ -180,9 +181,10 @@ def test_promote_to_shared_parks_in_unmanaged(monkeypatch):
     """Vantage's promote-to-shared moves reused shared lines into the
     unmanaged region instead of flipping ownership."""
     _clear_flags(monkeypatch)
-    result, stats, cache = _run_direct(
+    result, stats, system = _run_direct(
         "vantage", "promote-to-shared", {}, monkeypatch, seed=9
     )
+    cache = system.cache
     assert sum(cache.shared_moves) > 0
     # Parked lines are no longer charged to any partition.
     assert cache.unmanaged_size > 0

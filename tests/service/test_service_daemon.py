@@ -220,6 +220,19 @@ class TestInvalidJobs:
             assert svc.ping()  # the daemon keeps serving
         assert not list((svc_env / "cache").rglob("*.pkl"))
 
+    @pytest.mark.parametrize("period", [0, -5])
+    def test_non_positive_sample_period_rejected_and_not_cached(
+        self, single_worker_daemon, svc_env, period
+    ):
+        """A size-sample period below one cycle fails with a
+        ``ServiceError`` instead of hanging the worker (negative) or
+        caching an empty series (zero)."""
+        with single_worker_daemon.client() as svc:
+            with pytest.raises(ServiceError, match="size_sample_cycles"):
+                svc.submit(replace(_job(), size_sample_cycles=period))
+            assert svc.ping()  # the daemon keeps serving
+        assert not list((svc_env / "cache").rglob("*.pkl"))
+
 
 class TestConcurrentClients:
     def test_duplicate_submissions_coalesce_once(self, single_worker_daemon):

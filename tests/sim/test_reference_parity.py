@@ -1,6 +1,6 @@
 """The optimized kernels are pure strength reductions: every
 simulation must produce results identical to the reference, the object
-path (``REPRO_FUSED=0``: no fused or batch kernels, every event through
+path (``REPRO_FUSED=0``: no batch kernel, every event through
 ``cache.access``).  The array-level walk parity tests at the end pin
 the fast ``candidate_slots`` walk to the full ``candidates`` list the
 same way.
@@ -23,26 +23,31 @@ INSTRUCTIONS = 12_000
 
 
 def _simulate(
+    monkeypatch,
     scheme: str,
     partitioned: bool,
     reference: bool,
     plain_callables: bool = False,
 ):
-    """One run; ``reference`` drops the fused kernels (the object
-    path), ``plain_callables`` hands every core its trace as a plain
-    callable instead of a :class:`~repro.traces.TraceSpec`, so the
-    generator feed replaces the chunk cursor."""
+    """One run; ``reference`` selects the object path
+    (``REPRO_FUSED=0``), ``plain_callables`` hands every core its trace
+    as a plain callable instead of a :class:`~repro.traces.TraceSpec`,
+    so the generator feed replaces the chunk cursor."""
     config = small_system()
     mix = make_mix("sftn", 1)
-    cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=0)
     if reference:
-        cache.remove_fused()
+        monkeypatch.setenv("REPRO_FUSED", "0")
+    else:
+        monkeypatch.delenv("REPRO_FUSED", raising=False)
+    cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=0)
     policy = build_policy(cache, config, 0) if partitioned else None
     factories = mix.trace_factories(0)
     if plain_callables:
         factories = [spec.generator for spec in factories]
     system = CMPSystem(cache, factories, config, policy=policy)
-    return system.run(INSTRUCTIONS)
+    result = system.run(INSTRUCTIONS)
+    assert (system.batch_calls > 0) == (not reference and not plain_callables)
+    return result
 
 
 @pytest.mark.parametrize(
@@ -55,9 +60,9 @@ def _simulate(
         ("lru-z4/52", False),
     ],
 )
-def test_reference_and_optimized_results_identical(scheme, partitioned):
-    optimized = _simulate(scheme, partitioned, reference=False)
-    reference = _simulate(scheme, partitioned, reference=True)
+def test_reference_and_optimized_results_identical(monkeypatch, scheme, partitioned):
+    optimized = _simulate(monkeypatch, scheme, partitioned, reference=False)
+    reference = _simulate(monkeypatch, scheme, partitioned, reference=True)
     assert optimized == reference
 
 
@@ -65,13 +70,17 @@ def test_reference_and_optimized_results_identical(scheme, partitioned):
     "scheme,partitioned",
     [("vantage-z4/52", True), ("lru-sa16", False)],
 )
-def test_chunk_and_generator_feeds_identical(scheme, partitioned):
+def test_chunk_and_generator_feeds_identical(monkeypatch, scheme, partitioned):
     """The chunk-cursor feed is a pure re-encoding of the generator
     feed: same events in the same order, so bitwise-equal results --
     and both equal the reference."""
-    chunked = _simulate(scheme, partitioned, reference=False)
-    generated = _simulate(scheme, partitioned, reference=False, plain_callables=True)
-    reference = _simulate(scheme, partitioned, reference=True, plain_callables=True)
+    chunked = _simulate(monkeypatch, scheme, partitioned, reference=False)
+    generated = _simulate(
+        monkeypatch, scheme, partitioned, reference=False, plain_callables=True
+    )
+    reference = _simulate(
+        monkeypatch, scheme, partitioned, reference=True, plain_callables=True
+    )
     assert chunked == generated
     assert chunked == reference
 
@@ -83,15 +92,15 @@ def test_chunk_feed_cold_and_warm_disk_cache_identical(tmp_path, monkeypatch):
 
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
     reset_store()
-    no_disk = _simulate("vantage-z4/52", True, reference=False)
+    no_disk = _simulate(monkeypatch, "vantage-z4/52", True, reference=False)
 
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     reset_store()
-    cold = _simulate("vantage-z4/52", True, reference=False)
+    cold = _simulate(monkeypatch, "vantage-z4/52", True, reference=False)
     assert get_store().bytes_written > 0  # the cold run populated disk
 
     reset_store()  # fresh memory: the warm run must come from disk
-    warm = _simulate("vantage-z4/52", True, reference=False)
+    warm = _simulate(monkeypatch, "vantage-z4/52", True, reference=False)
     assert get_store().disk_hits > 0
     assert get_store().compiles == 0
 

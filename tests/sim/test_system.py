@@ -89,8 +89,8 @@ class TestTimingMath:
 class _RecordingCache(BaselineCache):
     """Logs every L2 access as ``(core, addr)`` and always hits, so an
     event's cost is exactly ``gap + 1 + hit_latency``.  A subclass gets
-    no fused kernel (and so no batch kernel): every event runs on the
-    event loop's own scheduler."""
+    no batch kernel (kernels are registered by exact class): every
+    event runs on the event loop's own scheduler."""
 
     def __init__(self, config):
         array = SetAssociativeArray(config.l2_lines, 4, hashed=False)
@@ -265,16 +265,35 @@ class TestValidation:
             system.run(1_000)
 
     def test_empty_trace_raises_in_reference_loop_too(self, monkeypatch):
-        """The same error on the reference object path (``REPRO_FUSED=0``)."""
+        """The same error on the reference object path (``REPRO_FUSED=0``),
+        with a chunk-fed peer that would otherwise build a batch kernel."""
+        from repro.traces import TraceSpec
+
         monkeypatch.setenv("REPRO_FUSED", "0")
         config = tiny_config(cores=2)
         cache = build_baseline(config)
-        assert not cache.fused
-        system = CMPSystem(
-            cache, [lambda: iter(()), constant_trace(3, [1, 2])], config
+        peer = TraceSpec(
+            name="empty-test-peer", kind="scan", params=(8, 1), base=0, seed=1
         )
+        system = CMPSystem(cache, [lambda: iter(()), peer], config)
         with pytest.raises(ValueError, match="core 0"):
             system.run(1_000)
+        assert system.batch_calls == 0
+
+    @pytest.mark.parametrize("period", [0, -5])
+    def test_non_positive_sample_period_rejected(self, period):
+        """A size-sample period below one cycle never advances the
+        sample clock (a negative one hangs the run; zero silently
+        samples nothing), so construction rejects it."""
+        config = tiny_config(cores=2)
+        with pytest.raises(ValueError, match="size_sample_cycles must be >= 1"):
+            CMPSystem(
+                build_baseline(config),
+                [constant_trace(3, [1, 2])] * 2,
+                config,
+                size_series=SizeTimeSeries(2),
+                size_sample_cycles=period,
+            )
 
     def test_exhausted_trace_mid_segment_on_batch_path(self, monkeypatch):
         """A chunked trace that ends mid-run surfaces through the batch
