@@ -154,12 +154,12 @@ class CacheArray(ABC):
     # The base implementation returns ``None`` (no fast path); callers
     # must then fall back to ``candidates()``.
     #
-    # ``candidate_slots``, ``install_walk`` and ``install`` take an
-    # optional ``first``: ``addr``'s own hash result when the caller
-    # already has it -- its entry in the array's ``index_column`` (the
-    # set index of a set-associative array, the per-way positions
-    # tuple of a skew array or zcache).  Batch kernels pass it; the
-    # scalar paths leave it ``None`` and the array hashes ``addr``.
+    # ``candidate_slots`` and ``install_walk`` take an optional
+    # ``first``: ``addr``'s own hash result when the caller already has
+    # it -- its entry in the array's ``index_column`` (the set index of
+    # a set-associative array, the per-way positions tuple of a skew
+    # array or zcache).  Batch kernels pass it; the scalar paths leave
+    # it ``None`` and the array hashes ``addr``.
 
     def index_column(self, chunk):
         """The array's hash of every address in a trace chunk, as an
@@ -252,9 +252,7 @@ class CacheArray(ABC):
             self.stat_installs += 1
         return slot
 
-    def install(
-        self, addr: int, victim: Candidate, first=None
-    ) -> list[tuple[int, int]]:
+    def install(self, addr: int, victim: Candidate) -> list[tuple[int, int]]:
         """Install ``addr``, evicting ``victim`` (if non-empty).
 
         Performs the relocations implied by ``victim.path`` and returns
@@ -273,7 +271,7 @@ class CacheArray(ABC):
         for i in range(len(path) - 1, 0, -1):
             self._move(path[i - 1], path[i])
             moves.append((path[i - 1], path[i]))
-        self._place(addr, path[0], first)
+        self._place(addr, path[0])
         if self._collect:
             self.stat_installs += 1
             self.stat_relocations += len(moves)

@@ -69,9 +69,7 @@ class RandomCandidatesArray(CacheArray):
             self.stat_candidates += self._r
         return self._rng.sample(range(self.num_lines), self._r), None, False
 
-    def install(
-        self, addr: int, victim: Candidate, first=None
-    ) -> list[tuple[int, int]]:
+    def install(self, addr: int, victim: Candidate) -> list[tuple[int, int]]:
         if victim.addr is None and self._free and victim.slot == self._free[-1]:
             self._free.pop()
         return super().install(addr, victim)

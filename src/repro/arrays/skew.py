@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 
-from repro.arrays.base import EMPTY, CacheArray, Candidate
+from repro.arrays.base import CacheArray, Candidate
 from repro.arrays.hashing import _MASK_BITS, H3Family, hash_column
 
 
@@ -144,57 +144,6 @@ class SkewAssociativeArray(CacheArray):
         pos = self.positions(addr) if first is None else first
         way = slot // self.num_sets
         return pos[:way] + pos[way + 1 :]
-
-    def install(
-        self, addr: int, victim: Candidate, first=None
-    ) -> list[tuple[int, int]]:
-        # Mirrors CacheArray.install with this class's _place/_move/
-        # _remove bookkeeping inlined; install runs once per miss and
-        # the method-call chain is measurable there.
-        slot_of = self._slot_of
-        if addr in slot_of:
-            raise ValueError(f"address {addr:#x} is already present")
-        path = victim.path
-        last = path[-1]
-        if victim.slot != last:
-            raise ValueError("victim slot does not terminate its path")
-        tags = self._tags
-        pbs = self._pos_by_slot
-        num_sets = self.num_sets
-        if victim.addr is not None:
-            old = tags[last]
-            if old < 0:
-                raise ValueError(f"slot {last} is already empty")
-            tags[last] = EMPTY
-            del slot_of[old]
-            pbs[last] = None
-        moves: list[tuple[int, int]] = []
-        for i in range(len(path) - 1, 0, -1):
-            src = path[i - 1]
-            dst = path[i]
-            line = tags[src]
-            if line < 0:
-                raise ValueError(f"cannot move from empty slot {src}")
-            if tags[dst] >= 0:
-                raise ValueError(f"cannot move into occupied slot {dst}")
-            tags[src] = EMPTY
-            tags[dst] = line
-            slot_of[line] = dst
-            pbs[dst] = relocated_positions(pbs[src], src, dst, num_sets)
-            pbs[src] = None
-            moves.append((src, dst))
-        first_slot = path[0]
-        if tags[first_slot] >= 0:
-            raise ValueError(f"slot {first_slot} is occupied")
-        tags[first_slot] = addr
-        slot_of[addr] = first_slot
-        pos = self.positions(addr) if first is None else first
-        way = first_slot // num_sets
-        pbs[first_slot] = pos[:way] + pos[way + 1 :]
-        if self._collect:
-            self.stat_installs += 1
-            self.stat_relocations += len(moves)
-        return moves
 
     def _place(self, addr: int, slot: int, first=None) -> None:
         super()._place(addr, slot)

@@ -26,7 +26,7 @@ class _WalkLevels(list):
     """Level-end indices of a replacement walk (``slots[bounds[k-1]:
     bounds[k]]`` is level ``k``), passed as the ``parents`` descriptor
     of the fast-path protocol.  The walk records no per-slot parent;
-    :meth:`ZCacheArray.make_candidate` re-derives the victim's path:
+    :meth:`ZCacheArray._victim_chain` re-derives the victim's path:
     a slot's discoverer is the *first* previous-level candidate whose
     stored positions contain it (any earlier one would have discovered
     it first).  Every expanded parent is occupied -- an empty slot
@@ -150,54 +150,15 @@ class ZCacheArray(SkewAssociativeArray):
             frontier = next_frontier
         return found
 
-    def make_candidate(self, slots, parents, index):
-        if type(parents) is not _WalkLevels:
-            return super().make_candidate(slots, parents, index)
-        bounds = parents
+    def _victim_chain(self, slots, bounds, index: int, chain: list[int]):
+        """Fill ``chain`` with the victim ``slots[index]`` and then each
+        slot up its discovery path, ending at the landing slot (a
+        first-level position); returns ``chain``.  Reads only
+        ``_pos_by_slot``, so it must run before any relocation."""
         slot = slots[index]
         level = 0
         while bounds[level] <= index:
             level += 1
-        chain = [slot]
-        cur = slot
-        pos_by_slot = self._pos_by_slot
-        if level > 0 and bounds.hint >= 0 and index == len(slots) - 1:
-            cur = slots[bounds.hint]
-            chain.append(cur)
-            level -= 1
-        while level > 0:
-            lo = bounds[level - 2] if level >= 2 else 0
-            for pi in range(lo, bounds[level - 1]):
-                parent = slots[pi]
-                if cur in pos_by_slot[parent]:
-                    cur = parent
-                    break
-            else:  # pragma: no cover - the walk guarantees a parent
-                raise RuntimeError("walk level bounds are inconsistent")
-            chain.append(cur)
-            level -= 1
-        chain.reverse()
-        tag = self._tags[slot]
-        return Candidate(
-            slot,
-            tag if tag >= 0 else None,
-            tuple(chain),
-            slot // self.num_sets,
-        )
-
-    def install_walk(
-        self, addr: int, slots, parents, index: int, first=None
-    ) -> int:
-        bounds = parents
-        if type(bounds) is not _WalkLevels:
-            return super().install_walk(addr, slots, parents, index, first)
-        slot = slots[index]
-        # Derive the victim's relocation chain exactly like
-        # make_candidate, reading _pos_by_slot before any mutation.
-        level = 0
-        while bounds[level] <= index:
-            level += 1
-        chain = self._install_chain
         chain.clear()
         chain.append(slot)
         cur = slot
@@ -217,6 +178,29 @@ class ZCacheArray(SkewAssociativeArray):
                 raise RuntimeError("walk level bounds are inconsistent")
             chain.append(cur)
             level -= 1
+        return chain
+
+    def make_candidate(self, slots, parents, index):
+        if type(parents) is not _WalkLevels:
+            return super().make_candidate(slots, parents, index)
+        chain = self._victim_chain(slots, parents, index, [])
+        chain.reverse()
+        slot = slots[index]
+        tag = self._tags[slot]
+        return Candidate(
+            slot,
+            tag if tag >= 0 else None,
+            tuple(chain),
+            slot // self.num_sets,
+        )
+
+    def install_walk(
+        self, addr: int, slots, parents, index: int, first=None
+    ) -> int:
+        if type(parents) is not _WalkLevels:
+            return super().install_walk(addr, slots, parents, index, first)
+        chain = self._victim_chain(slots, parents, index, self._install_chain)
+        slot = chain[0]
         # chain[0] is the victim, chain[-1] the landing slot; lines
         # move one step toward the victim, nearest-the-victim first
         # (the order CacheArray.install reports).  A moving line's
@@ -224,6 +208,7 @@ class ZCacheArray(SkewAssociativeArray):
         # next step overwrites it: the walk hashes nothing.
         slot_of = self._slot_of
         tags = self._tags
+        pos_by_slot = self._pos_by_slot
         num_sets = self.num_sets
         old = tags[slot]
         if old >= 0:
@@ -291,7 +276,7 @@ class ZCacheArray(SkewAssociativeArray):
             # the per-slot emptiness and count checks disappear.  Each
             # parent's expansion may overshoot R; trimming to R keeps
             # exactly the first R slots in discovery order.  No parent
-            # list is built either: make_candidate() re-derives the
+            # list is built either: _victim_chain() re-derives the
             # victim's path from the level bounds (see _WalkLevels).
             for slot in first:
                 if stamps[slot] != gen:

@@ -33,7 +33,6 @@ from __future__ import annotations
 from array import array as _array
 
 from repro.arrays.base import CacheArray, Candidate
-from repro.arrays.zcache import ZCacheArray
 from repro.core.config import VantageConfig
 from repro.core.feedback import build_threshold_table, lookup_threshold
 
@@ -131,11 +130,6 @@ class VantageCache(PartitionedCache):
         self._plain_insert = (
             cls._set_inserted_line_state is VantageCache._set_inserted_line_state
         )
-        # Zcache replacement walks and the demotion scan can be fused
-        # into one pass (see _zmiss); the walk reads only tag state
-        # and the scan writes only partition state, so interleaving
-        # them is behaviour-preserving.
-        self._zwalk = isinstance(array, ZCacheArray)
 
     # ------------------------------------------------------------------
     # Configuration / allocation interface.
@@ -338,9 +332,6 @@ class VantageCache(PartitionedCache):
 
     def _miss(self, addr: int, part: int) -> None:
         array = self.array
-        if self._zwalk and len(array._slot_of) == array.num_lines:
-            self._zmiss(addr, part, array)
-            return
         fast = array.candidate_slots(addr)
         if fast is not None:
             slots, parents, has_empty = fast
@@ -358,200 +349,6 @@ class VantageCache(PartitionedCache):
                 index = self._replacement_index([c.slot for c in candidates])
                 victim = candidates[index]
         self._finish_install(addr, part, victim)
-
-    def _zmiss(self, addr: int, part: int, array, first=None) -> None:
-        """Fused replacement walk + demotion scan for a *full* zcache
-        (the steady state, where no slot is ever empty).  ``first``
-        is ``addr``'s positions tuple when the caller already has it
-        (a batch kernel's index-column entry); otherwise it is hashed
-        here.
-
-        Candidate discovery order and every state update are identical
-        to ``candidate_slots()`` followed by ``_replacement_index()``:
-        the walk reads only tag/position state while the scan writes
-        only partition state, so processing each candidate the moment
-        it is discovered cannot change what either pass observes.  The
-        fusion removes the second 52-iteration loop per miss.
-        """
-        pos_by_slot = array._pos_by_slot
-        gen = array._walk_gen + 1
-        array._walk_gen = gen
-        stamps = array._walk_stamp
-        r = array._r
-
-        part_of = self.part_of
-        line_ts = self.line_ts
-        actual = self.actual_size
-        target = self.target
-        cands_seen = self.cands_seen
-        current_ts = self.current_ts
-        keep_width = self.keep_width
-        cands_demoted = self.cands_demoted
-        demotions = self.demotions
-        c_adjust = self.config.candidates_per_adjust
-        lru_demotion = self._lru_demotion
-        plain_demote = self._plain_demote and self.demotion_hook is None
-        uts = self.unmanaged_ts
-        first_demoted = -1
-        best_unmanaged = -1
-        best_unmanaged_age = -1
-
-        slots = array._walk_slots
-        slots.clear()
-        slots_append = slots.append
-        bounds = array._walk_bounds
-        bounds.clear()
-        bounds.hint = -1
-        if first is None:
-            first = array.positions(addr)
-
-        n = 0
-        # First-level positions sit in distinct banks, so they never
-        # collide with each other: stamps are set but not checked.
-        # The per-candidate body below is duplicated in the expansion
-        # loop; keep the two copies in sync.
-        for slot in first:
-            stamps[slot] = gen
-            slots_append(slot)
-            owner = part_of[slot]
-            if owner == UNMANAGED:
-                age = (uts - line_ts[slot]) & _TS_MASK
-                if age > best_unmanaged_age:
-                    best_unmanaged_age = age
-                    best_unmanaged = n
-            else:
-                seen = cands_seen[owner] + 1
-                cands_seen[owner] = seen
-                if actual[owner] > target[owner]:
-                    if lru_demotion:
-                        demote = (
-                            (current_ts[owner] - line_ts[slot]) & _TS_MASK
-                        ) > keep_width[owner]
-                    else:
-                        demote = self._demotable(slot, owner)
-                    if demote:
-                        if plain_demote:
-                            actual[owner] -= 1
-                            cands_demoted[owner] += 1
-                            demotions[owner] += 1
-                            part_of[slot] = UNMANAGED
-                            line_ts[slot] = uts
-                            size = self.unmanaged_size + 1
-                            self.unmanaged_size = size
-                            count = self._unmanaged_counter + 1
-                            if size != self._utick_size:
-                                self._utick_size = size
-                                period = size >> 4
-                                self._utick_period = period if period > 0 else 1
-                            if count >= self._utick_period:
-                                self._unmanaged_counter = 0
-                                uts = (uts + 1) & _TS_MASK
-                                self.unmanaged_ts = uts
-                            else:
-                                self._unmanaged_counter = count
-                        else:
-                            self._demote(slot, owner)
-                            uts = self.unmanaged_ts
-                        if first_demoted < 0:
-                            first_demoted = n
-                if seen >= c_adjust:
-                    self._adjust_setpoint(owner)
-            n += 1
-
-        bounds.append(n)
-        level_start = 0
-        while n < r and level_start < n:
-            level_end = n
-            for pi in range(level_start, level_end):
-                for slot in pos_by_slot[slots[pi]]:
-                    if stamps[slot] != gen:
-                        stamps[slot] = gen
-                        slots_append(slot)
-                        owner = part_of[slot]
-                        if owner == UNMANAGED:
-                            age = (uts - line_ts[slot]) & _TS_MASK
-                            if age > best_unmanaged_age:
-                                best_unmanaged_age = age
-                                best_unmanaged = n
-                        else:
-                            seen = cands_seen[owner] + 1
-                            cands_seen[owner] = seen
-                            if actual[owner] > target[owner]:
-                                if lru_demotion:
-                                    demote = (
-                                        (current_ts[owner] - line_ts[slot])
-                                        & _TS_MASK
-                                    ) > keep_width[owner]
-                                else:
-                                    demote = self._demotable(slot, owner)
-                                if demote:
-                                    if plain_demote:
-                                        actual[owner] -= 1
-                                        cands_demoted[owner] += 1
-                                        demotions[owner] += 1
-                                        part_of[slot] = UNMANAGED
-                                        line_ts[slot] = uts
-                                        size = self.unmanaged_size + 1
-                                        self.unmanaged_size = size
-                                        count = self._unmanaged_counter + 1
-                                        if size != self._utick_size:
-                                            self._utick_size = size
-                                            period = size >> 4
-                                            self._utick_period = (
-                                                period if period > 0 else 1
-                                            )
-                                        if count >= self._utick_period:
-                                            self._unmanaged_counter = 0
-                                            uts = (uts + 1) & _TS_MASK
-                                            self.unmanaged_ts = uts
-                                        else:
-                                            self._unmanaged_counter = count
-                                    else:
-                                        self._demote(slot, owner)
-                                        uts = self.unmanaged_ts
-                                    if first_demoted < 0:
-                                        first_demoted = n
-                            if seen >= c_adjust:
-                                self._adjust_setpoint(owner)
-                        n += 1
-                        if n == r:
-                            break
-                if n == r:
-                    break
-            bounds.append(n)
-            if n == r:
-                break
-            level_start = level_end
-
-        # The fused walk bypasses candidate_slots(), so the array's
-        # walk telemetry is maintained here instead.
-        if array._collect:
-            array.stat_walks += 1
-            array.stat_candidates += n
-
-        if first_demoted < 0:
-            self._on_no_demotions(slots)
-
-        if best_unmanaged >= 0:
-            self.evictions_unmanaged += 1
-            self._evict_slot(slots[best_unmanaged])
-            index = best_unmanaged
-        else:
-            self.evictions_managed += 1
-            if first_demoted >= 0:
-                index = first_demoted
-            else:
-                over = [
-                    i
-                    for i, slot in enumerate(slots)
-                    if actual[part_of[slot]] > target[part_of[slot]]
-                ]
-                pool = over if over else range(len(slots))
-                index = max(pool, key=lambda i: self.staleness(slots[i]))
-                self._setpoint_demote_more(part_of[slots[index]])
-            self._evict_slot(slots[index])
-        victim = array.make_candidate(slots, bounds, index)
-        self._finish_install(addr, part, victim, first)
 
     def _replacement_index(self, slots: list[int]) -> int:
         """Demotion checks over all candidate slots, then victim
@@ -724,10 +521,8 @@ class VantageCache(PartitionedCache):
             self.touched_by[slot] = 0
         self.part_of[slot] = NO_PART
 
-    def _finish_install(
-        self, addr: int, part: int, victim: Candidate, first=None
-    ) -> None:
-        moves = self.array.install(addr, victim, first)
+    def _finish_install(self, addr: int, part: int, victim: Candidate) -> None:
+        moves = self.array.install(addr, victim)
         part_of = self.part_of
         line_ts = self.line_ts
         if moves:

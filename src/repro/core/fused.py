@@ -2,13 +2,15 @@
 
 One whole-loop kernel per run fuses the event loop's scheduling walk
 with hit detection, the promotion / timestamp-touch hit path and the
-miss path's walk + demotion scan + install bookkeeping, with every
-per-line column (tags, ``part_of``, ``line_ts``, RRPVs) and
-per-partition register captured as closure cells.  The access body
-follows ``VantageCache.access``/``_hit``/``_miss``/``_finish_install``;
-``_replacement_index`` and ``_zmiss`` (already single-pass kernels)
-stay as bound calls, so every demotion, setpoint adjustment and
-eviction decision runs the same code as the object path.
+miss path's install bookkeeping, with every per-line column (tags,
+``part_of``, ``line_ts``, RRPVs) and per-partition register captured
+as closure cells.  The access body follows
+``VantageCache.access``/``_hit``/``_miss``/``_finish_install``.  A
+miss runs the array's ``candidate_slots`` walk and
+``_replacement_index`` as bound calls, so every demotion, setpoint
+adjustment and eviction decision runs the same code as the object
+path, then installs through ``install_walk`` and its moves buffer
+instead of a ``Candidate`` and the generic ``install``.
 
 Pinned bitwise-identical to the object path (``REPRO_FUSED=0``) by
 the parity tests and the golden stats trees.
@@ -48,9 +50,9 @@ def _vantage_batch(cache, ctx, rrpv):
     event loop's scheduling walk (see
     ``PartitionedCache.build_batch_kernel`` for the protocol).  No
     setpoint/timestamp register is hoisted across accesses -- they are
-    all shared with ``_zmiss`` and ``_replacement_index`` (bound
-    calls), so they stay live on the cache object; only the memory
-    model's counters are hoisted and flushed."""
+    all shared with ``_replacement_index`` (a bound call), so they stay
+    live on the cache object; only the memory model's counters are
+    hoisted and flushed."""
     array = cache.array
     if type(array).candidate_slots is CacheArray.candidate_slots:
         return None
@@ -93,8 +95,6 @@ def _vantage_batch(cache, ctx, rrpv):
     tick_period = cache._tick_period
     promotions = cache.promotions
     replacement_index = cache._replacement_index
-    zmiss = cache._zmiss
-    zwalk = cache._zwalk
     plain_insert = cache._plain_insert
     set_inserted = cache._set_inserted_line_state
     shared_code = cache._shared_code
@@ -226,72 +226,64 @@ def _vantage_batch(cache, ctx, rrpv):
                             first = tuple(col[k : k + num_ways])
                         else:
                             first = col[(pos >> 1) - 1]
-                        if zwalk and len(slot_of) == num_lines:
-                            zmiss(addr, cid, array, first)
+                        landing = -1
+                        if zc and len(slot_of) < num_lines:
+                            # Cold fill: most walks end at an empty
+                            # first-level position, which relocates
+                            # nothing.
+                            n = 0
+                            for slot in first:
+                                n += 1
+                                if tags[slot] < 0:
+                                    landing = slot
+                                    break
+                        if landing >= 0:
+                            if walk_stats:
+                                array.stat_walks += 1
+                                array.stat_candidates += n
+                                array.stat_installs += 1
+                            tags[landing] = addr
+                            slot_of[addr] = landing
+                            way = landing // num_sets
+                            pos_by_slot[landing] = first[:way] + first[way + 1 :]
                         else:
-                            landing = -1
-                            if zc:
-                                n = 0
-                                for slot in first:
-                                    n += 1
-                                    if tags[slot] < 0:
-                                        landing = slot
-                                        break
-                            if landing >= 0:
-                                if walk_stats:
-                                    array.stat_walks += 1
-                                    array.stat_candidates += n
-                                    array.stat_installs += 1
-                                tags[landing] = addr
-                                slot_of[addr] = landing
-                                way = landing // num_sets
-                                pos_by_slot[landing] = (
-                                    first[:way] + first[way + 1 :]
-                                )
+                            slots, parents, has_empty = candidate_slots(addr, first)
+                            if has_empty:
+                                index = len(slots) - 1
                             else:
-                                slots, parents, has_empty = candidate_slots(
-                                    addr, first
-                                )
-                                if has_empty:
-                                    index = len(slots) - 1
-                                else:
-                                    index = replacement_index(slots)
-                                landing = install_walk(
-                                    addr, slots, parents, index, first
-                                )
-                                if moves_buf:
-                                    for k in range(0, len(moves_buf), 2):
-                                        src = moves_buf[k]
-                                        dst = moves_buf[k + 1]
-                                        part_of[dst] = part_of[src]
-                                        part_of[src] = NO_PART
-                                        line_ts[dst] = line_ts[src]
-                                        if rrpv is not None:
-                                            rrpv[dst] = rrpv[src]
-                                        if shared_code:
-                                            touched_by[dst] = touched_by[src]
-                                            touched_by[src] = 0
-                            part_of[landing] = cid
-                            if shared_code:
-                                touched_by[landing] = 1 << cid
-                            if plain_insert:
-                                line_ts[landing] = current_ts[cid]
-                            else:
-                                set_inserted(landing, cid, addr)
-                            size = actual[cid] + 1
-                            actual[cid] = size
-                            tick_count = access_counter[cid] + 1
-                            if size != tick_size[cid]:
-                                tick_size[cid] = size
-                                period = size >> 4
-                                tick_period[cid] = period if period > 0 else 1
-                            if tick_count >= tick_period[cid]:
-                                access_counter[cid] = 0
-                                current_ts[cid] = (
-                                    current_ts[cid] + 1
-                                ) & _TS_MASK
-                            else:
-                                access_counter[cid] = tick_count
+                                index = replacement_index(slots)
+                            landing = install_walk(addr, slots, parents, index, first)
+                            if moves_buf:
+                                for k in range(0, len(moves_buf), 2):
+                                    src = moves_buf[k]
+                                    dst = moves_buf[k + 1]
+                                    part_of[dst] = part_of[src]
+                                    part_of[src] = NO_PART
+                                    line_ts[dst] = line_ts[src]
+                                    if rrpv is not None:
+                                        rrpv[dst] = rrpv[src]
+                                    if shared_code:
+                                        touched_by[dst] = touched_by[src]
+                                        touched_by[src] = 0
+                        part_of[landing] = cid
+                        if shared_code:
+                            touched_by[landing] = 1 << cid
+                        if plain_insert:
+                            line_ts[landing] = current_ts[cid]
+                        else:
+                            set_inserted(landing, cid, addr)
+                        size = actual[cid] + 1
+                        actual[cid] = size
+                        tick_count = access_counter[cid] + 1
+                        if size != tick_size[cid]:
+                            tick_size[cid] = size
+                            period = size >> 4
+                            tick_period[cid] = period if period > 0 else 1
+                        if tick_count >= tick_period[cid]:
+                            access_counter[cid] = 0
+                            current_ts[cid] = (current_ts[cid] + 1) & _TS_MASK
+                        else:
+                            access_counter[cid] = tick_count
                         # MemoryModel.request, inlined.
                         ctrl = addr % num_controllers
                         f = free_at[ctrl]

@@ -98,7 +98,8 @@ class CMPSystem:
         Route trace items through private L1 models (trace items are
         then memory instructions, not L2 accesses).
     size_series / size_sample_cycles:
-        Optional :class:`SizeTimeSeries` sampled on the given period.
+        Optional :class:`SizeTimeSeries` sampled on the given period;
+        give both or neither.
     """
 
     def __init__(
@@ -116,6 +117,12 @@ class CMPSystem:
             # a negative one hangs the run, zero samples nothing.
             raise ValueError(
                 f"size_sample_cycles must be >= 1, got {size_sample_cycles!r}"
+            )
+        if (size_series is None) != (size_sample_cycles is None):
+            # A period without a series dies at the first sample; a
+            # series without a period silently stays empty.
+            raise ValueError(
+                "size_series and size_sample_cycles must be given together"
             )
         self.cache = cache
         self.trace_factories = list(traces)

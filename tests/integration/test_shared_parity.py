@@ -35,10 +35,6 @@ EPOCH_CYCLES = 20_000
 
 KINDS = ("producer-consumer", "shared-table", "migratory")
 
-#: The lane switch that selects the object path.
-OBJECT_PATH = (("REPRO_FUSED", "0"),)
-
-
 def _clear_flags(monkeypatch):
     monkeypatch.delenv("REPRO_FUSED", raising=False)
 
@@ -67,12 +63,10 @@ SAMPLE_POINTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "kind,seed,flags", [(*point, OBJECT_PATH) for point in SAMPLE_POINTS]
-)
-def test_reuse_aware_flag_cube(monkeypatch, kind, seed, flags):
-    """The object path (``flags``) is the same simulation as the fast
-    path on shared mixes."""
+@pytest.mark.parametrize("kind,seed", SAMPLE_POINTS)
+def test_reuse_aware_lanes_agree(monkeypatch, kind, seed):
+    """The object path (``REPRO_FUSED=0``) is the same simulation as
+    the fast path on shared mixes."""
     mix = make_shared_mix("sftn", 1, _shared_spec(kind))
     config = small_system(epoch_cycles=EPOCH_CYCLES)
 
@@ -82,8 +76,7 @@ def test_reuse_aware_flag_cube(monkeypatch, kind, seed, flags):
     # otherwise this parametrization proves nothing.
     assert sum(baseline.cache.shared_hits) > 0
 
-    for name, value in flags:
-        monkeypatch.setenv(name, value)
+    monkeypatch.setenv("REPRO_FUSED", "0")
     variant = run_mix(mix, "reuse-aware-z4/52", config, INSTRUCTIONS, seed=seed)
 
     assert variant.result == baseline.result
@@ -142,10 +135,10 @@ def _build_shared_cache(family, policy_name, lines, cores, seed):
     )
 
 
-def _run_direct(family, policy_name, flags, monkeypatch, seed):
+def _run_direct(family, policy_name, monkeypatch, seed, object_path=False):
     _clear_flags(monkeypatch)
-    for name, value in flags.items():
-        monkeypatch.setenv(name, value)
+    if object_path:
+        monkeypatch.setenv("REPRO_FUSED", "0")
     config = small_system()
     # The shared table makes the same lines hot on every core, so
     # cross-core re-touches are guaranteed even in a short run.
@@ -164,14 +157,14 @@ def _run_direct(family, policy_name, flags, monkeypatch, seed):
 def test_shared_policy_paths_agree(monkeypatch, family, policy_name):
     """Object vs fast path, for each (scheme family, policy)."""
     base_result, base_stats, base = _run_direct(
-        family, policy_name, dict(OBJECT_PATH), monkeypatch, seed=9
+        family, policy_name, monkeypatch, seed=9, object_path=True
     )
     assert base.batch_calls == 0
     assert sum(base.cache.shared_hits) > 0
     if policy_name == "migrate-to-requester":
         assert sum(base.cache.shared_moves) > 0
 
-    result, stats, fast = _run_direct(family, policy_name, {}, monkeypatch, seed=9)
+    result, stats, fast = _run_direct(family, policy_name, monkeypatch, seed=9)
     assert fast.batch_calls > 0
     assert result == base_result
     assert stats == base_stats
@@ -182,7 +175,7 @@ def test_promote_to_shared_parks_in_unmanaged(monkeypatch):
     unmanaged region instead of flipping ownership."""
     _clear_flags(monkeypatch)
     result, stats, system = _run_direct(
-        "vantage", "promote-to-shared", {}, monkeypatch, seed=9
+        "vantage", "promote-to-shared", monkeypatch, seed=9
     )
     cache = system.cache
     assert sum(cache.shared_moves) > 0

@@ -295,6 +295,25 @@ class TestValidation:
                 size_sample_cycles=period,
             )
 
+    @pytest.mark.parametrize(
+        "series,period",
+        [(None, 1_000), (SizeTimeSeries(2), None)],
+        ids=["period-without-series", "series-without-period"],
+    )
+    def test_size_series_and_period_come_together(self, series, period):
+        """A period without a series used to die at the first sample
+        (``AttributeError`` on ``None.sample``); a series without a
+        period stayed empty.  Construction rejects both."""
+        config = tiny_config(cores=2)
+        with pytest.raises(ValueError, match="must be given together"):
+            CMPSystem(
+                build_baseline(config),
+                [constant_trace(3, [1, 2])] * 2,
+                config,
+                size_series=series,
+                size_sample_cycles=period,
+            )
+
     def test_exhausted_trace_mid_segment_on_batch_path(self, monkeypatch):
         """A chunked trace that ends mid-run surfaces through the batch
         kernel's refill return (reason 2) as the same core-naming
