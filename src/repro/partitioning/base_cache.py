@@ -19,6 +19,7 @@ footprint under any scheme -- the quantity plotted in Figure 8.
 
 from __future__ import annotations
 
+import heapq
 import os
 from abc import ABC, abstractmethod
 from array import array as _array
@@ -65,17 +66,17 @@ def fused_default() -> bool:
     return os.environ.get("REPRO_FUSED", "1") != "0"
 
 
-#: Registry of batch access-kernel builders, keyed by concrete cache
+#: Registry of batch access-body builders, keyed by concrete cache
 #: class.  A builder is called as ``builder(cache, ctx)`` with a
-#: :class:`BatchContext` and returns a segment kernel (see
-#: :meth:`PartitionedCache.build_batch_kernel` for the signature), or
-#: ``None`` when the cache's array/policy combination has no batch
-#: kernel.
+#: :class:`BatchContext` and returns the cache's two access bodies,
+#: ``(hit, miss)``, or ``None`` when the cache's array/policy
+#: combination has no batch body.  :func:`_batch_kernel` runs them (see
+#: :meth:`PartitionedCache.build_batch_kernel` for the protocol).
 _BATCH_KERNELS: dict[type, Callable] = {}
 
 
 def register_batch_kernel(cls: type):
-    """Class decorator registering a batch kernel builder for ``cls``."""
+    """Class decorator registering a batch body builder for ``cls``."""
 
     def decorator(builder: Callable):
         _BATCH_KERNELS[cls] = builder
@@ -88,13 +89,14 @@ def register_batch_kernel(cls: type):
 class BatchContext:
     """Event-loop and scheduler state a batch kernel closes over.
 
-    Built once per :meth:`CMPSystem.run` and handed to the batch
-    builders.  A batch kernel absorbs the *whole* scheduling loop --
-    core selection (two-minimum scan or heap), the chunk cursors,
-    timing, L1 filtering, policy observation, the cache access body
-    and finish bookkeeping -- so one call executes events until the
-    next boundary the event loop itself must handle (epoch/sample
-    service, a chunk refill, a non-chunked core, or completion).
+    Built once per :meth:`CMPSystem.run` and handed to the body
+    builders and :func:`_batch_kernel`.  A batch kernel absorbs the
+    *whole* scheduling loop -- core selection (two-minimum scan or
+    heap), the chunk cursors, timing, L1 filtering, policy observation,
+    the cache's access bodies and finish bookkeeping -- so one call
+    executes events until the next boundary the event loop itself must
+    handle (epoch/sample service, a chunk refill, a non-chunked core,
+    or completion).
 
     All list fields are the *live* scheduler state of the running
     ``CMPSystem.run`` invocation, shared by reference and mutated in
@@ -106,7 +108,7 @@ class BatchContext:
     the exploded fast path of :meth:`UCPPolicy.observe` (per-partition
     sample filters, observation counters and bound monitor accessors
     and deciders); they are ``None`` when the policy is absent or
-    overrides ``observe``, in which case kernels fall back to the
+    overrides ``observe``, in which case the kernel falls back to the
     bound ``observe`` call.
 
     ``cols``/``ucols`` are the per-core *index columns* of the chunk
@@ -115,7 +117,7 @@ class BatchContext:
     :meth:`~repro.arrays.base.CacheArray.index_column` (``None`` for
     arrays that hash nothing) and ``ucols[cid]`` the core's UMON
     :meth:`~repro.telemetry.SampledMonitor.index_column` (built and
-    read only with ``sample_gets``).  A kernel at cursor ``pos`` (just
+    read only with ``sample_gets``).  The kernel at cursor ``pos`` (just
     past a pair) reads that pair's entries at ``(pos >> 1) - 1``
     (times the column width), so no address is hashed on the hot path.
     """
@@ -146,49 +148,178 @@ class BatchContext:
     batched: list
 
 
-def scheduler_cells(ctx: BatchContext) -> tuple:
-    """Unpack a :class:`BatchContext` into the closure cells every
-    batch kernel's scheduling skeleton hoists (one tuple-unpack per
-    builder keeps the twenty-odd hoists uniform across kernels).
+def _batch_kernel(cache: PartitionedCache, ctx: BatchContext, hit, miss):
+    """The one scheduling skeleton: the event loop with ``cache``'s
+    access bodies plugged in (see
+    :meth:`PartitionedCache.build_batch_kernel` for the protocol).
 
-    The memory model is exploded into its controller registers so the
-    kernels can inline :meth:`MemoryModel.request` (the per-request
-    ``requests``/``total_queue_cycles`` counters are hoisted and
-    flushed by each kernel to preserve the exact accumulation order).
+    Per L1 miss the skeleton observes the access for UCP, looks the tag
+    up and counts the access, then calls ``hit(slot, cid)`` or
+    ``miss(addr, cid, i)``, with ``i`` the pair's index in the chunk's
+    columns.  A miss then goes to memory: :meth:`MemoryModel.request`
+    is inlined, its ``requests``/``total_queue_cycles`` counters hoisted
+    into frame locals and flushed before every return, preserving the
+    exact accumulation order.  The bodies keep all cache and policy
+    state live on their objects, so nothing else is hoisted.
     """
+    hit_latency = ctx.hit_latency
     memory = ctx.memory
-    l1_accesses = (
-        [l1.access for l1 in ctx.l1s] if ctx.l1s is not None else None
-    )
-    return (
-        ctx.hit_latency,
-        memory,
-        memory.num_controllers,
-        memory.latency,
-        memory.service_cycles,
-        memory._free_at,
-        ctx.observe,
-        ctx.sample_gets,
-        ctx.observed,
-        ctx.mon_accesses,
-        ctx.mon_decides,
-        l1_accesses,
-        ctx.collect,
-        ctx.l1_hits,
-        ctx.num_cores,
-        ctx.target,
-        ctx.bufs,
-        ctx.cols,
-        ctx.ucols,
-        ctx.positions,
-        ctx.limits,
-        ctx.instructions,
-        ctx.finished_at,
-        ctx.instructions_at_finish,
-        ctx.times,
-        ctx.heap,
-        ctx.batched,
-    )
+    num_controllers = memory.num_controllers
+    mem_latency = memory.latency
+    service_cycles = memory.service_cycles
+    free_at = memory._free_at
+    observe = ctx.observe
+    sample_gets = ctx.sample_gets
+    observed = ctx.observed
+    mon_accesses = ctx.mon_accesses
+    mon_decides = ctx.mon_decides
+    l1_accesses = [l1.access for l1 in ctx.l1s] if ctx.l1s is not None else None
+    collect = ctx.collect
+    l1_hits = ctx.l1_hits
+    num_cores = ctx.num_cores
+    target = ctx.target
+    bufs = ctx.bufs
+    ucols = ctx.ucols
+    positions = ctx.positions
+    limits = ctx.limits
+    instructions = ctx.instructions
+    finished_at = ctx.finished_at
+    instructions_at_finish = ctx.instructions_at_finish
+    times = ctx.times
+    heap = ctx.heap
+    batched = ctx.batched
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    inf = float("inf")
+
+    lookup = cache._lookup
+    st = cache.stats
+    st_acc = st.accesses
+    st_hit = st.hits
+    st_miss = st.misses
+
+    def kernel(next_service, unfinished):
+        mem_requests = memory.requests
+        mem_queue = memory.total_queue_cycles
+        while True:
+            # -- select the next core: two-minimum scan or heap pop.
+            if heap is None:
+                now = times[0]
+                cid = 0
+                second = inf
+                scid = 0
+                for i in range(1, num_cores):
+                    ti = times[i]
+                    if ti < now:
+                        second = now
+                        scid = cid
+                        now = ti
+                        cid = i
+                    elif ti < second:
+                        second = ti
+                        scid = i
+            else:
+                now, cid = heappop(heap)
+                head = heap[0]
+                second = head[0]
+                scid = head[1]
+            if not batched[cid]:
+                if heap is not None:
+                    heappush(heap, (now, cid))
+                reason = 4
+                break
+            pos = positions[cid]
+            limit = limits[cid]
+            buf = bufs[cid]
+            count = instructions[cid]
+            fin = finished_at[cid] is not None
+            l1a = l1_accesses[cid] if l1_accesses is not None else None
+            if sample_gets is not None:
+                sget = sample_gets[cid]
+                macc = mon_accesses[cid]
+                mdecide = mon_decides[cid]
+                ucol = ucols[cid]
+            else:
+                sget = None
+            reason = 0
+            while True:
+                if now >= next_service:
+                    reason = 1
+                    break
+                if pos >= limit:
+                    reason = 2
+                    break
+                gap = buf[pos]
+                addr = buf[pos + 1]
+                pos += 2
+                count += gap + 1
+                t = now + gap + 1
+                if l1a is not None and l1a(addr):
+                    # L1 hit: fully pipelined, no stall.
+                    if collect:
+                        l1_hits[cid] += 1
+                else:
+                    if sget is not None:
+                        decision = sget(addr, -1)
+                        if decision is not None:
+                            # First touch (-1): decide from the column.
+                            observed[cid] += 1
+                            if decision != -1 or (
+                                mdecide(addr, ucol[(pos >> 1) - 1]) is not None
+                            ):
+                                macc(addr)
+                    elif observe is not None:
+                        observe(cid, addr)
+                    slot = lookup(addr)
+                    st_acc[cid] += 1
+                    if slot is not None:
+                        st_hit[cid] += 1
+                        hit(slot, cid)
+                        t += hit_latency
+                    else:
+                        st_miss[cid] += 1
+                        miss(addr, cid, (pos >> 1) - 1)
+                        # MemoryModel.request, inlined.
+                        ctrl = addr % num_controllers
+                        f = free_at[ctrl]
+                        start = f if f > t else t
+                        free_at[ctrl] = start + service_cycles
+                        queue = start - t
+                        mem_queue += queue
+                        mem_requests += 1
+                        t += hit_latency + (queue + mem_latency)
+                if not fin and count >= target:
+                    fin = True
+                    finished_at[cid] = t
+                    instructions_at_finish[cid] = count
+                    unfinished -= 1
+                    if not unfinished:
+                        reason = 3
+                        break
+                if t < second or (t == second and cid < scid):
+                    now = t
+                    continue
+                break
+            # -- park the core: write its cursor back and requeue it.
+            positions[cid] = pos
+            instructions[cid] = count
+            if reason == 0 or reason == 3:
+                if heap is None:
+                    times[cid] = t
+                else:
+                    heappush(heap, (t, cid))
+                if reason == 0:
+                    continue
+            elif heap is None:
+                times[cid] = now
+            else:
+                heappush(heap, (now, cid))
+            break
+        memory.requests = mem_requests
+        memory.total_queue_cycles = mem_queue
+        return now, unfinished, reason, cid
+
+    return kernel
 
 
 @dataclass
@@ -337,8 +468,8 @@ class PartitionedCache(ABC):
 
         A batch kernel runs the whole multi-core event loop -- core
         selection, chunk cursors, timing, observation and this cache's
-        access body fused into one frame -- until a boundary only the
-        caller can handle::
+        access bodies -- in one frame until a boundary only the caller
+        can handle::
 
             kernel(next_service, unfinished)
                 -> (now, unfinished, reason, cid)
@@ -360,9 +491,11 @@ class PartitionedCache(ABC):
         resume state.  Behaviour is pinned bitwise-identical to the
         object path (``REPRO_FUSED=0``).
 
-        Caches with measurement hooks installed decline batching:
-        hooks may read hoisted registers mid-segment, so hooked runs
-        take the object path (:meth:`access`) instead.
+        The loop is :func:`_batch_kernel`, the same for every scheme;
+        the builder registered for this class supplies only the L2
+        ``hit``/``miss`` bodies.  The bodies call no measurement
+        hooks, so caches with hooks installed decline batching and
+        hooked runs take the object path (:meth:`access`) instead.
         """
         if self.eviction_hook is not None:
             return None
@@ -371,7 +504,11 @@ class PartitionedCache(ABC):
         builder = _BATCH_KERNELS.get(type(self))
         if builder is None:
             return None
-        return builder(self, ctx)
+        bodies = builder(self, ctx)
+        if bodies is None:
+            return None
+        hit, miss = bodies
+        return _batch_kernel(self, ctx, hit, miss)
 
     def register_stats(self, group) -> None:
         """Register the per-partition front-end counters; subclasses
