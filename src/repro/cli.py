@@ -736,8 +736,8 @@ def main(argv: list[str] | None = None) -> int:
     # A terminal Ctrl-C or a supervisor's SIGTERM must shut worker
     # pools down without spraying per-process tracebacks, and exit
     # with a distinct code the caller can script against.  Workers
-    # themselves ignore SIGINT (see repro.harness.parallel.worker_init
-    # and repro.service.workers._worker_main); the daemon installs
+    # themselves ignore SIGINT (see repro.service.workers._worker_main,
+    # the one worker loop); the daemon installs
     # its own asyncio handlers and exits 0 on a clean shutdown.
     import signal as _signal
 

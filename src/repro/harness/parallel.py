@@ -3,8 +3,10 @@
 Every figure in the paper is an embarrassingly parallel sweep: many
 independent ``run_mix`` simulations whose results are only combined
 at the end.  This module expresses one simulation as a picklable
-:class:`SimJob`, fans a job list over a ``ProcessPoolExecutor``, and
-memoises outcomes through :mod:`repro.harness.results_cache`.
+:class:`SimJob`, fans a job list over the resident daemon's worker
+pool (:class:`repro.service.workers.WorkerPool`, driven in process,
+with no socket), and memoises outcomes through
+:mod:`repro.harness.results_cache`.
 
 Determinism: a job carries every input that influences its
 simulation -- including all seeds -- and workers run exactly the same
@@ -17,11 +19,13 @@ one baseline simulation across schemes.
 The building blocks are exported separately because the resident
 daemon (:mod:`repro.service`) reuses them: :func:`plan_jobs` performs
 the dedupe/cache split, :func:`execute_job` is the worker-side entry
-point, and :func:`record_outcome` is the telemetry/persistence tail.
-``run_jobs`` itself survives worker crashes: a ``BrokenProcessPool``
-loses only the not-yet-returned jobs, which are resubmitted to a
-fresh pool (after :data:`MAX_POOL_FAILURES` pool losses the leftovers
-run inline in this process).
+point, :func:`publish_traces` is the shared-memory publish step, and
+:func:`record_outcome` is the telemetry/persistence tail.  ``run_jobs``
+has the pool's failure model (a crashed worker is respawned and its
+job retried) plus one rule of its own: any job the pool gives up on
+runs inline in this process, so a sweep on a host that keeps killing
+workers still finishes, and a job that raises surfaces its own
+exception.
 
 Environment knobs:
 
@@ -29,9 +33,9 @@ Environment knobs:
 - ``REPRO_TRACE_CACHE``: directory for the on-disk trace-chunk store
   (see :mod:`repro.traces`); with it set, workers share compiled
   address streams across jobs instead of each regenerating them.
-- ``REPRO_TRACE_SHM``: ``1`` adds a publish phase before the fan-out
-  -- the parent compiles-or-loads each distinct trace once into
-  shared-memory segments and workers attach zero-copy instead of
+- ``REPRO_TRACE_SHM``: ``1`` adds a publish step before each job is
+  dispatched -- the parent compiles-or-loads each distinct trace once
+  into shared-memory segments and workers attach zero-copy instead of
   compiling privately (see :mod:`repro.traces.shm`).
 - ``REPRO_FED_GATEWAY``: an address (``host:port`` or a Unix socket
   path) routes the fan-out through a federation gateway
@@ -45,10 +49,7 @@ Environment knobs:
 from __future__ import annotations
 
 import os
-import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro import traces
@@ -64,11 +65,8 @@ from repro.workloads import Mix
 #: simulations only; cache hits cost no simulation time).
 JOB_WALL_TIME = Distribution("job_wall_time", "per-job wall time, seconds")
 
-#: Pool losses tolerated per ``run_jobs`` call before the remaining
-#: jobs fall back to inline execution in the calling process.
-MAX_POOL_FAILURES = 2
-
-#: Process-wide supervision counters (read by the harness stats tree).
+#: Process-wide supervision counters (read by the harness stats tree),
+#: summed over the worker pools ``run_jobs`` has driven.
 POOL_FAILURES = 0
 JOBS_RETRIED = 0
 
@@ -93,12 +91,12 @@ def register_stats(group) -> None:
     group.stat(
         "pool_failures",
         lambda: POOL_FAILURES,
-        "worker pools lost to crashed processes",
+        "pool workers respawned after a crash",
     )
     group.stat(
         "jobs_retried",
         lambda: JOBS_RETRIED,
-        "jobs resubmitted after a pool failure",
+        "jobs re-queued after their worker died",
     )
     group.stat(
         "fed_jobs",
@@ -173,19 +171,6 @@ def default_workers() -> int:
     return workers
 
 
-def worker_init() -> None:
-    """Initializer for simulation worker processes.
-
-    Workers ignore SIGINT: a Ctrl-C lands on the whole process group,
-    and only the parent should act on it (shutting the pool down
-    cleanly instead of every worker spraying a traceback).
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (OSError, ValueError):
-        pass
-
-
 def execute_job(job: SimJob) -> SimOutcome:
     """Run one job (in a worker process or inline)."""
     from repro.harness.runner import run_mix
@@ -250,24 +235,27 @@ def record_outcome(key: str, outcome: SimOutcome, use_cache: bool = True) -> Non
         results_cache.store(key, outcome)
 
 
-def publish_traces(jobs: list[SimJob]) -> int:
+def publish_traces(
+    jobs: list[SimJob], published: dict[str, int] | None = None
+) -> int:
     """Publish every distinct trace in ``jobs`` to the shared fabric.
 
-    The owner half of ``REPRO_TRACE_SHM`` for batch sweeps: before
-    fanning out, the parent scavenges segments orphaned by crashed
-    runs, then compiles-or-loads each distinct ``TraceSpec`` once and
-    publishes its chunk prefix, so workers attach by name instead of
-    compiling one private copy each.  Returns the number of segments
-    created.  Best-effort throughout -- a trace that fails to publish
-    simply stays on the private layers (and a genuinely broken trace
-    reports its real error from the worker that simulates it, not
-    from here).
+    The owner half of ``REPRO_TRACE_SHM``: the worker pool calls this
+    for each job before dispatching it, so its workers attach by name
+    instead of compiling one private copy each.  ``published`` maps a
+    trace key to the instruction count already published; traces it
+    covers are skipped, which keeps resubmitted mixes from re-walking
+    their chunk prefixes.  Returns the number of segments created.
+    Best-effort throughout -- a trace that fails to publish simply
+    stays on the private layers (and a genuinely broken trace reports
+    its real error from the worker that simulates it, not from here).
     """
     if not traces.shm_enabled():
         return 0
-    traces.SharedChunkPool.scavenge()
+    if published is None:
+        published = {}
     store = traces.get_store()
-    wanted: dict[str, tuple[traces.TraceSpec, int]] = {}
+    created = 0
     for job in jobs:
         try:
             factories = job.mix.trace_factories(job.seed)
@@ -277,63 +265,64 @@ def publish_traces(jobs: list[SimJob]) -> int:
             if not isinstance(spec, traces.TraceSpec):
                 continue
             key = store.key_of(spec)
-            prev = wanted.get(key)
-            if prev is None or prev[1] < job.instructions:
-                wanted[key] = (spec, job.instructions)
-    created = 0
-    for spec, instructions in wanted.values():
-        try:
-            created += store.publish_prefix(spec, instructions)
-        except Exception:
-            continue
+            if published.get(key, -1) >= job.instructions:
+                continue
+            try:
+                created += store.publish_prefix(spec, job.instructions)
+            except Exception:
+                continue
+            if len(published) >= 4096:
+                published.clear()
+            published[key] = job.instructions
     return created
 
 
-def _run_pooled(jobs: list[SimJob], workers: int) -> list[SimOutcome]:
-    """Execute ``jobs`` over worker processes, surviving crashes.
+def _run_on_workers(
+    pending: list[tuple[str, SimJob]], workers: int, use_cache: bool
+) -> dict[str, SimOutcome]:
+    """Run ``pending`` on a :class:`~repro.service.workers.WorkerPool`
+    of ``workers`` processes, the daemon's executor, in this process.
 
-    ``pool.map`` yields outcomes in submission order, so when a worker
-    dies mid-sweep (``BrokenProcessPool``) everything already yielded
-    is kept and only the unfinished suffix is resubmitted to a fresh
-    pool.  After :data:`MAX_POOL_FAILURES` pool losses the leftovers
-    run inline: forward progress is guaranteed even on a host that
-    keeps OOM-killing workers.
+    Returns the outcomes of the entries the pool finished (already
+    recorded); an entry it failed is missing, for the caller to run
+    inline.  The workers are stopped before this returns or raises.
     """
     global POOL_FAILURES, JOBS_RETRIED
-    outcomes: list[SimOutcome] = []
-    remaining = list(jobs)
-    failures = 0
-    while remaining:
-        if workers <= 1 or failures >= MAX_POOL_FAILURES:
-            outcomes.extend(execute_job(job) for job in remaining)
-            break
-        # Batch jobs per worker dispatch: submitting one job at a
-        # time pays a pickle round-trip per job, which dominates on
-        # large sweeps of short simulations.  ``map`` keeps result
-        # order aligned with ``remaining`` regardless of chunksize.
-        chunksize = max(1, len(remaining) // (workers * 4))
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(remaining)), initializer=worker_init
+    # Imported here: setup and inline sweeps never pay for them.
+    import asyncio
+
+    from repro.service import protocol
+    from repro.service.jobqueue import JobQueue
+    from repro.service.workers import WorkerPool
+
+    pool = WorkerPool(workers)
+
+    async def drive() -> list:
+        queue = JobQueue(
+            maxsize=None,
+            on_done=lambda entry, outcome: record_outcome(
+                entry.key, outcome, use_cache=use_cache
+            ),
         )
-        done: list[SimOutcome] = []
+        entries = [queue.submit(job)[0] for _, job in pending]
         try:
-            for outcome in pool.map(execute_job, remaining, chunksize=chunksize):
-                done.append(outcome)
-        except BrokenProcessPool:
-            failures += 1
-            POOL_FAILURES += 1
-            outcomes.extend(done)
-            remaining = remaining[len(done):]
-            JOBS_RETRIED += len(remaining)
-            pool.shutdown(wait=False, cancel_futures=True)
-            continue
-        except KeyboardInterrupt:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        outcomes.extend(done)
-        remaining = []
-        pool.shutdown(wait=True)
-    return outcomes
+            await pool.start(queue)
+            await asyncio.wait([entry.future for entry in entries])
+        finally:
+            queue.close()
+            await pool.stop()
+        return entries
+
+    try:
+        entries = asyncio.run(drive())
+    finally:
+        POOL_FAILURES += pool.restarts
+        JOBS_RETRIED += pool.retries
+    return {
+        entry.key: entry.future.result()
+        for entry in entries
+        if entry.state == protocol.DONE
+    }
 
 
 def _run_federated(
@@ -402,10 +391,11 @@ def run_jobs(
             workers = default_workers()
         workers = min(workers, len(pending))
         if workers > 1:
-            publish_traces([job for _, job in pending])
-        fresh = _run_pooled([job for _, job in pending], workers)
-        for (key, _), outcome in zip(pending, fresh):
-            record_outcome(key, outcome, use_cache=use_cache)
-            outcomes[key] = outcome
+            outcomes.update(_run_on_workers(pending, workers, use_cache))
+        for key, job in pending:
+            if key not in outcomes:
+                outcome = execute_job(job)
+                record_outcome(key, outcome, use_cache=use_cache)
+                outcomes[key] = outcome
 
     return [outcomes[key] for key in keys]

@@ -31,9 +31,9 @@ Responses mirror the request ids: ``submitted``, ``status``,
 
 Simulation jobs and outcomes are Python object graphs (dataclasses
 holding arrays and nested results), so they cross the JSON boundary
-as base64-encoded pickles -- exactly the bytes a
-``ProcessPoolExecutor`` worker would exchange, which is what keeps
-daemon results bitwise-identical to the batch harness.  The daemon
+as base64-encoded pickles -- exactly the bytes a worker exchanges
+over its pipe, which is what keeps daemon results bitwise-identical
+to the batch harness.  The daemon
 listens on a local Unix socket (or a loopback TCP port the operator
 explicitly opted into), so the pickle channel has the same trust
 boundary as the worker pool itself.

@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import traces
 from repro.harness import parallel, results_cache
 from repro.harness.parallel import SimJob, default_workers
 from repro.service import protocol
@@ -539,6 +540,10 @@ class ExperimentDaemon:
         self.queue.close(reason)
         await self.pool.stop()
         self.queue.fail_running(reason)
+        # Workers are gone; release the shared-memory fabric: unlink
+        # every segment this process published (even if the flag was
+        # flipped off while the daemon ran) and close idle mappings.
+        traces.get_pool().close(unlink=True)
         with contextlib.suppress(OSError):
             self.config.socket_path.unlink()
 

@@ -1,25 +1,28 @@
 """Supervised persistent simulation workers.
 
-The batch harness tears its ``ProcessPoolExecutor`` down after every
-sweep; the daemon instead keeps a fixed set of worker *processes*
-resident, so each worker's in-process trace-chunk LRU and imported
-modules stay warm across requests from every client.
+The one worker pool: the daemon keeps a fixed set of worker
+*processes* resident, so each worker's in-process trace-chunk LRU and
+imported modules stay warm across requests from every client, and
+``run_jobs`` drives the same pool in process for the length of one
+sweep.
 
 Each worker is one forked process running :func:`_worker_main`: a
 loop that receives a pickled :class:`~repro.harness.parallel.SimJob`
 over a duplex pipe, runs the exact
-:func:`~repro.harness.parallel.execute_job` code path the batch
-harness and a serial ``run_mix`` use, and sends the outcome back
-(with its trace-store counters piggybacked for daemon telemetry).
+:func:`~repro.harness.parallel.execute_job` code path that
+``run_jobs`` runs inline and a serial ``run_mix`` uses, and sends the
+outcome back (with its trace-store counters piggybacked for daemon
+telemetry).
 
 Supervision lives in :class:`WorkerPool`, the daemon's local
 execution backend (the gateway's is
 :class:`~repro.federation.gateway.NodePool`): one asyncio task per
-worker slot pulls entries off the server's
+worker slot pulls entries off a
 :class:`~repro.service.jobqueue.JobQueue`, publishes the job's traces
-to the shared-memory fabric (``REPRO_TRACE_SHM``), and drives its
-worker through a thread (pipe reads block).  Failure is contained per
-job:
+to the shared-memory fabric (``REPRO_TRACE_SHM``, through
+:func:`~repro.harness.parallel.publish_traces`), and drives its
+worker through a thread of the pool's own executor, one per slot
+(pipe reads block).  Failure is contained per job:
 
 - a worker that *crashes* (SIGKILL, OOM, segfault) quarantines only
   itself -- the supervisor respawns the process and re-queues the
@@ -37,8 +40,10 @@ import asyncio
 import multiprocessing
 import signal
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro import traces
+from repro.harness import parallel
 from repro.harness.parallel import execute_job
 from repro.service.jobqueue import QueueClosed
 from repro.telemetry import Distribution, StatGroup
@@ -54,9 +59,8 @@ class JobTimeout(Exception):
 
 def _worker_main(conn) -> None:
     """Worker-process loop: jobs in, outcomes out, until ``stop``."""
-    # The parent owns interrupt handling (same contract as the batch
-    # pool's initializer): a terminal Ctrl-C must not spray worker
-    # tracebacks.
+    # The parent owns interrupt handling: a terminal Ctrl-C lands on
+    # the whole process group and must not spray worker tracebacks.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (OSError, ValueError):
@@ -177,11 +181,18 @@ class WorkerPool:
         self._slots: dict[int, WorkerProcess | None] = {}
         self._tasks: list[asyncio.Task] = []
         self._stopping = False
-        # Shared-memory trace fabric (REPRO_TRACE_SHM): the pool is the
-        # publishing owner; its resident workers only ever attach.
-        # The lock serialises publish work (the store and segment pool
-        # are not thread-safe); the memo keeps resubmitted mixes from
-        # re-walking their chunk prefixes.
+        # Every slot blocks one thread for the whole of each job, so
+        # the slots get threads of their own: the loop's default
+        # executor (min(32, cpu + 4) threads) would cap how many jobs
+        # run at once.
+        self._runner = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="worker-slot"
+        )
+        # Shared-memory trace fabric (REPRO_TRACE_SHM): the pool's
+        # process is the publishing owner; its workers only ever
+        # attach.  The lock serialises publish work (the store and
+        # segment pool are not thread-safe); the memo keeps
+        # resubmitted mixes from re-walking their chunk prefixes.
         self._publish_lock = asyncio.Lock()
         self._published_traces: dict[str, int] = {}
         # Telemetry (pulled by the daemon's service stats group).
@@ -262,27 +273,11 @@ class WorkerPool:
             return
         loop = asyncio.get_running_loop()
         async with self._publish_lock:
-            await loop.run_in_executor(None, self._publish_job_traces_sync, job)
-
-    def _publish_job_traces_sync(self, job) -> None:
-        store = traces.get_store()
-        try:
-            factories = job.mix.trace_factories(job.seed)
-        except Exception:
-            return
-        for spec in factories:
-            if not isinstance(spec, traces.TraceSpec):
-                continue
-            key = store.key_of(spec)
-            if self._published_traces.get(key, -1) >= job.instructions:
-                continue
-            try:
-                store.publish_prefix(spec, job.instructions)
-            except Exception:
-                continue
-            if len(self._published_traces) >= 4096:
-                self._published_traces.clear()
-            self._published_traces[key] = job.instructions
+            # Through the module attribute, so a wrapper installed on
+            # ``parallel.publish_traces`` sees every publish.
+            await loop.run_in_executor(
+                None, parallel.publish_traces, [job], self._published_traces
+            )
 
     async def _supervise(self, slot: int) -> None:
         loop = asyncio.get_running_loop()
@@ -296,7 +291,7 @@ class WorkerPool:
             try:
                 await self._publish_job_traces(entry.job)
                 outcome = await loop.run_in_executor(
-                    None, worker.run, entry.job, self.job_timeout
+                    self._runner, worker.run, entry.job, self.job_timeout
                 )
             except (WorkerCrashed, JobTimeout) as exc:
                 if isinstance(exc, JobTimeout):
@@ -330,23 +325,22 @@ class WorkerPool:
                 self.queue.mark_done(entry, outcome)
 
     async def stop(self) -> None:
-        """Stop supervising (the server has closed the queue), stop
-        the workers, then release the shared-memory fabric."""
+        """Stop supervising (the queue is closed), then stop the
+        workers.  The shared-memory fabric outlives the pool: its
+        owner process releases it (the daemon does so at shutdown)."""
         self._stopping = True
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         loop = asyncio.get_running_loop()
-        for slot, worker in self._slots.items():
-            if worker is not None:
-                await loop.run_in_executor(None, worker.stop)
-                self._slots[slot] = None
-        if traces.shm_enabled() or self._published_traces:
-            # Workers are gone; release the fabric.  Unlinks every
-            # segment this pool published and closes idle mappings
-            # (segments other owners published stay untouched).  Also
-            # checked against the publish memo, not just the env flag:
-            # segments published earlier must be unlinked even if the
-            # flag was flipped off while the daemon ran.
-            traces.get_pool().close(unlink=True)
-            self._published_traces.clear()
+        # All at once: a busy worker reads ``stop`` only after its job,
+        # so each one may wait out its whole grace period.
+        await asyncio.gather(*(
+            loop.run_in_executor(None, worker.stop)
+            for worker in self._slots.values()
+            if worker is not None
+        ))
+        self._slots = dict.fromkeys(self._slots)
+        # A slot thread still inside ``run`` returns once its worker
+        # is gone.
+        self._runner.shutdown(wait=False)

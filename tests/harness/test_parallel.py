@@ -177,19 +177,18 @@ def test_default_workers_rejects_bad_env(monkeypatch, value):
 
 
 def test_pool_chunksize_preserves_job_order(cache_dir):
-    """``run_jobs`` batches pool dispatches when jobs outnumber
-    workers 4:1 (computed chunksize > 1); ``pool.map`` must still
-    return outcomes in job order."""
+    """Jobs that outnumber the workers 9:1 finish in whatever order
+    the slots free up; ``run_jobs`` must still return outcomes in job
+    order."""
     config = small_system()
     mixes = [make_mix(cls, 1) for cls in ("sftn", "ttnn", "stnn")]
-    # 18 distinct pending jobs over 2 workers -> chunksize 2.
+    # 18 distinct pending jobs over 2 workers.
     jobs = [
         SimJob(mix, scheme, config, 2_000, seed=seed)
         for seed in (1, 2, 3)
         for scheme in SCHEMES
         for mix in mixes
     ]
-    assert max(1, len(jobs) // (2 * 4)) > 1
     pooled = run_jobs(jobs, workers=2, use_cache=False)
     for job, outcome in zip(jobs, pooled):
         serial = run_mix(
@@ -199,7 +198,7 @@ def test_pool_chunksize_preserves_job_order(cache_dir):
 
 
 def test_worker_pool_used_when_requested(cache_dir):
-    """Multi-worker path (ProcessPoolExecutor) agrees with inline."""
+    """Multi-worker path (the worker pool) agrees with inline."""
     if os.cpu_count() is None:
         pytest.skip("cpu_count unavailable")
     jobs = _jobs()[:2]
@@ -211,19 +210,29 @@ def test_worker_pool_used_when_requested(cache_dir):
 
 # -- crash robustness and dedupe ordering (service-era satellites) -----
 
+import multiprocessing
 import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
-from concurrent.futures.process import BrokenProcessPool
-
 _CRASH_SEED = 9999
+
+
+def _serial_result(job):
+    return run_mix(
+        job.mix, job.scheme, job.config, job.instructions, seed=job.seed
+    ).result
 
 
 def _crashy_execute(job):
     """First execution of the poisoned job SIGKILLs its worker.
 
     A flag file (inherited through the environment by forked pool
-    workers) makes the crash happen exactly once, so the retry pass
+    workers) makes the crash happen exactly once, so the retry
     completes normally.
     """
     flag = os.environ.get("REPRO_TEST_CRASH_FLAG")
@@ -232,21 +241,22 @@ def _crashy_execute(job):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
     # The module-level name was bound at import, before the test
-    # monkeypatched ``parallel.execute_job``: it is the original.
+    # monkeypatched ``workers.execute_job``: it is the original.
     return execute_job(job)
 
 
 def test_worker_crash_resubmits_unfinished_jobs(
     cache_dir, monkeypatch, tmp_path
 ):
-    """A worker dying mid-sweep loses only unfinished jobs: the sweep
-    retries them on a fresh pool and every outcome is still identical
-    to a serial run."""
+    """A worker dying mid-sweep loses only its own job: the pool
+    respawns the worker, retries the job, and every outcome is still
+    identical to a serial run."""
     from repro.harness import parallel
+    from repro.service import workers
 
     flag = tmp_path / "crashed-once"
     monkeypatch.setenv("REPRO_TEST_CRASH_FLAG", str(flag))
-    monkeypatch.setattr(parallel, "execute_job", _crashy_execute)
+    monkeypatch.setattr(workers, "execute_job", _crashy_execute)
     config = small_system()
     mix = make_mix("sftn", 1)
     jobs = [
@@ -258,39 +268,109 @@ def test_worker_crash_resubmits_unfinished_jobs(
     outcomes = run_jobs(jobs, workers=2, use_cache=False)
     assert flag.exists()  # the crash really happened
     assert parallel.POOL_FAILURES == failures_before + 1
-    assert parallel.JOBS_RETRIED > retried_before
+    assert parallel.JOBS_RETRIED == retried_before + 1
     for job, outcome in zip(jobs, outcomes):
-        serial = run_mix(
-            job.mix, job.scheme, job.config, job.instructions, seed=job.seed
-        ).result
-        assert outcome.result == serial
+        assert outcome.result == _serial_result(job)
 
 
 def test_inline_fallback_after_repeated_pool_failures(cache_dir, monkeypatch):
-    """A host that keeps killing pools still finishes the sweep: after
-    MAX_POOL_FAILURES losses the leftovers run inline."""
+    """A host that keeps killing workers still finishes the sweep: a
+    job whose worker always dies is given up by the pool after its
+    retries and runs inline in the caller."""
     from repro.harness import parallel
+    from repro.service import workers
 
-    class AlwaysBrokenPool:
-        def __init__(self, max_workers=None, initializer=None):
-            pass
+    caller = os.getpid()
 
-        def map(self, fn, iterable, chunksize=1):
-            raise BrokenProcessPool("synthetic pool loss")
+    def always_dies(job):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return execute_job(job)
 
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", AlwaysBrokenPool)
+    monkeypatch.setattr(workers, "execute_job", always_dies)
     jobs = _jobs()[:2]
     failures_before = parallel.POOL_FAILURES
     outcomes = run_jobs(jobs, workers=2, use_cache=False)
-    assert parallel.POOL_FAILURES == failures_before + parallel.MAX_POOL_FAILURES
+    assert parallel.POOL_FAILURES >= failures_before + len(jobs)
     for job, outcome in zip(jobs, outcomes):
-        serial = run_mix(
-            job.mix, job.scheme, job.config, job.instructions, seed=job.seed
-        ).result
-        assert outcome.result == serial
+        assert outcome.result == _serial_result(job)
+
+
+def test_raising_job_surfaces_its_own_exception(cache_dir):
+    """A job that raises in a pool worker reaches the caller as its
+    own exception type, not the pool's error string, and the pool's
+    workers are gone by then."""
+    before = set(multiprocessing.active_children())
+    good = _jobs()[0]
+    bad = dataclasses.replace(good, instructions=0)
+    with pytest.raises(ValueError, match="instructions_per_core"):
+        run_jobs([good, bad], workers=2, use_cache=False)
+    assert set(multiprocessing.active_children()) <= before
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_sigint_during_pooled_run_jobs_stops_every_worker(tmp_path):
+    """Ctrl-C on a two-worker sweep: the caller dies of
+    ``KeyboardInterrupt`` and takes its workers with it."""
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    code = textwrap.dedent(
+        f"""
+        import os, time
+        from repro.harness import SimJob, parallel, run_jobs
+        from repro.service import workers
+        from repro.sim import small_system
+        from repro.workloads import make_mix
+
+        def stall(job):
+            open(os.path.join({str(pids)!r}, str(os.getpid())), "w").close()
+            time.sleep(600)
+
+        # Every job stalls, wherever it runs.
+        parallel.execute_job = workers.execute_job = stall
+        jobs = [
+            SimJob(make_mix("sftn", 1), "lru-sa16", small_system(), 2_000, seed=s)
+            for s in (1, 2)
+        ]
+        run_jobs(jobs, workers=2, use_cache=False)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        stderr=subprocess.PIPE,
+        env=env,
+        start_new_session=True,  # its own group, as a terminal's job
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(pids.iterdir())) < 2:
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "workers never started"
+            time.sleep(0.05)
+        worker_pids = [int(p.name) for p in pids.iterdir()]
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode != 0
+    assert "KeyboardInterrupt" in err.decode()
+    assert not [pid for pid in worker_pids if _alive(pid)]
 
 
 def test_uncached_dedupe_preserves_submission_order(cache_dir, monkeypatch):
@@ -353,14 +433,19 @@ def test_corrupt_cache_entry_is_dropped_and_counted(cache_dir):
     assert results_cache.load(key).result == serial
 
 
-def test_worker_init_ignores_sigint():
-    """Pool workers must leave SIGINT to the parent (no traceback
-    spray on Ctrl-C)."""
-    from repro.harness import parallel
+def test_worker_ignores_sigint():
+    """Pool workers leave SIGINT to the parent (no traceback spray on
+    Ctrl-C): a live worker survives one and still answers a job."""
+    from repro.service.workers import WorkerProcess
 
-    previous = signal.getsignal(signal.SIGINT)
+    job = _jobs()[0]
+    worker = WorkerProcess()
     try:
-        parallel.worker_init()
-        assert signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+        # A first job proves the worker is inside its loop, past the
+        # point where it ignores SIGINT.
+        first = worker.run(job, timeout=120)
+        os.kill(worker.pid, signal.SIGINT)
+        again = worker.run(job, timeout=120)
     finally:
-        signal.signal(signal.SIGINT, previous)
+        worker.stop()
+    assert first.result == again.result == _serial_result(job)
