@@ -240,14 +240,14 @@ def _service_client(args):
 def _cmd_serve(args) -> int:
     from pathlib import Path
 
+    from repro.harness import default_workers
     from repro.service import ServiceConfig, serve
-    from repro.service.protocol import default_socket
+    from repro.service.protocol import default_socket, tcp_addr
 
-    tcp = _tcp_arg(args.tcp)
     config = ServiceConfig(
         socket_path=Path(args.socket) if args.socket else default_socket(),
-        tcp=tcp,
-        workers=args.workers,
+        tcp=_tcp_arg(args.tcp) or tcp_addr(),
+        workers=args.workers or default_workers(),
         queue_size=args.queue_size,
         job_timeout=args.job_timeout,
         max_retries=args.max_retries,

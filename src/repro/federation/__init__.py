@@ -24,7 +24,6 @@ including across a mid-sweep node kill).
 """
 
 from repro.federation.client import (
-    ENV_GATEWAY,
     FederatedClient,
     resolve_gateway,
 )
@@ -39,7 +38,6 @@ from repro.federation.gateway import (
 from repro.federation.ring import HashRing, Membership, NodeInfo
 
 __all__ = [
-    "ENV_GATEWAY",
     "FederatedClient",
     "FederationGateway",
     "GatewayConfig",

@@ -17,13 +17,11 @@ socket path; anything else must parse as ``host:port`` / ``[v6]:port``.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
+from repro import options
 from repro.federation.gateway import default_gateway_socket, parse_node
 from repro.service.client import ServiceClient
-
-ENV_GATEWAY = "REPRO_FED_GATEWAY"
 
 
 def resolve_gateway(
@@ -31,11 +29,9 @@ def resolve_gateway(
 ) -> tuple[Path | None, tuple[str, int] | None]:
     """Resolve a gateway spec to ``(socket_path, tcp)`` -- exactly one
     of the pair is non-None."""
-    if spec is None:
-        spec = os.environ.get(ENV_GATEWAY) or None
-    if spec is None:
+    addr = options.get("REPRO_FED_GATEWAY") if spec is None else parse_node(str(spec))
+    if addr is None:
         return default_gateway_socket(), None
-    addr = parse_node(str(spec))
     if isinstance(addr, Path):
         return addr, None
     return None, addr

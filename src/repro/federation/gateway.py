@@ -45,6 +45,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import options
 from repro.federation.ring import ALIVE, Membership, NodeInfo
 from repro.service import protocol
 from repro.service.jobqueue import QueueClosed
@@ -57,21 +58,20 @@ CONNECT_TIMEOUT = 10.0
 
 def default_gateway_socket() -> Path:
     """``REPRO_GATEWAY_SOCKET`` or ``results/gateway.sock``."""
-    override = os.environ.get("REPRO_GATEWAY_SOCKET")
-    if override:
-        return Path(override)
-    return Path("results") / "gateway.sock"
+    return options.get("REPRO_GATEWAY_SOCKET")
 
 
-def parse_node(spec: str) -> tuple[str, int] | Path:
+def parse_node(
+    spec: str, what: str = "federation node address"
+) -> tuple[str, int] | Path:
     """A node address spec: ``host:port`` / ``[v6]:port`` or a Unix
     socket path (anything with a path separator or no colon)."""
     text = spec.strip()
     if not text:
-        raise protocol.ProtocolError("empty federation node address")
+        raise protocol.ProtocolError(f"empty {what}")
     if "/" in text or os.sep in text or ":" not in text:
         return Path(text)
-    return protocol.parse_addr(text, what="federation node address")
+    return protocol.parse_addr(text, what=what)
 
 
 class NodeUnavailable(Exception):

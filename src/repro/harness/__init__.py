@@ -2,11 +2,7 @@
 
 from repro.harness.classify import classify_app, classify_curve, mpki_curve
 from repro.harness.env import (
-    PAPER_EPOCH_CYCLES,
-    PAPER_INSTRUCTIONS,
-    PAPER_MIXES_PER_CLASS,
     class_stride,
-    env_int,
     epoch_cycles,
     instructions_per_app,
     mixes_per_class,
@@ -23,9 +19,6 @@ from repro.harness.tables import (
 
 __all__ = [
     "MixRun",
-    "PAPER_EPOCH_CYCLES",
-    "PAPER_INSTRUCTIONS",
-    "PAPER_MIXES_PER_CLASS",
     "SimJob",
     "SimOutcome",
     "build_array",
@@ -37,7 +30,6 @@ __all__ = [
     "default_vantage_config",
     "default_workers",
     "distribution_row",
-    "env_int",
     "epoch_cycles",
     "format_curve_table",
     "format_distribution_table",

@@ -27,23 +27,9 @@ runs inline in this process, so a sweep on a host that keeps killing
 workers still finishes, and a job that raises surfaces its own
 exception.
 
-Environment knobs:
-
-- ``REPRO_WORKERS``: worker process count (default: CPU count).
-- ``REPRO_TRACE_CACHE``: directory for the on-disk trace-chunk store
-  (see :mod:`repro.traces`); with it set, workers share compiled
-  address streams across jobs instead of each regenerating them.
-- ``REPRO_TRACE_SHM``: ``1`` adds a publish step before each job is
-  dispatched -- the parent compiles-or-loads each distinct trace once
-  into shared-memory segments and workers attach zero-copy instead of
-  compiling privately (see :mod:`repro.traces.shm`).
-- ``REPRO_FED_GATEWAY``: an address (``host:port`` or a Unix socket
-  path) routes the fan-out through a federation gateway
-  (:mod:`repro.federation`) instead of a local worker pool -- the
-  gateway consistent-hash spreads the jobs over its daemon fleet.  An
-  unreachable gateway (or a partially failed batch) falls back to the
-  local pool for whatever is still missing, so a sweep never fails
-  just because the fleet did.
+Knobs: ``REPRO_WORKERS``, ``REPRO_TRACE_CACHE``, ``REPRO_TRACE_SHM``
+and ``REPRO_FED_GATEWAY`` (see :mod:`repro.options`); a gateway that
+fails some jobs leaves them to the local pool.
 """
 
 from __future__ import annotations
@@ -52,11 +38,10 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro import traces
+from repro import options, traces
 from repro.analysis.stats import SizeTimeSeries
 from repro.core import VantageConfig
 from repro.harness import results_cache
-from repro.harness.env import env_int
 from repro.sim import SystemConfig, SystemResult
 from repro.telemetry import Distribution
 from repro.workloads import Mix
@@ -88,26 +73,13 @@ def register_stats(group) -> None:
         JOB_WALL_TIME.value,
         "per-job wall time distribution, seconds",
     )
-    group.stat(
-        "pool_failures",
-        lambda: POOL_FAILURES,
-        "pool workers respawned after a crash",
-    )
-    group.stat(
-        "jobs_retried",
-        lambda: JOBS_RETRIED,
-        "jobs re-queued after their worker died",
-    )
-    group.stat(
-        "fed_jobs",
-        lambda: FED_JOBS,
-        "jobs satisfied through the federation gateway",
-    )
-    group.stat(
-        "fed_fallbacks",
-        lambda: FED_FALLBACKS,
-        "jobs run locally after the gateway failed them",
-    )
+    for name, desc in (
+        ("pool_failures", "pool workers respawned after a crash"),
+        ("jobs_retried", "jobs re-queued after their worker died"),
+        ("fed_jobs", "jobs satisfied through the federation gateway"),
+        ("fed_fallbacks", "jobs run locally after the gateway failed them"),
+    ):
+        group.stat(name, lambda name=name: globals()[name.upper()], desc)
     results_cache.register_stats(
         group.group("results_cache", "on-disk result cache")
     )
@@ -161,14 +133,8 @@ class SimOutcome:
 
 
 def default_workers() -> int:
-    """``REPRO_WORKERS``, validated (an integer >= 1); unset or empty
-    means the CPU count."""
-    if not os.environ.get("REPRO_WORKERS"):
-        return os.cpu_count() or 1
-    workers = env_int("REPRO_WORKERS", 1)
-    if workers < 1:
-        raise ValueError(f"REPRO_WORKERS must be >= 1, got {workers}")
-    return workers
+    """``REPRO_WORKERS``; unset or empty means the CPU count."""
+    return options.get("REPRO_WORKERS") or os.cpu_count() or 1
 
 
 def execute_job(job: SimJob) -> SimOutcome:
@@ -336,9 +302,7 @@ def _run_federated(
     dependency.
     """
     global FED_JOBS, FED_FALLBACKS
-    # Imported lazily: repro.federation itself imports SimJob from
-    # this module, and the gateway address is only consulted when the
-    # REPRO_FED_GATEWAY knob is actually set.
+    # Imported lazily: repro.federation imports SimJob from this module.
     from repro.federation import FederatedClient
     from repro.service.client import ServiceError
 
@@ -374,7 +338,7 @@ def run_jobs(
     """
     keys, outcomes, pending = plan_jobs(jobs, use_cache=use_cache)
 
-    if pending and os.environ.get("REPRO_FED_GATEWAY"):
+    if pending and options.get("REPRO_FED_GATEWAY") is not None:
         federated = _run_federated(pending)
         for key, outcome in federated.items():
             # Persist locally so a later sweep in this process is a

@@ -15,10 +15,8 @@ cached results automatically; bump ``CACHE_VERSION`` for behavioural
 changes the fingerprint cannot see (e.g. edits to the simulation loop
 itself).
 
-Environment knobs:
-
-- ``REPRO_CACHE_DIR``: cache directory (default ``results/cache``).
-- ``REPRO_RESULTS_CACHE=0``: disable reads and writes entirely.
+Knobs ``REPRO_CACHE_DIR`` and ``REPRO_RESULTS_CACHE``: see
+:mod:`repro.options`.
 """
 
 from __future__ import annotations
@@ -31,10 +29,11 @@ import pickle
 import tempfile
 from pathlib import Path
 
-#: Bump when simulation behaviour changes (results would differ).
-CACHE_VERSION = 2
+from repro import options
 
-_DEFAULT_DIR = Path("results") / "cache"
+#: Bump when simulation behaviour changes (results would differ);
+#: ``tests/harness/test_cache_version.py`` pins it to the goldens.
+CACHE_VERSION = 2
 
 #: Process-wide telemetry counters (read by the harness stats tree).
 HITS = 0
@@ -66,12 +65,11 @@ def register_stats(group) -> None:
 
 
 def cache_enabled() -> bool:
-    return os.environ.get("REPRO_RESULTS_CACHE", "1") != "0"
+    return options.get("REPRO_RESULTS_CACHE")
 
 
 def cache_dir() -> Path:
-    override = os.environ.get("REPRO_CACHE_DIR")
-    return Path(override) if override else _DEFAULT_DIR
+    return options.get("REPRO_CACHE_DIR")
 
 
 def _canonical(value):

@@ -20,12 +20,12 @@ footprint under any scheme -- the quantity plotted in Figure 8.
 from __future__ import annotations
 
 import heapq
-import os
 from abc import ABC, abstractmethod
 from array import array as _array
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro import options
 from repro.arrays.base import CacheArray, Candidate
 from repro.replacement.base import ReplacementPolicy
 
@@ -56,14 +56,10 @@ SHARED_POLICIES = {
 
 
 def fused_default() -> bool:
-    """Whether runs should use the batch access kernels.
-
-    Read from ``REPRO_FUSED`` ("0" disables) when a
-    :class:`~repro.sim.system.CMPSystem` is built; the object-oriented
-    ``access`` methods stay the fallback and the oracle the batch
-    kernels are pinned against.
-    """
-    return os.environ.get("REPRO_FUSED", "1") != "0"
+    """Whether runs use the batch access kernels (``REPRO_FUSED``, read
+    when a :class:`~repro.sim.system.CMPSystem` is built); the object
+    path's ``access`` methods stay the fallback and the oracle."""
+    return options.get("REPRO_FUSED")
 
 
 #: Registry of batch access-body builders, keyed by concrete cache

@@ -43,9 +43,10 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import pickle
 from pathlib import Path
+
+from repro import options
 
 #: Bump on any incompatible message-shape change.  A daemon rejects
 #: requests whose ``v`` differs from its own.
@@ -95,10 +96,7 @@ def default_socket() -> Path:
     ``REPRO_SERVICE_SOCKET`` overrides; the fallback sits next to the
     results cache so one checkout's clients and daemon agree.
     """
-    override = os.environ.get("REPRO_SERVICE_SOCKET")
-    if override:
-        return Path(override)
-    return Path("results") / "service.sock"
+    return options.get("REPRO_SERVICE_SOCKET")
 
 
 def parse_addr(raw: str, what: str = "service address") -> tuple[str, int]:
@@ -147,10 +145,7 @@ def parse_addr(raw: str, what: str = "service address") -> tuple[str, int]:
 
 def tcp_addr() -> tuple[str, int] | None:
     """Optional TCP endpoint from ``REPRO_SERVICE_ADDR`` (host:port)."""
-    raw = os.environ.get("REPRO_SERVICE_ADDR")
-    if not raw:
-        return None
-    return parse_addr(raw, what="REPRO_SERVICE_ADDR")
+    return options.get("REPRO_SERVICE_ADDR")
 
 
 def encode(msg: dict) -> bytes:

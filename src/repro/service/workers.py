@@ -100,6 +100,9 @@ class WorkerProcess:
         #: Latest trace-store counters reported by this worker.
         self.trace_counters: dict[str, int] = {}
         self.jobs_done = 0
+        #: A job was sent and its reply not yet read (the worker reads
+        #: ``stop`` only between jobs).
+        self.busy = False
 
     @property
     def pid(self) -> int | None:
@@ -113,6 +116,7 @@ class WorkerProcess:
         caller decides whether to retry and must discard this worker
         after either.
         """
+        self.busy = True
         try:
             self._conn.send(("job", job))
         except (BrokenPipeError, OSError):
@@ -136,6 +140,7 @@ class WorkerProcess:
             msg = self._conn.recv()
         except (EOFError, OSError):
             raise WorkerCrashed(f"worker {self.pid} died mid-reply") from None
+        self.busy = False
         status, payload, counters = msg
         self.trace_counters = counters
         self.jobs_done += 1
@@ -144,7 +149,12 @@ class WorkerProcess:
         return payload
 
     def stop(self, grace: float = 2.0) -> None:
-        """Ask the worker to exit; escalate to SIGKILL after ``grace``."""
+        """Ask an idle worker to exit, escalating to SIGKILL after
+        ``grace``; a busy one would read ``stop`` only after its job, so
+        it is killed at once."""
+        if self.busy:
+            self.kill()
+            return
         try:
             self._conn.send(("stop",))
         except (BrokenPipeError, OSError):
@@ -333,8 +343,6 @@ class WorkerPool:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         loop = asyncio.get_running_loop()
-        # All at once: a busy worker reads ``stop`` only after its job,
-        # so each one may wait out its whole grace period.
         await asyncio.gather(*(
             loop.run_in_executor(None, worker.stop)
             for worker in self._slots.values()

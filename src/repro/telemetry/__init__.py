@@ -11,8 +11,8 @@ Usage pattern (every layer follows it):
 
 Collection of the *optional* hot-loop counters (array walk lengths,
 per-core stall cycles) is gated by :func:`enabled` -- a process-wide
-flag initialised from ``REPRO_TELEMETRY`` (default on) and read once
-at object construction, so disabling costs nothing per event.
+flag (default on, toggled by :func:`set_enabled`) read once at object
+construction, so disabling costs nothing per event.
 ``tests/telemetry/test_overhead.py`` checks that this on/off switch
 leaves results unchanged and that collection stays within its 5 %
 budget on a steady-state Vantage kernel.
@@ -20,12 +20,10 @@ budget on a steady-state Vantage kernel.
 
 from __future__ import annotations
 
-import os
-
 from repro.telemetry.monitor import SampledMonitor
 from repro.telemetry.tree import Distribution, IntervalSeries, Stat, StatGroup
 
-_enabled = os.environ.get("REPRO_TELEMETRY", "1") != "0"
+_enabled = True
 
 
 def enabled() -> bool:

@@ -1,29 +1,16 @@
 """Zero-copy shared-memory trace fabric (``REPRO_TRACE_SHM=1``).
 
-A sweep fans one set of compiled trace chunks out to every worker on
-the host: ``run_jobs`` pool workers, the daemon's resident workers,
-and any concurrent CLI run all replay the same ``(gap, addr)``
-buffers.  Without this module each process keeps a private chunk LRU
-(default 128 MiB) and independently re-compiles or re-deserializes
-identical chunks.  :class:`SharedChunkPool` instead publishes each
-compiled chunk once into a named shared-memory segment, content-keyed
-by the trace store's ``(TraceSpec.key, chunk index)`` scheme, and
-every other process maps the same pages zero-copy
-(``memoryview.cast('q')``) -- bitwise-identical to the private
-``array('q')`` lane, which the parity suite asserts.
+:class:`SharedChunkPool` publishes each compiled trace chunk once into
+a named shared-memory segment, content-keyed like the trace store's
+``(TraceSpec.key, chunk index)``, and every other process on the host
+maps the same pages zero-copy (``memoryview.cast('q')``) instead of
+compiling a private ``array('q')`` copy -- bitwise-identical, which the
+parity suite asserts.  Segments are ``O_EXCL`` files on ``/dev/shm``
+mapped with :mod:`mmap` (not ``multiprocessing.shared_memory``, whose
+resource tracker breaks across a fork tree); without ``/dev/shm`` the
+fabric disables itself.
 
-Segments are plain files on the shared-memory tmpfs (``/dev/shm``),
-created exclusively and mapped with :mod:`mmap` -- deliberately *not*
-``multiprocessing.shared_memory``: its resource tracker keeps one
-deduplicating name set for the whole fork tree, so any worker's
-attach/detach cycle erases the publisher's registration and the
-tracker then crashes (and double-unlinks) at exit.  Here ownership is
-explicit instead: the publishing process unlinks its names at exit,
-and the scavenger reclaims anything a crashed owner left behind.  On
-platforms without ``/dev/shm`` the fabric quietly disables itself and
-every consumer falls back to the private layers.
-
-Segment layout (DESIGN.md section 12)::
+Segment layout::
 
     offset   0: int64 magic      (SEGMENT_MAGIC)
     offset   8: int64 version    (SEGMENT_VERSION)
@@ -34,24 +21,12 @@ Segment layout (DESIGN.md section 12)::
     offset  48: 16 bytes reserved
     offset  64: payload (interleaved gap/addr int64 pairs)
 
-The publisher writes the payload first and the seal word *last*, so a
-reader that observes ``seal == 1`` observes a complete payload; an
-unsealed segment is *torn* (its publisher died mid-copy) and is never
-served.  Publishing is first-creator-wins: a concurrent publisher
-that loses the ``O_EXCL`` create race attaches the winner's segment,
-and if the winner is still mid-publish the loser simply keeps its
-private copy -- sharing is an optimisation, never a correctness
-dependency.
-
-Lifecycle: the process that creates a segment owns it and unlinks it
-at interpreter exit (a pid-guarded ``atexit`` hook, so forked workers
-inheriting the registry never unlink) or explicitly via
-:meth:`SharedChunkPool.close`.  Segments orphaned by a SIGKILLed
-owner are removed by :meth:`SharedChunkPool.scavenge`, which runs
-before every publish phase: any ``repro_trc_*`` segment whose
-publisher pid is dead -- sealed or torn -- is unlinked.  POSIX
-semantics keep already-attached readers safe across an unlink: their
-mappings stay valid; only new attaches miss (and fall back).
+DESIGN.md section 12 covers the rest: seal-last publishing (an
+unsealed segment is torn and never served), first-creator-wins
+races, and ownership -- the creator unlinks at exit (a pid-guarded
+``atexit`` hook) or on :meth:`SharedChunkPool.close`, and
+:meth:`SharedChunkPool.scavenge` reclaims segments of dead publishers
+before every publish phase.
 """
 
 from __future__ import annotations
@@ -63,6 +38,7 @@ import struct
 from collections import OrderedDict
 from pathlib import Path
 
+from repro import options
 from repro.traces.chunks import DEFAULT_CHUNK_PAIRS, chunk_nbytes
 
 #: Prefix of every segment name this module creates (visible under
@@ -92,7 +68,7 @@ _ITEMSIZE = 8
 def shm_enabled() -> bool:
     """Is the shared-memory trace fabric requested? (read per call so
     tests and the harness can flip it without rebuilding stores)."""
-    return os.environ.get("REPRO_TRACE_SHM", "0") == "1"
+    return options.get("REPRO_TRACE_SHM")
 
 
 def segment_name(key: str, index: int) -> str:

@@ -28,20 +28,8 @@ Layers, cheapest first:
 
 Chunks are ``DEFAULT_CHUNK_PAIRS`` pairs; the chunk-count caps
 default to fixed byte budgets, so the chunk size never changes how
-much memory they bound.  Environment knobs (the numeric ones are read
-and validated once, when the store is built):
-
-- ``REPRO_TRACE_CACHE``: on-disk chunk directory (unset: memory only).
-- ``REPRO_TRACE_MEM_CHUNKS``: in-memory LRU capacity in chunks
-  (default: ``MEM_BUDGET_BYTES`` = 128 MiB of chunks).
-- ``REPRO_TRACE_SHM``: ``1`` maps chunks through the shared-memory
-  fabric (attach everywhere; publishing stays with sweep owners).
-- ``REPRO_TRACE_SHM_SLACK``: publish-phase horizon multiplier over the
-  job's instruction target (default 2.0; consumption past the target
-  depends on co-runners, so the prefix is sized with slack and
-  anything beyond it falls back to the layers below).
-- ``REPRO_TRACE_SHM_MAX_CHUNKS``: per-trace publish cap in chunks
-  (default: ``SHM_PUBLISH_BUDGET_BYTES`` = 64 MiB of chunks).
+much memory they bound.  Knobs (``REPRO_TRACE_CACHE``,
+``REPRO_TRACE_SHM``): see :mod:`repro.options`.
 """
 
 from __future__ import annotations
@@ -54,6 +42,7 @@ from array import array
 from collections import OrderedDict
 from pathlib import Path
 
+from repro import options
 from repro.traces.chunks import (
     DEFAULT_CHUNK_PAIRS,
     chunk_instructions,
@@ -82,6 +71,11 @@ MAX_KEY_MEMO = 4096
 MEM_BUDGET_BYTES = 128 << 20
 SHM_PUBLISH_BUDGET_BYTES = 64 << 20
 
+#: Publish-phase horizon over a job's instruction target: consumption
+#: past the target depends on co-runners, so the shared prefix is sized
+#: with slack and anything beyond it falls back to the layers below.
+SHM_SLACK = 2.0
+
 #: Telemetry counters (``TraceStore`` attributes) and their stats-tree
 #: descriptions.
 COUNTERS = {
@@ -99,22 +93,16 @@ COUNTERS = {
 }
 
 
-def _positive(name: str, value, parse=int):
-    """``value`` (an argument or a knob's raw string) through ``parse``,
-    checked positive; anything else raises one error naming ``name``."""
+def _positive(name: str, value) -> int:
+    """``value`` as an int, checked positive; anything else raises one
+    error naming ``name``."""
     try:
-        parsed = parse(value)
+        parsed = int(value)
     except (TypeError, ValueError):
-        parsed = None
-    if parsed is None or not parsed > 0:
-        raise ValueError(f"{name} must be a positive {parse.__name__}, got {value!r}")
+        parsed = 0
+    if parsed < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
     return parsed
-
-
-def _knob(name: str, default, parse=int):
-    """Environment knob ``name``, validated; ``default`` when unset."""
-    raw = os.environ.get(name)
-    return _positive(name, raw, parse) if raw else default
 
 
 class TraceStore:
@@ -126,13 +114,10 @@ class TraceStore:
         self.chunk_pairs = _positive("chunk_pairs", chunk_pairs)
         nbytes = chunk_nbytes(chunk_pairs)
         if max_chunks is None:
-            mem_chunks = max(1, MEM_BUDGET_BYTES // nbytes)
-            self.max_chunks = _knob("REPRO_TRACE_MEM_CHUNKS", mem_chunks)
+            self.max_chunks = max(1, MEM_BUDGET_BYTES // nbytes)
         else:
             self.max_chunks = _positive("max_chunks", max_chunks)
-        self.shm_slack = _knob("REPRO_TRACE_SHM_SLACK", 2.0, float)
-        shm_chunks = max(1, SHM_PUBLISH_BUDGET_BYTES // nbytes)
-        self.shm_max_chunks = _knob("REPRO_TRACE_SHM_MAX_CHUNKS", shm_chunks)
+        self.shm_max_chunks = max(1, SHM_PUBLISH_BUDGET_BYTES // nbytes)
         self._chunks: OrderedDict[tuple[str, int], array] = OrderedDict()
         self._producers: OrderedDict[str, tuple] = OrderedDict()
         self._keys: dict[TraceSpec, str] = {}
@@ -165,14 +150,10 @@ class TraceStore:
 
     @staticmethod
     def disk_dir() -> Path | None:
-        """The on-disk layer's directory, or ``None`` when disabled.
-
-        Read from the environment on every call so tests (and the
-        harness) can repoint or disable the layer without rebuilding
-        stores.
-        """
-        override = os.environ.get("REPRO_TRACE_CACHE")
-        return Path(override) if override else None
+        """The on-disk layer's directory (``REPRO_TRACE_CACHE``), or
+        ``None`` when disabled; read on every call, so tests and the
+        harness can repoint the layer without rebuilding stores."""
+        return options.get("REPRO_TRACE_CACHE")
 
     def _trace_dir(self, key: str) -> Path | None:
         root = self.disk_dir()
@@ -365,7 +346,7 @@ class TraceStore:
         spec: TraceSpec,
         instructions: int,
         *,
-        slack: float | None = None,
+        slack: float = SHM_SLACK,
         max_chunks: int | None = None,
     ) -> int:
         """Publish ``spec``'s chunk prefix into the shared fabric.
@@ -386,8 +367,6 @@ class TraceStore:
         """
         if not shm_enabled():
             return 0
-        if slack is None:
-            slack = self.shm_slack
         if max_chunks is None:
             max_chunks = self.shm_max_chunks
         pool = get_pool()

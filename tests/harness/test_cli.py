@@ -238,6 +238,25 @@ class TestServiceVerbs:
             code_error = "raised"
         assert code_error == "raised"
 
+    def test_serve_reads_the_knobs_its_flags_default_to(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """Without ``--tcp``/``--workers``, ``repro serve`` takes
+        ``REPRO_SERVICE_ADDR`` and ``REPRO_WORKERS`` (it used to pass
+        ``None`` over both and crash building its pool)."""
+        import repro.service
+
+        seen = []
+        monkeypatch.setattr(repro.service, "serve", seen.append)
+        monkeypatch.setenv("REPRO_SERVICE_ADDR", "127.0.0.1:7071")
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert main(["serve", "--socket", str(tmp_path / "s.sock")]) == 0
+        (config,) = seen
+        assert (config.tcp, config.workers) == (("127.0.0.1", 7071), 3)
+        monkeypatch.delenv("REPRO_SERVICE_ADDR")
+        main(["serve", "--socket", str(tmp_path / "s.sock"), "--workers", "2"])
+        assert (seen[1].tcp, seen[1].workers) == (None, 2)
+
 
 class TestAddressValidation:
     def test_bad_tcp_flag_is_one_line_error_exit_1(self, capsys):

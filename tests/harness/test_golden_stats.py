@@ -16,10 +16,13 @@ change cannot quietly shrink it back to cold fill.
 
 Regenerating (after an intentional change)::
 
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
+    REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/harness/test_golden_stats.py
 
-then review the JSON diff like any other code change.
+then review the JSON diff like any other code change, bump
+``CACHE_VERSION`` and re-pin ``tests/harness/test_cache_version.py``.
+The flag has no ``REPRO_`` prefix: that namespace is the knob table of
+:mod:`repro.options`, and any other name set there warns.
 """
 
 from __future__ import annotations
@@ -101,13 +104,13 @@ def _run(scheme: str, steady: bool = False):
 
 
 def _assert_matches_golden(scheme: str, snapshot: dict, path: Path) -> None:
-    if os.environ.get("REPRO_REGEN_GOLDEN") == "1":
+    if os.environ.get("REGEN_GOLDEN") == "1":
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
     golden = json.loads(path.read_text())
     assert snapshot == golden, (
         f"stats tree for {scheme} diverged from {path.name}; if the "
-        f"change is intentional, regenerate with REPRO_REGEN_GOLDEN=1"
+        f"change is intentional, regenerate with REGEN_GOLDEN=1"
     )
 
 

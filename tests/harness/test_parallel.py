@@ -235,7 +235,7 @@ def _crashy_execute(job):
     workers) makes the crash happen exactly once, so the retry
     completes normally.
     """
-    flag = os.environ.get("REPRO_TEST_CRASH_FLAG")
+    flag = os.environ.get("CRASH_ONCE_FLAG")
     if job.seed == _CRASH_SEED and flag and not os.path.exists(flag):
         with open(flag, "w"):
             pass
@@ -255,7 +255,7 @@ def test_worker_crash_resubmits_unfinished_jobs(
     from repro.service import workers
 
     flag = tmp_path / "crashed-once"
-    monkeypatch.setenv("REPRO_TEST_CRASH_FLAG", str(flag))
+    monkeypatch.setenv("CRASH_ONCE_FLAG", str(flag))
     monkeypatch.setattr(workers, "execute_job", _crashy_execute)
     config = small_system()
     mix = make_mix("sftn", 1)

@@ -1,16 +1,17 @@
-"""Tests for the mix runner, env scaling, and table formatting."""
+"""Tests for the mix runner, integer knobs, and table formatting."""
 
 import json
 
 import pytest
 
+from repro import options
 from repro.harness import (
     build_cache,
     build_policy,
     distribution_row,
-    env_int,
     format_curve_table,
     format_distribution_table,
+    instructions_per_app,
     run_mix,
     save_results,
 )
@@ -95,18 +96,22 @@ class TestBuildPolicy:
 
 
 class TestEnv:
+    """An integer knob of :mod:`repro.options` (the scale helpers)."""
+
     def test_env_int_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FOO", raising=False)
-        assert env_int("REPRO_FOO", 7) == 7
+        monkeypatch.delenv("REPRO_INSTRUCTIONS", raising=False)
+        assert options.get("REPRO_INSTRUCTIONS") is None
+        assert instructions_per_app(7) == 7
 
     def test_env_int_parse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FOO", "123")
-        assert env_int("REPRO_FOO", 7) == 123
+        monkeypatch.setenv("REPRO_INSTRUCTIONS", "123")
+        assert options.get("REPRO_INSTRUCTIONS") == 123
+        assert instructions_per_app(7) == 123
 
     def test_env_int_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FOO", "abc")
-        with pytest.raises(ValueError):
-            env_int("REPRO_FOO", 7)
+        monkeypatch.setenv("REPRO_INSTRUCTIONS", "abc")
+        with pytest.raises(ValueError, match="REPRO_INSTRUCTIONS"):
+            instructions_per_app(7)
 
 
 class TestTables:

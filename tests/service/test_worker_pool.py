@@ -52,3 +52,33 @@ def test_slots_beyond_default_executor_run_at_once(monkeypatch):
     elapsed, done = asyncio.run(drive())
     assert sorted(o.seed for o in done) == list(range(slots))
     assert elapsed < 1.8, f"{slots} slots took {elapsed:.2f} s"
+
+
+def _stall_job(job):
+    time.sleep(30)
+
+
+def test_stop_kills_a_busy_worker_at_once(monkeypatch):
+    """A worker reads ``stop`` only between jobs, so stopping the pool
+    mid-job kills it instead of waiting out the grace period."""
+    monkeypatch.setattr(workers, "execute_job", _stall_job)
+    job = SimJob(make_mix("sftn", 1), "lru-sa16", small_system(), 1_000, seed=0)
+
+    async def drive():
+        queue = JobQueue(maxsize=None)
+        pool = WorkerPool(1)
+        await pool.start(queue)
+        worker = pool._slots[0]
+        queue.submit(job)
+        deadline = time.monotonic() + 30
+        while not worker.busy:
+            assert time.monotonic() < deadline, "the job never reached the worker"
+            await asyncio.sleep(0.01)
+        queue.close()
+        start = time.monotonic()
+        await pool.stop()
+        return time.monotonic() - start, worker.proc
+
+    elapsed, proc = asyncio.run(drive())
+    assert elapsed < 1.0, f"stop took {elapsed:.2f} s"
+    assert not proc.is_alive()
