@@ -224,7 +224,7 @@ def hash_column(chunk, hashes, offsets) -> array:
     """The index column of one trace chunk.
 
     ``chunk`` holds flat ``gap, addr`` pairs in any of the trace
-    store's forms (a list, ``array('q')`` or a shared-memory
+    store's forms (a list, ``array('q')`` or a mapped chunk file's
     ``memoryview('q')``).  The result interleaves one entry per hash:
     entry ``i * len(hashes) + w`` is ``hashes[w](addr_i) +
     offsets[w]`` for the chunk's ``i``-th address, so a batch kernel

@@ -155,69 +155,53 @@ def _cmd_schemes(args) -> int:
 
 
 def _cmd_traces(args) -> int:
-    from repro.traces import TraceStore
-    from repro.traces.shm import SharedChunkPool
+    from repro.traces import store
 
-    root = TraceStore.disk_dir()
-    shm_rows = SharedChunkPool.host_segments()
+    disk = store.TraceStore.disk_dir()
+    shm = store.shm_root()
     if args.purge:
-        if root is not None:
-            removed = TraceStore.purge_disk()
-            print(f"purged {removed} trace(s) from {root}")
-        if getattr(args, "force", False):
-            removed = SharedChunkPool.purge_host()
-            print(f"force-removed {removed} shared-memory segment(s)")
-            return 0
-        scavenged = SharedChunkPool.scavenge()
-        live = [
-            row for row in SharedChunkPool.host_segments()
-            if row["publisher_alive"]
-        ]
+        if disk is not None:
+            removed = store.TraceStore.purge_disk()
+            print(f"purged {removed} trace(s) from {disk}")
+        removed = store.scavenge(force=args.force)
+        live = store.list_traces(shm)
         print(
-            f"removed {scavenged} orphaned shared-memory segment(s); "
-            f"{len(live)} segment(s) belong to live publishers"
+            f"removed {removed} shared-memory trace(s) or temp file(s); "
+            f"{len(live)} trace(s) kept for live publishers"
         )
         for row in live:
-            print(f"  kept {row['name']} (publisher pid {row['pid']})")
+            print(f"  kept {row['key'][:10]} (publisher pid {row.get('pid', '?')})")
         return 0
-    if root is None:
+    if disk is None:
         print("REPRO_TRACE_CACHE is not set; the on-disk trace store is off")
     else:
-        rows = TraceStore.list_disk()
-        print(f"trace store at {root}: {len(rows)} trace(s)")
-        if rows:
-            print(
-                f"{'app':14s} {'kind':>12s} {'base':>16s} {'seed':>6s} "
-                f"{'chunks':>7s} {'MiB':>8s} {'key':>10s}"
-            )
-            for row in rows:
-                print(
-                    f"{row.get('name', '?'):14s} {row.get('kind', '?'):>12s} "
-                    f"{row.get('base', 0):>16x} {row.get('seed', 0):>6d} "
-                    f"{row['chunks']:>7d} {row['bytes'] / (1 << 20):>8.1f} "
-                    f"{row['key'][:10]:>10s}"
-                )
-            total = sum(row["bytes"] for row in rows)
-            print(f"total: {total / (1 << 20):.1f} MiB")
-    print(f"shared-memory segments (REPRO_TRACE_SHM): {len(shm_rows)}")
-    if shm_rows:
+        _print_traces(f"trace store at {disk}", store.list_traces(disk))
+    shm_rows = store.list_traces(shm)
+    if shm is not None:
+        _print_traces(f"shared-memory traces at {shm} (REPRO_TRACE_SHM)", shm_rows)
+    return 1 if disk is None and not shm_rows else 0
+
+
+def _print_traces(title: str, rows: list[dict]) -> None:
+    """One ``repro traces --list`` table (publisher columns for rows
+    that record a pid: the ``/dev/shm`` root)."""
+    print(f"{title}: {len(rows)} trace(s)")
+    if not rows:
+        return
+    print(
+        f"{'app':14s} {'kind':>12s} {'base':>16s} {'seed':>6s} "
+        f"{'chunks':>7s} {'MiB':>8s} {'key':>10s} {'pid':>8s} {'alive':>6s}"
+    )
+    for row in rows:
         print(
-            f"{'name':40s} {'MiB':>8s} {'sealed':>7s} {'pid':>8s} "
-            f"{'alive':>6s} {'attached':>9s}"
+            f"{row.get('name', '?'):14s} {row.get('kind', '?'):>12s} "
+            f"{row.get('base', 0):>16x} {row.get('seed', 0):>6d} "
+            f"{row['chunks']:>7d} {row['bytes'] / (1 << 20):>8.1f} "
+            f"{row['key'][:10]:>10s} {row.get('pid', '-'):>8} "
+            f"{str(row.get('alive', '-')):>6s}"
         )
-        for row in shm_rows:
-            attached = row["attached"]
-            print(
-                f"{row['name']:40s} {row['bytes'] / (1 << 20):>8.1f} "
-                f"{str(row['sealed']):>7s} {row['pid']:>8d} "
-                f"{str(row['publisher_alive']):>6s} "
-                f"{'?' if attached is None else attached:>9}"
-            )
-        total = sum(row["bytes"] for row in shm_rows)
-        print(f"total: {total / (1 << 20):.1f} MiB")
-    if root is None and not shm_rows:
-        return 1
-    return 0
+    total = sum(row["bytes"] for row in rows)
+    print(f"total: {total / (1 << 20):.1f} MiB")
 
 
 def _tcp_arg(text: str | None):
@@ -535,26 +519,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "traces",
-        help="inspect or purge the on-disk trace store and the "
-        "shared-memory segments",
+        help="inspect or purge the shared trace-chunk layer: the "
+        "REPRO_TRACE_CACHE directory and the /dev/shm root",
     )
     p.add_argument(
         "--list",
         action="store_true",
-        help="list stored traces and live shared-memory segments "
-        "(the default action)",
+        help="list the traces under REPRO_TRACE_CACHE and under "
+        "/dev/shm/repro_trc, with their publisher (the default action)",
     )
     p.add_argument(
         "--purge",
         action="store_true",
-        help="delete every stored trace chunk and scavenge "
-        "shared-memory segments whose publisher is dead",
+        help="delete every trace under REPRO_TRACE_CACHE and the "
+        "/dev/shm traces and temp files whose publisher is dead",
     )
     p.add_argument(
         "--force",
         action="store_true",
-        help="with --purge: also unlink segments whose publisher is "
-        "still alive (their attached runs fall back to compiling)",
+        help="with --purge: also remove /dev/shm traces whose publisher "
+        "is still alive (its workers keep their mappings and fall back "
+        "to compiling)",
     )
 
     p = sub.add_parser("serve", help="run the resident experiment daemon")

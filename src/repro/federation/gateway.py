@@ -47,6 +47,7 @@ from pathlib import Path
 
 from repro import options
 from repro.federation.ring import ALIVE, Membership, NodeInfo
+from repro.harness import results_cache
 from repro.service import protocol
 from repro.service.jobqueue import QueueClosed
 from repro.service.server import ExperimentDaemon, ServiceConfig
@@ -374,6 +375,14 @@ class FederationGateway(ExperimentDaemon):
             ),
             pool=NodePool(config),
         )
+
+    def _record(self, entry, outcome) -> None:
+        """Persist a forwarded job's outcome without counting it in
+        this process's ``jobs_executed``: the simulation ran on a node
+        (``run_jobs``'s federated path skips ``record_outcome`` the
+        same way)."""
+        if self.config.use_cache:
+            results_cache.store(entry.key, outcome)
 
     def register_stats(self, group: StatGroup) -> None:
         """Register the ``federation`` stats group (PR-2 schema)."""

@@ -19,7 +19,8 @@ one baseline simulation across schemes.
 The building blocks are exported separately because the resident
 daemon (:mod:`repro.service`) reuses them: :func:`plan_jobs` performs
 the dedupe/cache split, :func:`execute_job` is the worker-side entry
-point, :func:`publish_traces` is the shared-memory publish step, and
+point, :func:`publish_traces` writes a job's trace chunks into the
+shared chunk layer (:mod:`repro.traces.store`), and
 :func:`record_outcome` is the telemetry/persistence tail.  ``run_jobs``
 has the pool's failure model (a crashed worker is respawned and its
 job retried) plus one rule of its own: any job the pool gives up on
@@ -127,7 +128,7 @@ class SimOutcome:
     wall_time_s: float | None = field(default=None, compare=False)
     #: Cumulative trace-store counters of the executing process after
     #: this job (``shm_hits`` et al.) -- how sweeps observe that
-    #: workers really attached shared segments.  Excluded from
+    #: workers really mapped shared chunk files.  Excluded from
     #: equality like the other telemetry.
     trace_counters: dict | None = field(default=None, compare=False)
 
@@ -204,14 +205,16 @@ def record_outcome(key: str, outcome: SimOutcome, use_cache: bool = True) -> Non
 def publish_traces(
     jobs: list[SimJob], published: dict[str, int] | None = None
 ) -> int:
-    """Publish every distinct trace in ``jobs`` to the shared fabric.
+    """Publish every distinct trace in ``jobs`` to the shared chunk
+    layer.
 
     The owner half of ``REPRO_TRACE_SHM``: the worker pool calls this
-    for each job before dispatching it, so its workers attach by name
-    instead of compiling one private copy each.  ``published`` maps a
-    trace key to the instruction count already published; traces it
-    covers are skipped, which keeps resubmitted mixes from re-walking
-    their chunk prefixes.  Returns the number of segments created.
+    for each job before dispatching it, so its workers map the chunk
+    files by content key instead of compiling one private copy each.
+    ``published`` maps a trace key to the instruction count already
+    published; traces it covers are skipped, which keeps resubmitted
+    mixes from re-walking their chunk prefixes.  Returns the number of
+    chunk files created.
     Best-effort throughout -- a trace that fails to publish simply
     stays on the private layers (and a genuinely broken trace reports
     its real error from the worker that simulates it, not from here).

@@ -79,8 +79,8 @@ KNOBS: dict[str, Knob] = {
     "REPRO_CLASS_STRIDE": Knob(_int, None, True, "subsample the 35 mix classes"),
     "REPRO_EPOCH_CYCLES": Knob(_int, None, True, "UCP repartitioning period"),
     "REPRO_FUSED": Knob(_flag, True, False, "0: object path, no batch kernels"),
-    "REPRO_TRACE_CACHE": Knob(_path, None, False, "on-disk trace-chunk directory"),
-    "REPRO_TRACE_SHM": Knob(_flag, False, False, "1: shared-memory trace fabric"),
+    "REPRO_TRACE_CACHE": Knob(_path, None, False, "persistent trace-chunk root"),
+    "REPRO_TRACE_SHM": Knob(_flag, False, False, "1: publish chunks to /dev/shm"),
     "REPRO_WORKERS": Knob(_count, None, False, "run_jobs workers (CPU count)"),
     "REPRO_RESULTS_CACHE": Knob(_flag, True, False, "0: no results cache"),
     "REPRO_CACHE_DIR": Knob(_path, _RESULTS / "cache", False, "results-cache dir"),

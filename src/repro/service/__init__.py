@@ -14,7 +14,7 @@ work assumes a shared service arbitrating partitioning studies:
 - :mod:`~repro.service.workers`: the local execution backend --
   supervised persistent worker processes (warm trace store and
   imported modules, per-job timeouts, bounded crash retries,
-  shared-memory trace publishing);
+  trace publishing to the shared chunk layer);
 - :mod:`~repro.service.server`: the one asyncio protocol server,
   shared by the daemon (over the worker pool) and the federation
   gateway (over :class:`~repro.federation.gateway.NodePool`);

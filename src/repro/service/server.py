@@ -27,7 +27,8 @@ coalesces onto an identical queued/running entry, then enqueues.  A
 finished outcome is persisted through
 :func:`~repro.harness.parallel.record_outcome` by the queue's
 ``on_done`` hook before any waiter wakes, so the server and
-``run_jobs`` share one cache.
+``run_jobs`` share one cache (a gateway persists without counting the
+job as executed here: it ran on a node).
 
 Telemetry: :meth:`ExperimentDaemon.register_stats` publishes the
 server's group (``service`` for a daemon: queue depth, in-flight,
@@ -540,10 +541,10 @@ class ExperimentDaemon:
         self.queue.close(reason)
         await self.pool.stop()
         self.queue.fail_running(reason)
-        # Workers are gone; release the shared-memory fabric: unlink
-        # every segment this process published (even if the flag was
-        # flipped off while the daemon ran) and close idle mappings.
-        traces.get_pool().close(unlink=True)
+        # Workers are gone: remove the /dev/shm trace directories this
+        # process created (even if the flag was flipped off while the
+        # daemon ran).
+        traces.release_shared()
         with contextlib.suppress(OSError):
             self.config.socket_path.unlink()
 

@@ -19,8 +19,9 @@ execution backend (the gateway's is
 :class:`~repro.federation.gateway.NodePool`): one asyncio task per
 worker slot pulls entries off a
 :class:`~repro.service.jobqueue.JobQueue`, publishes the job's traces
-to the shared-memory fabric (``REPRO_TRACE_SHM``, through
-:func:`~repro.harness.parallel.publish_traces`), and drives its
+to the shared chunk layer (``REPRO_TRACE_SHM``, through
+:func:`~repro.harness.parallel.publish_traces`; the pool's process
+owns the ``/dev/shm`` files it creates), and drives its
 worker through a thread of the pool's own executor, one per slot
 (pipe reads block).  Failure is contained per job:
 
@@ -198,11 +199,11 @@ class WorkerPool:
         self._runner = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="worker-slot"
         )
-        # Shared-memory trace fabric (REPRO_TRACE_SHM): the pool's
-        # process is the publishing owner; its workers only ever
-        # attach.  The lock serialises publish work (the store and
-        # segment pool are not thread-safe); the memo keeps
-        # resubmitted mixes from re-walking their chunk prefixes.
+        # Shared chunk layer (REPRO_TRACE_SHM): the pool's process is
+        # the publishing owner; its workers only ever map.  The lock
+        # serialises publish work (the store is not thread-safe); the
+        # memo keeps resubmitted mixes from re-walking their chunk
+        # prefixes.
         self._publish_lock = asyncio.Lock()
         self._published_traces: dict[str, int] = {}
         # Telemetry (pulled by the daemon's service stats group).
@@ -217,9 +218,9 @@ class WorkerPool:
         """Spawn the workers and start serving ``queue``."""
         self.queue = queue
         if traces.shm_enabled():
-            # Reclaim segments orphaned by crashed runs before workers
-            # fork; live publishers' segments are never touched.
-            traces.SharedChunkPool.scavenge()
+            # Reclaim chunk files orphaned by crashed runs before
+            # workers fork; live publishers' files are never touched.
+            traces.scavenge()
         loop = asyncio.get_running_loop()
         for slot in range(self.workers):
             self._slots[slot] = await loop.run_in_executor(None, WorkerProcess)
@@ -271,12 +272,12 @@ class WorkerPool:
         return worker
 
     async def _publish_job_traces(self, job) -> None:
-        """Publish ``job``'s traces to the shared fabric before it
-        reaches a worker (no-op unless ``REPRO_TRACE_SHM=1``).
+        """Publish ``job``'s traces to the shared chunk layer before
+        it reaches a worker (no-op unless ``REPRO_TRACE_SHM=1``).
 
         Runs in the default executor so a cold compile never stalls
         the event loop; other clients keep submitting and watching
-        while the fabric warms up.  Best-effort: a failed publish just
+        while the layer warms up.  Best-effort: a failed publish just
         means workers fall back to their private layers.
         """
         if not traces.shm_enabled():
@@ -336,8 +337,8 @@ class WorkerPool:
 
     async def stop(self) -> None:
         """Stop supervising (the queue is closed), then stop the
-        workers.  The shared-memory fabric outlives the pool: its
-        owner process releases it (the daemon does so at shutdown)."""
+        workers.  Published chunk files outlive the pool: its owner
+        process releases them (the daemon does so at shutdown)."""
         self._stopping = True
         for task in self._tasks:
             task.cancel()

@@ -9,20 +9,26 @@ feed ahead of the timing model:
   base, seed) and doubles as a plain trace factory;
 - :func:`~repro.traces.chunks.compile_chunk` flattens a stream into
   ``array('q')`` gap/addr chunk buffers;
-- :class:`TraceStore` caches chunks under content keys, with an
-  in-process LRU, an optional host-wide shared-memory layer
-  (``REPRO_TRACE_SHM=1``, :class:`SharedChunkPool`) and an optional
-  on-disk layer (``REPRO_TRACE_CACHE``), so one compilation feeds
-  every scheme job -- and every worker process -- in a sweep;
+- :class:`TraceStore` caches chunks under content keys, in an
+  in-process LRU above one optional shared layer of chunk files mapped
+  with ``mmap`` (under ``REPRO_TRACE_CACHE``, or on ``/dev/shm`` with
+  ``REPRO_TRACE_SHM=1``), so one compilation feeds every scheme job --
+  and every worker process -- in a sweep;
 - :meth:`repro.sim.system.CMPSystem.run` consumes chunks through an
   index cursor instead of per-event generator calls (plain callable
   factories, which have no chunks, keep the generator feed).
 """
 
 from repro.traces.chunks import DEFAULT_CHUNK_PAIRS, chunk_nbytes, compile_chunk
-from repro.traces.shm import SharedChunkPool, get_pool, reset_pool, shm_enabled
 from repro.traces.spec import TRACE_FORMAT_VERSION, TraceSpec, generator_fingerprint
-from repro.traces.store import TraceStore, get_store, reset_store
+from repro.traces.store import (
+    TraceStore,
+    get_store,
+    release_shared,
+    reset_store,
+    scavenge,
+    shm_enabled,
+)
 
 
 def register_stats(group) -> None:
@@ -33,16 +39,15 @@ def register_stats(group) -> None:
 __all__ = [
     "DEFAULT_CHUNK_PAIRS",
     "TRACE_FORMAT_VERSION",
-    "SharedChunkPool",
     "TraceSpec",
     "TraceStore",
     "chunk_nbytes",
     "compile_chunk",
     "generator_fingerprint",
-    "get_pool",
     "get_store",
     "register_stats",
-    "reset_pool",
+    "release_shared",
     "reset_store",
+    "scavenge",
     "shm_enabled",
 ]

@@ -4,8 +4,8 @@ A chunk is ``array('q')`` of ``2 * chunk_pairs`` items: interleaved
 ``gap, addr, gap, addr, ...`` pairs.  Flat native-int buffers are what
 makes the event loop's chunk cursor cheap (two indexed reads per
 event, no generator frame resume, no tuple allocation) and what makes
-the on-disk layer compact (``tofile``/``fromfile`` round-trips with no
-serialisation framing).
+the shared chunk files compact (the raw buffer bytes, with no
+serialisation framing, mapped straight back as ``memoryview('q')``).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def chunk_instructions(buf) -> int:
 
     Every ``(gap, addr)`` pair is ``gap`` skipped instructions plus
     the access itself, so a chunk covers ``pairs + sum(gaps)``.  The
-    shared-memory publish phase uses this to size the chunk prefix a
+    publish phase uses this to size the chunk prefix a
     job of N instructions will consume; the extended-slice ``sum``
     keeps it at C speed for both ``array('q')`` and memoryview chunks.
     """

@@ -11,7 +11,9 @@ subprocesses, with the acceptance guarantees under test:
   (``dedupe_hits``);
 - ``run_jobs`` with ``REPRO_FED_GATEWAY`` fans a sweep out through the
   gateway, and falls back to the local pool when no gateway answers;
-- the ``federation`` stats group follows the PR-2 tree schema.
+- the ``federation`` stats group follows the PR-2 tree schema, and
+  the gateway never counts a forwarded job as executed in its own
+  ``harness`` counters.
 """
 
 from __future__ import annotations
@@ -98,6 +100,31 @@ class TestFederatedSweep:
         assert "federation.ring.alive" in names
         assert "federation.nodes.node0.queue_depth" in names
         assert "federation.nodes.node1.workers_alive" in names
+
+
+class TestGatewayTelemetry:
+    def test_forwarded_jobs_are_not_counted_as_executed(self, fleet, monkeypatch):
+        """The nodes ran the simulations, so the gateway's harness
+        counters must not: ``jobs_executed`` stays 0 while the fresh
+        outcomes are still persisted to its results cache."""
+        from repro.harness import parallel, results_cache
+        from repro.telemetry import Distribution
+
+        monkeypatch.setattr(
+            parallel, "JOB_WALL_TIME", Distribution("job_wall_time", "test")
+        )
+        gateway = fleet.gateway.gateway
+        jobs = make_jobs(mixes=2, schemes=("lru-sa16",))
+        with fleet.gateway.client() as fed:
+            batch = fed.submit_batch(jobs).raise_on_error()
+        assert not any(batch.cached)
+        assert gateway.queue.completed == len(jobs)
+        harness = gateway.stats_tree().snapshot()["harness"]
+        assert harness["jobs_executed"] == 0
+        assert all(
+            results_cache.load(results_cache.job_key(job)) is not None
+            for job in jobs
+        )
 
 
 class TestDedupe:

@@ -16,7 +16,6 @@ import pytest
 from repro import options, traces
 from repro.harness import SimJob, results_cache, run_jobs
 from repro.sim import small_system
-from repro.traces import shm
 from repro.workloads import make_mix
 
 #: One non-default value per execution knob; ``{tmp}`` is the test's
@@ -56,14 +55,12 @@ def _sweep(monkeypatch, workdir, env: dict[str, str]):
     workdir.mkdir()
     monkeypatch.chdir(workdir)
     traces.reset_store()
-    shm.reset_pool()
     try:
         outcomes = run_jobs(JOBS)
         keys = [results_cache.job_key(job) for job in JOBS]
     finally:
-        shm.get_pool().close(unlink=True)
+        traces.release_shared()
         traces.reset_store()
-        shm.reset_pool()
     return outcomes, keys
 
 

@@ -1,12 +1,12 @@
-"""Cross-path parity for the shared-memory trace fabric.
+"""Cross-path parity for the shared chunk layer on ``/dev/shm``.
 
 ``REPRO_TRACE_SHM=1`` swaps the chunk *transport* -- workers map the
-publisher's segments zero-copy instead of compiling private
+publisher's chunk files zero-copy instead of compiling private
 ``array('q')`` buffers -- and must never change a simulation: every
-result here is required to be bitwise-identical with the fabric on
+result here is required to be bitwise-identical with the layer on
 and off, on both lanes (``REPRO_FUSED`` on and off), and through a
-real two-worker ``run_jobs`` fan-out (the publish phase,
-the forked attaches, and the owner's unlink at the end).
+real two-worker ``run_jobs`` fan-out (the publish phase, the forked
+workers' mappings, and the owner's release at the end).
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import pytest
 from repro import traces
 from repro.harness import SimJob, run_jobs
 from repro.harness.runner import run_mix
-from repro.traces import shm
 from repro.sim.configs import small_system
+from repro.traces import store as store_mod
 from repro.workloads import make_mix
 
 pytestmark = pytest.mark.skipif(
-    shm.shm_dir() is None, reason="no /dev/shm on this platform"
+    store_mod.shm_root() is None, reason="no /dev/shm on this platform"
 )
 
 INSTRUCTIONS = 6_000
@@ -30,14 +30,13 @@ EPOCH_CYCLES = 20_000
 
 @pytest.fixture(autouse=True)
 def _fabric_isolation(monkeypatch):
-    """Detach from any ambient caches, and tear the process-wide
-    pool/store down so no segment leaks past a test."""
+    """Detach from any ambient caches, and release what this process
+    published and reset the store so no chunk file leaks past a test."""
     for name in ("REPRO_TRACE_CACHE", "REPRO_RESULTS_CACHE", "REPRO_CACHE_DIR"):
         monkeypatch.delenv(name, raising=False)
     yield
-    shm.get_pool().close(unlink=True)
+    traces.release_shared()
     traces.reset_store()
-    shm.reset_pool()
 
 
 #: (scheme, mix class, seed, lane) sample points: each scheme once on
@@ -66,12 +65,11 @@ def test_shm_lane_matches_private_lane(monkeypatch, scheme, mix_class, seed, fla
     baseline = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
 
     monkeypatch.setenv("REPRO_TRACE_SHM", "1")
-    shm.reset_pool()
     owner = traces.reset_store()
     for spec in mix.trace_factories(seed):
         assert owner.publish_prefix(spec, INSTRUCTIONS) > 0
 
-    consumer = traces.reset_store()  # cold store: must go through shm
+    consumer = traces.reset_store()  # cold store: must map the files
     variant = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
     assert consumer.shm_hits > 0
     assert consumer.compiles == 0
@@ -81,10 +79,11 @@ def test_shm_lane_matches_private_lane(monkeypatch, scheme, mix_class, seed, fla
 
 
 def test_run_jobs_two_worker_fanout_parity(monkeypatch):
-    """The full batch path: ``run_jobs`` publishes, forked workers
-    attach (``shm_hits`` in their counters), outcomes are identical to
-    the serial no-shm run, and the owner's segments are unlinked by
-    the pool teardown."""
+    """The full batch path: ``run_jobs`` publishes, forked workers map
+    the chunk files (``shm_hits`` in their counters), and outcomes are
+    identical to the serial no-shm run.  A ``run_jobs`` owner keeps its
+    files until it exits (DESIGN section 12); the explicit release
+    removes every one."""
     jobs = [
         SimJob(
             make_mix("sftn", 1),
@@ -101,24 +100,19 @@ def test_run_jobs_two_worker_fanout_parity(monkeypatch):
     serial = run_jobs(jobs, workers=1, use_cache=False)
 
     monkeypatch.setenv("REPRO_TRACE_SHM", "1")
-    shm.reset_pool()
     traces.reset_store()
+    before = set(store_mod.SHM_ROOT.glob("??/*"))
     fanned = run_jobs(jobs, workers=2, use_cache=False)
 
     assert [o.result for o in fanned] == [o.result for o in serial]
     assert [o.size_series for o in fanned] == [o.size_series for o in serial]
     worker_hits = [o.trace_counters["shm_hits"] for o in fanned if o.trace_counters]
-    assert max(worker_hits) > 0, "no worker attached a shared segment"
+    assert max(worker_hits) > 0, "no worker mapped a shared chunk file"
 
-    owned = shm.get_pool().owned_names()
+    owned = set(store_mod.SHM_ROOT.glob("??/*")) - before
     assert owned, "run_jobs parent published nothing"
-    shm.get_pool().close(unlink=True)
-    leftovers = [
-        p.name
-        for p in shm.shm_dir().glob(shm.SEGMENT_PREFIX + "*")
-        if p.name in owned
-    ]
-    assert not leftovers
+    assert traces.release_shared() == len(owned)
+    assert not any(path.exists() for path in owned)
 
 
 def test_publish_phase_skipped_when_disabled(monkeypatch):
@@ -129,4 +123,4 @@ def test_publish_phase_skipped_when_disabled(monkeypatch):
         SimJob(make_mix("sftn", 1), "lru-sa16", small_system(), 2000, seed=1)
     ]
     assert publish_traces(jobs) == 0
-    assert shm.get_pool().owned_names() == []
+    assert traces.release_shared() == 0

@@ -441,23 +441,22 @@ class TestStatsTree:
 
 @pytest.fixture
 def shm_daemon(svc_env, monkeypatch):
-    """A daemon with the shared-memory trace fabric on.  The env flag
-    must be set -- and the process-global trace store reset -- before
-    the harness starts: resident workers fork at ``pool.start()``, so
-    they inherit both, and a store warmed by earlier tests would serve
-    the job's chunks as ``mem_hits`` instead of attaching segments."""
+    """A daemon with ``REPRO_TRACE_SHM`` on.  The env flag must be set
+    -- and the process-global trace store reset -- before the harness
+    starts: resident workers fork at ``pool.start()``, so they inherit
+    both, and a store warmed by earlier tests would serve the job's
+    chunks as ``mem_hits`` instead of mapping the published files."""
     from repro import traces
-    from repro.traces import shm
+    from repro.traces import store as store_mod
 
-    if shm.shm_dir() is None:
+    if store_mod.shm_root() is None:
         pytest.skip("no /dev/shm on this platform")
     monkeypatch.setenv("REPRO_TRACE_SHM", "1")
-    shm.reset_pool()
     traces.reset_store()
     harness = DaemonHarness(svc_env, workers=2)
     yield harness
     harness.stop()
-    shm.get_pool().close(unlink=True)
+    traces.release_shared()
 
 
 class TestSharedMemoryFabric:
@@ -465,19 +464,20 @@ class TestSharedMemoryFabric:
         self, shm_daemon, monkeypatch
     ):
         """The resident-service side of ``REPRO_TRACE_SHM``: submit
-        publishes the job's traces, the worker attaches them
-        (``shm_hits`` in its piggybacked counters), the outcome is
-        bitwise-identical to a serial no-shm run, and a clean daemon
-        shutdown unlinks every segment the server published."""
-        from repro.traces import shm
+        publishes the job's traces, the worker maps them (``shm_hits``
+        in its piggybacked counters), the outcome is bitwise-identical
+        to a serial no-shm run, and a clean daemon shutdown removes
+        every trace directory the server published."""
+        from repro.traces import store as store_mod
 
-        before = {p.name for p in shm.shm_dir().glob(shm.SEGMENT_PREFIX + "*")}
+        def trace_dirs():
+            return set(store_mod.SHM_ROOT.glob("??/*"))
+
+        before = trace_dirs()
         job = _job(seed=8)
         with shm_daemon.client() as svc:
             outcome = svc.submit(job)
-        published = {
-            p.name for p in shm.shm_dir().glob(shm.SEGMENT_PREFIX + "*")
-        } - before
+        published = trace_dirs() - before
         assert published, "daemon did not publish the job's traces"
         assert outcome.trace_counters["shm_hits"] > 0
 
@@ -489,9 +489,7 @@ class TestSharedMemoryFabric:
         assert outcome.result == serial.result
 
         shm_daemon.stop()
-        leftovers = {
-            p.name for p in shm.shm_dir().glob(shm.SEGMENT_PREFIX + "*")
-        } & published
+        leftovers = trace_dirs() & published
         assert not leftovers, f"daemon shutdown leaked {sorted(leftovers)}"
 
 

@@ -113,7 +113,7 @@ def test_lru_bounds_memory():
 def test_default_caps_follow_byte_budgets():
     """The default caps are byte budgets, so the chunk size does not
     change how much memory they bound."""
-    from repro.traces import shm, store as store_mod
+    from repro.traces import store as store_mod
     from repro.traces.chunks import DEFAULT_CHUNK_PAIRS, chunk_nbytes
 
     for chunk_pairs in (64, DEFAULT_CHUNK_PAIRS, 65_536):
@@ -121,7 +121,6 @@ def test_default_caps_follow_byte_budgets():
         nbytes = chunk_nbytes(chunk_pairs)
         assert store.max_chunks * nbytes == store_mod.MEM_BUDGET_BYTES == 128 << 20
         assert store.shm_max_chunks * nbytes == 64 << 20
-    assert shm.MAX_ATTACHED * chunk_nbytes(DEFAULT_CHUNK_PAIRS) == 512 << 20
 
 
 @pytest.mark.parametrize("kwargs", [{"chunk_pairs": 0}, {"max_chunks": 0}])
@@ -259,6 +258,24 @@ def test_cross_endian_cache_is_refused(tmp_path, monkeypatch):
     legacy = TraceStore(chunk_pairs=64)
     assert list(legacy.get_chunk(spec, 0)) == list(writer.get_chunk(spec, 0))
     assert legacy.disk_hits == 1
+
+
+def test_torn_meta_is_repaired_on_next_store(tmp_path, monkeypatch):
+    """A ``meta.json`` cut short is rewritten (atomically) by the next
+    store into that trace, so listings name the trace again."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+    spec = APPS["mcf"].trace_spec(base=0, seed=1)
+    TraceStore(chunk_pairs=64).get_chunk(spec, 0)
+    meta_path = next((tmp_path / "traces").rglob("meta.json"))
+    meta_path.write_text('{"name": "mc')
+    assert "name" not in TraceStore.list_disk()[0]
+
+    TraceStore(chunk_pairs=64).get_chunk(spec, 1)  # stores chunk 1
+    meta = json.loads(meta_path.read_text())
+    assert (meta["name"], meta["kind"], meta["seed"]) == ("mcf", "scan", 1)
+    (row,) = TraceStore.list_disk()
+    assert (row["name"], row["seed"], row["chunks"]) == ("mcf", 1, 2)
+    assert not list((tmp_path / "traces").rglob(".*"))  # no temp files left
 
 
 def test_disk_layer_off_without_env(tmp_path, monkeypatch):

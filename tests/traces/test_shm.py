@@ -1,244 +1,294 @@
-"""The shared-memory trace fabric (``REPRO_TRACE_SHM=1``).
+"""The shared chunk layer's lifecycle (``REPRO_TRACE_SHM=1`` and
+``REPRO_TRACE_CACHE``).
 
-Contracts under test, from :mod:`repro.traces.shm`'s docstring:
+Contracts under test, from :mod:`repro.traces.store`'s docstring:
 
-- a published chunk attaches bitwise-identical to the private
-  ``array('q')`` lane, in this process and in a fresh one;
+- a published chunk maps bitwise-identical to the private
+  ``array('q')`` lane, in this process and in a fresh one, and so does
+  a ``REPRO_TRACE_CACHE`` chunk;
 - publishing is first-creator-wins and idempotent;
-- a torn segment (publisher died mid-copy, seal word never written)
-  is *never* served, the scavenger removes it, and the consumer falls
-  back to compiling -- same for segments orphaned by a SIGKILLed
-  publisher;
-- owners unlink their names at exit (no leaks after a clean close
-  *or* a hard kill plus one scavenge);
-- the store's shm layer sits between the in-process LRU and disk, and
-  its counters (``shm_hits`` et al.) observe real traffic.
+- a torn file (a dead writer's temp file, or a short file under a
+  final name) is *never* served, the scavenger removes a dead
+  writer's files, and the consumer falls back to compiling -- same for
+  the directories of a SIGKILLed publisher, while a live publisher's
+  are left alone;
+- owners remove the ``/dev/shm`` directories they created at exit (no
+  leaks after a clean exit *or* a hard kill plus one scavenge), and a
+  forked worker never does;
+- the shared layer sits between the in-process LRU and compile, its
+  counters (``shm_hits`` et al.) observe real traffic, and the LRU
+  bounds how many chunk files a process keeps mapped.
 """
 
 from __future__ import annotations
 
+import gc
+import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
-import time
+import weakref
 from array import array
 from pathlib import Path
 
 import pytest
 
-from repro.traces import TraceStore, shm
-from repro.traces.shm import SEGMENT_PREFIX, SharedChunkPool, segment_name
+from repro.traces import TraceStore, release_shared, scavenge
+from repro.traces import store as store_mod
+from repro.traces.chunks import chunk_nbytes
 from repro.workloads import APPS
 
 pytestmark = pytest.mark.skipif(
-    shm.shm_dir() is None, reason="no /dev/shm on this platform"
+    store_mod.shm_root() is None, reason="no /dev/shm on this platform"
 )
 
-#: Keys in tests use this marker so cleanup can never collide with a
-#: concurrent real sweep on the same host.
-KEY = "feedc0de" * 8
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _own_trace_dirs() -> set[Path]:
+    """Trace directories on the ``/dev/shm`` root that this process
+    created (other processes on the host may publish meanwhile)."""
+    return {
+        path
+        for path in store_mod.SHM_ROOT.glob("??/*")
+        if (store_mod._read_meta(path) or {}).get("pid") == os.getpid()
+    }
 
 
 @pytest.fixture(autouse=True)
 def _shm_env(monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_SHM", "1")
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-    pool = shm.reset_pool()
     yield
-    pool = shm.get_pool()
-    pool.close(unlink=True)
-    leaked = [
-        p
-        for p in shm.shm_dir().glob(SEGMENT_PREFIX + "*")
-        if KEY[:20] in p.name
-    ]
-    for p in leaked:
-        p.unlink(missing_ok=True)
-    assert not leaked, f"test leaked segments: {[p.name for p in leaked]}"
+    release_shared()
+    leaked = _own_trace_dirs()
+    for path in leaked:
+        store_mod._remove(path)
+    assert not leaked, f"test leaked trace directories: {sorted(leaked)}"
 
 
-def _chunk(pairs: int = 8, seed: int = 1) -> array:
-    buf = array("q")
-    for i in range(pairs):
-        buf.append((seed * 31 + i) % 7 + 1)  # gap
-        buf.append((seed << 20) + 64 * i)  # addr
-    return buf
+def _spec(name: str = "mcf", seed: int = 3):
+    return APPS[name].trace_spec(base=0, seed=seed)
 
 
-def _subprocess(code: str, check: bool = True) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+def _trace_dir(store: TraceStore, spec) -> Path:
+    key = store.key_of(spec)
+    return store_mod.SHM_ROOT / key[:2] / key
+
+
+def _env(**extra) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_TRACE_SHM"] = "1"
+    env.update(extra)
+    return env
+
+
+def _subprocess(code: str, **env) -> subprocess.CompletedProcess:
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(**env),
     )
-    if check:
-        assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr
     return proc
 
 
-# -- publish / attach ---------------------------------------------------
+def _dead_pid() -> int:
+    proc = subprocess.Popen([sys.executable, "-c", ""])
+    proc.wait()
+    return proc.pid
+
+
+# -- publish / map ------------------------------------------------------
 
 
 def test_publish_attach_round_trip_bitwise():
-    pool = shm.get_pool()
-    buf = _chunk(16)
-    view, fresh = pool.publish(KEY, 0, buf, 16)
-    assert fresh
-    assert isinstance(view, memoryview) and view.format == "q"
-    assert view.tolist() == buf.tolist()
-    assert bytes(view) == bytes(memoryview(buf))
+    spec = _spec()
+    private = TraceStore(chunk_pairs=64).get_chunk(spec, 0)
+    assert isinstance(private, array)  # nothing published yet: compiled
+    owner = TraceStore(chunk_pairs=64)
+    assert owner.publish_prefix(spec, 1, max_chunks=1) == 1
 
-    other = SharedChunkPool()
-    attached = other.attach(KEY, 0, 16)
-    assert attached is not None
-    assert bytes(attached) == bytes(memoryview(buf))
-    other.close(unlink=False)
+    view = TraceStore(chunk_pairs=64).get_chunk(spec, 0)
+    assert isinstance(view, memoryview) and view.format == "q"
+    assert view.readonly
+    assert bytes(view) == bytes(memoryview(private))
+    assert view.tolist() == private.tolist()
 
 
 def test_publish_is_idempotent_and_attach_counts():
-    pool = shm.get_pool()
-    buf = _chunk(4)
-    _, first = pool.publish(KEY, 1, buf, 4)
-    view, again = pool.publish(KEY, 1, buf, 4)
-    assert first and not again
-    assert view.tolist() == buf.tolist()
-    assert pool.publishes == 1
-    assert pool.is_published(KEY, 1)
+    spec = _spec()
+    owner = TraceStore(chunk_pairs=64)
+    assert owner.publish_prefix(spec, 1, max_chunks=1) == 1
+    assert owner.publish_prefix(spec, 1, max_chunks=1) == 0
+    assert owner.shm_publishes == 1
+    assert (_trace_dir(owner, spec) / "00000000.i64").is_file()
+
+    reader = TraceStore(chunk_pairs=64)
+    reader.get_chunk(spec, 0)
+    reader.get_chunk(spec, 0)
+    assert (reader.shm_hits, reader.mem_hits, reader.compiles) == (1, 1, 0)
 
 
 def test_attach_misses_cleanly():
-    pool = shm.get_pool()
-    assert pool.attach("0" * 64, 0, 8) is None
-    buf = _chunk(8)
-    pool.publish(KEY, 2, buf, 8)
-    fresh = SharedChunkPool()
-    # Wrong geometry for the key is a miss, not a wrong answer.
-    assert fresh.attach(KEY, 2, 16) is None
-    assert fresh.attach(KEY, 2, 4) is None
+    spec = _spec()
+    reader = TraceStore(chunk_pairs=64)
+    chunk = reader.get_chunk(spec, 0)  # nothing published
+    assert isinstance(chunk, array)
+    assert (reader.shm_hits, reader.shm_misses, reader.compiles) == (0, 1, 1)
+    # Another chunk size is another key: a miss, not a wrong answer.
+    TraceStore(chunk_pairs=64).publish_prefix(spec, 1, max_chunks=1)
+    other = TraceStore(chunk_pairs=32)
+    assert isinstance(other.get_chunk(spec, 0), array)
+    assert (other.shm_hits, other.shm_misses) == (0, 1)
 
 
 def test_attach_survives_publisher_unlink():
-    """POSIX semantics: unlinking removes the name, not live maps."""
-    pool = shm.get_pool()
-    buf = _chunk(8)
-    pool.publish(KEY, 3, buf, 8)
-    reader = SharedChunkPool()
-    view = reader.attach(KEY, 3, 8)
-    assert pool.unlink_owned() == 1
-    assert view.tolist() == buf.tolist()  # mapping still valid
-    fresh = SharedChunkPool()
-    assert fresh.attach(KEY, 3, 8) is None  # new attaches miss
-    reader.close(unlink=False)
+    """POSIX semantics: removing a file removes the name, not live
+    mappings."""
+    spec = _spec()
+    owner = TraceStore(chunk_pairs=64)
+    owner.publish_prefix(spec, 1, max_chunks=1)
+    view = TraceStore(chunk_pairs=64).get_chunk(spec, 0)
+    expected = TraceStore(chunk_pairs=64).get_chunk(spec, 0).tolist()
+    assert release_shared() == 1
+    assert not _trace_dir(owner, spec).exists()
+    assert view.tolist() == expected  # mapping still valid
+    fresh = TraceStore(chunk_pairs=64)
+    fresh.get_chunk(spec, 0)  # new lookups miss and compile
+    assert (fresh.shm_hits, fresh.compiles) == (0, 1)
 
 
 def test_fresh_process_attaches_by_name():
-    pool = shm.get_pool()
-    buf = _chunk(8, seed=9)
-    pool.publish(KEY, 4, buf, 8)
+    spec = _spec(seed=9)
+    owner = TraceStore(chunk_pairs=64)
+    owner.publish_prefix(spec, 1, max_chunks=1)
+    expected = TraceStore(chunk_pairs=64).get_chunk(spec, 0).tolist()
     proc = _subprocess(
-        f"""
-        from repro.traces import shm
-        view = shm.get_pool().attach({KEY!r}, 4, 8)
-        assert view is not None
+        """
+        from repro.traces import TraceStore
+        from repro.workloads import APPS
+        store = TraceStore(chunk_pairs=64)
+        view = store.get_chunk(APPS["mcf"].trace_spec(base=0, seed=9), 0)
+        assert isinstance(view, memoryview)
+        assert (store.shm_hits, store.compiles) == (1, 0)
         print(view.tolist())
         """
     )
-    assert proc.stdout.strip() == str(buf.tolist())
-    assert proc.stderr.strip() == ""  # no tracker/finalizer noise
+    assert proc.stdout.strip() == str(expected)
+    assert proc.stderr.strip() == ""
 
 
-# -- torn segments and the scavenger ------------------------------------
-
-
-def _spawn_torn_publisher() -> None:
-    """A process that dies mid-publish: segment created and payload
-    half-written, seal word never set."""
-    _subprocess(
-        f"""
-        import os, struct
-        from repro.traces import shm
-        path = shm.shm_dir() / shm.segment_name({KEY!r}, 5)
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
-        os.ftruncate(fd, shm.HEADER_BYTES + 8 * 16)
-        os.write(fd, struct.pack(
-            "<8q", shm.SEGMENT_MAGIC, shm.SEGMENT_VERSION, 8, 16,
-            os.getpid(), 0, 0, 0))
-        os.close(fd)
-        os._exit(0)  # dies before sealing: a torn segment
+def test_fresh_process_reads_trace_cache_as_memoryview(tmp_path, monkeypatch):
+    """The persistent root is the same layer: a fresh process maps a
+    ``REPRO_TRACE_CACHE`` chunk, counted as a disk hit."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+    monkeypatch.delenv("REPRO_TRACE_SHM")
+    spec = _spec(seed=5)
+    expected = TraceStore(chunk_pairs=64).get_chunk(spec, 0).tolist()
+    proc = _subprocess(
         """
+        from repro.traces import TraceStore
+        from repro.workloads import APPS
+        store = TraceStore(chunk_pairs=64)
+        view = store.get_chunk(APPS["mcf"].trace_spec(base=0, seed=5), 0)
+        assert isinstance(view, memoryview), type(view)
+        assert (store.disk_hits, store.shm_hits, store.compiles) == (1, 0, 0)
+        print(view.tolist())
+        """,
+        REPRO_TRACE_SHM="0",
+        REPRO_TRACE_CACHE=str(tmp_path / "traces"),
     )
+    assert proc.stdout.strip() == str(expected)
+
+
+# -- torn files and the scavenger ---------------------------------------
 
 
 def test_torn_segment_never_served_and_scavenged():
-    _spawn_torn_publisher()
-    name = segment_name(KEY, 5)
-    assert (shm.shm_dir() / name).exists()
-    pool = shm.get_pool()
-    assert pool.attach(KEY, 5, 8) is None  # unsealed: refused
-    assert SharedChunkPool.scavenge() >= 1
-    assert not (shm.shm_dir() / name).exists()
+    """A publisher that dies mid-write leaves a temp file; readers
+    never see it, and the scavenger removes the dead pid's directory."""
+    spec = _spec(seed=4)
+    proc = _subprocess(
+        """
+        import os
+        from repro.traces import TraceStore, store as store_mod
+        from repro.workloads import APPS
+        spec = APPS["mcf"].trace_spec(base=0, seed=4)
+        store = TraceStore(chunk_pairs=64)
+        assert store.publish_prefix(spec, 1, max_chunks=1) == 1
+        key = store.key_of(spec)
+        trace_dir = store_mod.SHM_ROOT / key[:2] / key
+        # Chunk 1, half written, under this pid's temp name.
+        (trace_dir / f".{os.getpid()}-torn.tmp").write_bytes(b"\\1" * 100)
+        print(trace_dir, flush=True)
+        os._exit(0)  # dies before renaming, and skips its atexit release
+        """
+    )
+    trace_dir = Path(proc.stdout.strip())
+    assert json.loads((trace_dir / "meta.json").read_text())["pid"] > 0
+    reader = TraceStore(chunk_pairs=64)
+    chunk = reader.get_chunk(spec, 1)  # only the temp name exists
+    assert (reader.shm_misses, reader.compiles) == (1, 2)
+    assert chunk.tolist() == TraceStore(chunk_pairs=64).get_chunk(spec, 1).tolist()
+    assert scavenge() >= 1
+    assert not trace_dir.exists()
 
 
-def test_job_falls_back_to_compile_past_torn_segment(monkeypatch):
-    """A consumer that misses on a torn segment still gets its chunk
-    (from the compile layer) and counts the fabric miss."""
-    spec = APPS["mcf"].trace_spec(base=0, seed=3)
-    store = TraceStore(chunk_pairs=32)
-    key = store.key_of(spec)
-    # Torn segment squatting on the real chunk's name.
-    path = shm.shm_dir() / segment_name(key, 0)
-    path.write_bytes(b"\0" * (shm.HEADER_BYTES + 8 * 64))
-    try:
-        chunk = store.get_chunk(spec, 0)
-        assert store.shm_misses == 1
-        assert store.shm_hits == 0
-        assert store.compiles == 1
-        assert list(chunk) == list(TraceStore(chunk_pairs=32).get_chunk(spec, 0))
-    finally:
-        path.unlink(missing_ok=True)
+def test_job_falls_back_to_compile_past_torn_segment():
+    """A chunk file shorter than a chunk is dropped, not served: the
+    consumer gets its chunk from the compile layer and counts a miss."""
+    spec = _spec()
+    owner = TraceStore(chunk_pairs=64)
+    owner.publish_prefix(spec, 1, max_chunks=1)
+    path = _trace_dir(owner, spec) / "00000000.i64"
+    store_mod._write_atomic(path, path.read_bytes()[:100])
+    reader = TraceStore(chunk_pairs=64)
+    chunk = reader.get_chunk(spec, 0)
+    assert (reader.shm_hits, reader.shm_misses, reader.compiles) == (0, 1, 1)
+    assert not path.exists()
+    assert list(chunk) == list(TraceStore(chunk_pairs=64).get_chunk(spec, 0))
 
 
 def test_scavenge_reclaims_sigkilled_publisher():
-    """The acceptance scenario: a publisher SIGKILLed mid-run leaves
-    sealed segments behind; one scavenge removes them all."""
-    proc_code = f"""
-        import os, sys, time
-        from array import array
-        from repro.traces import shm
-        pool = shm.get_pool()
-        buf = array("q", range(32))
-        pool.publish({KEY!r}, 6, buf, 16)
-        pool.publish({KEY!r}, 7, buf, 16)
+    """A publisher SIGKILLed mid-run leaves its directories behind; one
+    scavenge removes them, but never while the publisher lives (only a
+    dead writer's temp file inside them goes)."""
+    code = """
+        from repro.traces import TraceStore
+        from repro.workloads import APPS
+        store = TraceStore(chunk_pairs=64)
+        for seed in (6, 7):
+            spec = APPS["mcf"].trace_spec(base=0, seed=seed)
+            assert store.publish_prefix(spec, 1, max_chunks=2) >= 1
         print("published", flush=True)
+        import time
         time.sleep(60)
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
-    env["REPRO_TRACE_SHM"] = "1"
     proc = subprocess.Popen(
-        [sys.executable, "-c", textwrap.dedent(proc_code)],
+        [sys.executable, "-c", textwrap.dedent(code)],
         stdout=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_env(),
     )
     try:
         assert proc.stdout.readline().strip() == "published"
-        names = [segment_name(KEY, 6), segment_name(KEY, 7)]
-        assert all((shm.shm_dir() / n).exists() for n in names)
-        # Publisher alive: scavenge must not touch its segments.
-        SharedChunkPool.scavenge()
-        assert all((shm.shm_dir() / n).exists() for n in names)
+        keys = TraceStore(chunk_pairs=64)
+        dirs = [_trace_dir(keys, _spec(seed=seed)) for seed in (6, 7)]
+        assert all(d.is_dir() for d in dirs)
+        stray = dirs[0] / f".{_dead_pid()}-stray.tmp"
+        stray.write_bytes(b"\0" * 8)
+        # Publisher alive: its directories stay, the stray goes.
+        assert scavenge() >= 1
+        assert all(d.is_dir() for d in dirs) and not stray.exists()
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
-        assert SharedChunkPool.scavenge() >= 2
-        assert not any((shm.shm_dir() / n).exists() for n in names)
+        assert scavenge() >= 2
+        assert not any(d.exists() for d in dirs)
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -247,35 +297,38 @@ def test_scavenge_reclaims_sigkilled_publisher():
 
 def test_owner_atexit_unlinks_no_leaks():
     proc = _subprocess(
-        f"""
-        from array import array
-        from repro.traces import shm
-        pool = shm.get_pool()
-        pool.publish({KEY!r}, 8, array("q", range(16)), 8)
-        assert (shm.shm_dir() / shm.segment_name({KEY!r}, 8)).exists()
+        """
+        from repro.traces import TraceStore, store as store_mod
+        from repro.workloads import APPS
+        store = TraceStore(chunk_pairs=64)
+        spec = APPS["mcf"].trace_spec(base=0, seed=8)
+        store.publish_prefix(spec, 1, max_chunks=2)
+        key = store.key_of(spec)
+        assert (store_mod.SHM_ROOT / key[:2] / key / "00000000.i64").exists()
         """
     )
     assert proc.stderr.strip() == ""
-    assert not (shm.shm_dir() / segment_name(KEY, 8)).exists()
+    assert not _trace_dir(TraceStore(chunk_pairs=64), _spec(seed=8)).exists()
 
 
-def test_forked_worker_exit_does_not_unlink(monkeypatch):
-    """The atexit hook is pid-guarded: a forked child inheriting the
-    owner's registry must not unlink the parent's segments."""
-    pool = shm.get_pool()
-    pool.publish(KEY, 9, _chunk(8), 8)
+def test_forked_worker_exit_does_not_unlink():
+    """The release is pid-guarded: a forked child inheriting the
+    owner's registry never removes the parent's directories."""
+    spec = _spec()
+    owner = TraceStore(chunk_pairs=64)
+    owner.publish_prefix(spec, 1, max_chunks=1)
     pid = os.fork()
     if pid == 0:
-        # Child: exercise the cleanup path directly, then vanish.
+        # Child: run the exit-time release directly, then vanish.
         try:
-            pool._atexit_cleanup()
+            code = release_shared()
         finally:
-            os._exit(0)
-    os.waitpid(pid, 0)
-    assert (shm.shm_dir() / segment_name(KEY, 9)).exists()
-    fresh = SharedChunkPool()
-    assert fresh.attach(KEY, 9, 8) is not None
-    fresh.close(unlink=False)
+            os._exit(0 if code == 0 else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert _trace_dir(owner, spec).is_dir()
+    reader = TraceStore(chunk_pairs=64)
+    assert isinstance(reader.get_chunk(spec, 0), memoryview)
 
 
 # -- store integration --------------------------------------------------
@@ -297,6 +350,28 @@ def test_store_layers_mem_then_shm_then_compile():
     # Second read is a memory hit on the remembered view.
     reader.get_chunk(spec, 0)
     assert (reader.mem_hits, reader.shm_hits) == (1, 1)
+    # Past the published prefix: a shared miss, then compile.
+    reader.get_chunk(spec, 1)
+    assert (reader.shm_misses, reader.compiles) == (1, 2)
+
+
+def test_both_knobs_publish_into_trace_cache(tmp_path, monkeypatch):
+    """With both knobs set the persistent directory is the shared
+    layer: publishing writes there, hits count as disk hits, and the
+    files carry no owner and outlive the release."""
+    root = tmp_path / "traces"
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(root))
+    spec = _spec(seed=11)
+    owner = TraceStore(chunk_pairs=64)
+    assert owner.publish_prefix(spec, 1, max_chunks=1) == 1
+    key = owner.key_of(spec)
+    assert (root / key[:2] / key / "00000000.i64").is_file()
+    assert "pid" not in json.loads((root / key[:2] / key / "meta.json").read_text())
+    assert not _trace_dir(owner, spec).exists()
+    assert release_shared() == 0
+    reader = TraceStore(chunk_pairs=64)
+    assert isinstance(reader.get_chunk(spec, 0), memoryview)
+    assert (reader.disk_hits, reader.shm_hits, reader.compiles) == (1, 0, 0)
 
 
 def test_publish_prefix_pops_private_copies():
@@ -319,7 +394,8 @@ def test_publish_prefix_horizon_and_cap():
     store = TraceStore(chunk_pairs=16)
     # max_chunks caps the prefix regardless of the target.
     assert store.publish_prefix(spec, 10**9, max_chunks=3) == 3
-    # Re-publishing covers the same prefix without creating segments.
+    assert len(list(_trace_dir(store, spec).glob("*.i64"))) == 3
+    # Re-publishing covers the same prefix without creating files.
     assert store.publish_prefix(spec, 10**9, max_chunks=3) == 0
     # A tiny target publishes a single chunk (slack rounds up to one).
     other = APPS["mcf"].trace_spec(base=1 << 44, seed=4)
@@ -334,32 +410,48 @@ def test_shm_disabled_is_invisible(monkeypatch):
     assert isinstance(chunk, array)
     assert store.publish_prefix(spec, 10**9) == 0
     assert store.shm_hits == store.shm_misses == store.shm_publishes == 0
+    assert not _trace_dir(store, spec).exists()
 
 
-def test_attachment_lru_is_bounded(monkeypatch):
-    monkeypatch.setattr(shm, "MAX_ATTACHED", 4)
-    pool = shm.get_pool()
-    buf = _chunk(4)
+def test_attachment_lru_is_bounded():
+    """The LRU bounds the mappings: with views dropped by the caller,
+    at most ``max_chunks`` chunk files stay mapped, and an evicted
+    chunk maps again on its next lookup."""
+    spec = _spec()
+    TraceStore(chunk_pairs=16).publish_prefix(spec, 10**9, max_chunks=8)
+    reader = TraceStore(chunk_pairs=16, max_chunks=4)
+    mappings = []
     for index in range(8):
-        pool.publish(KEY, 10 + index, buf, 4)
-    reader = SharedChunkPool()
-    for index in range(8):
-        view = reader.attach(KEY, 10 + index, 4)
-        view.release()  # reader done with it: evictable
-    assert sum(1 for s in reader._segments.values() if not s.owned) <= 4
-    # Evicted attachments transparently re-attach.
-    assert reader.attach(KEY, 10, 4).tolist() == buf.tolist()
-    reader.close(unlink=False)
+        view = reader.get_chunk(spec, index)
+        mappings.append(weakref.ref(view.obj))
+        del view
+    gc.collect()
+    assert sum(ref() is not None for ref in mappings) == 4
+    assert reader.shm_hits == 8 and reader.evictions == 4
+    reader.get_chunk(spec, 0)
+    assert reader.shm_hits == 9
+
+
+def test_evicted_view_releases_its_mapping():
+    spec = _spec()
+    TraceStore(chunk_pairs=16).publish_prefix(spec, 10**9, max_chunks=2)
+    reader = TraceStore(chunk_pairs=16, max_chunks=1)
+    view = reader.get_chunk(spec, 0)
+    mapping = weakref.ref(view.obj)
+    del view
+    assert mapping() is not None  # held by the LRU
+    reader.get_chunk(spec, 1)  # evicts chunk 0
+    assert mapping() is None
 
 
 def test_host_segments_lists_fabric_state():
-    pool = shm.get_pool()
-    pool.publish(KEY, 18, _chunk(8), 8)
-    rows = [r for r in SharedChunkPool.host_segments() if KEY[:20] in r["name"]]
+    spec = _spec()
+    owner = TraceStore(chunk_pairs=64)
+    owner.publish_prefix(spec, 1, max_chunks=1)
+    key = owner.key_of(spec)
+    rows = [r for r in store_mod.list_traces(store_mod.SHM_ROOT) if r["key"] == key]
     assert len(rows) == 1
     row = rows[0]
-    assert row["sealed"] and row["publisher_alive"]
-    assert row["pid"] == os.getpid()
-    assert row["chunk_pairs"] == 8
-    assert row["bytes"] == shm.HEADER_BYTES + 16 * 8
-    assert row["attached"] >= 1
+    assert (row["pid"], row["alive"]) == (os.getpid(), True)
+    assert (row["name"], row["seed"], row["chunk_pairs"]) == ("mcf", 3, 64)
+    assert (row["chunks"], row["bytes"]) == (1, chunk_nbytes(64))
