@@ -26,25 +26,22 @@ The most common entry points are re-exported here; see README.md for a
 quickstart.
 """
 
-from repro.arrays import (
-    RandomCandidatesArray,
-    SetAssociativeArray,
-    SkewAssociativeArray,
-    ZCacheArray,
-)
-from repro.core import VantageCache, VantageConfig
-from repro.partitioning import BaselineCache, PIPPCache, WayPartitionedCache
+from repro.lazy import reexport
 
-__all__ = [
-    "BaselineCache",
-    "PIPPCache",
-    "RandomCandidatesArray",
-    "SetAssociativeArray",
-    "SkewAssociativeArray",
-    "VantageCache",
-    "VantageConfig",
-    "WayPartitionedCache",
-    "ZCacheArray",
-]
+# Re-exported lazily (PEP 562): ``import repro.options`` or a client
+# import must not load the simulator.
+__getattr__, __dir__, __all__ = reexport(
+    __name__,
+    {
+        ".arrays": (
+            "RandomCandidatesArray",
+            "SetAssociativeArray",
+            "SkewAssociativeArray",
+            "ZCacheArray",
+        ),
+        ".core": ("VantageCache", "VantageConfig"),
+        ".partitioning": ("BaselineCache", "PIPPCache", "WayPartitionedCache"),
+    },
+)
 
 __version__ = "1.0.0"

@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-try:  # pragma: no cover - exercised indirectly via lookahead_allocate
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro import lazy
 
 
 def lookahead_allocate(
@@ -53,12 +50,14 @@ def lookahead_allocate(
     # ``(misses(a) - misses(a+k)) / k`` -- true division, no
     # reciprocal-multiply -- and ``argmax`` returns the first maximum,
     # matching the scalar loop's strict ``>`` update, so allocations
-    # are bitwise-identical on both paths (the kernel parity suites
-    # assert as much).
+    # are bitwise-identical on both paths (``tests/allocation/
+    # test_ucp.py`` asserts as much).  ``lazy.load_numpy`` decides
+    # which one runs.
     np_curves = ks = None
-    if _np is not None:
-        np_curves = [_np.asarray(curve, dtype=_np.float64) for curve in curves]
-        ks = _np.arange(1.0, total_units + 1.0)
+    np = lazy.load_numpy()
+    if np is not None:
+        np_curves = [np.asarray(curve, dtype=np.float64) for curve in curves]
+        ks = np.arange(1.0, total_units + 1.0)
 
     def best_window(p: int, limit: int) -> tuple[float, int]:
         """Best marginal utility per unit for partition p, looking

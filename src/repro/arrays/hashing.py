@@ -14,10 +14,7 @@ from __future__ import annotations
 import random
 from array import array
 
-try:  # pragma: no cover - exercised via the gated bulk path
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro import lazy
 
 _KEY_BYTES = 8
 _MASK_BITS = 32
@@ -107,12 +104,14 @@ class H3Hash:
         keys below 2^32 the high bytes index the tables' zero entries
         -- exactly the constant ``__call__``'s short-circuit XORs in
         -- so either way the results are bit-identical to the scalar
-        path.  Requires numpy (callers gate on availability).
+        path.  Requires numpy (callers gate on
+        :func:`repro.lazy.load_numpy`).
         """
         tables = self._np_tables
         if tables is None:
+            np = lazy.load_numpy()
             tables = self._np_tables = [
-                _np.asarray(t, dtype=_np.int64) for t in self._tables
+                np.asarray(t, dtype=np.int64) for t in self._tables
             ]
         h = tables[0][keys & 0xFF]
         for b in range(1, _KEY_BYTES // 2):
@@ -231,22 +230,33 @@ def hash_column(chunk, hashes, offsets) -> array:
     at flat cursor ``pos`` (just past pair ``i``) finds its entries at
     ``((pos >> 1) - 1) * len(hashes)``.
 
-    This is the only place that chooses between numpy and the scalar
-    H3 evaluation: with numpy each hash is one vectorized
-    :meth:`H3Hash.bulk` over the chunk's addresses (zero-copy for the
-    buffer forms), without it every address is hashed one at a time.
-    Both produce the same int64 column, bit for bit.
+    One place decides whether numpy runs, here and in
+    :func:`~repro.allocation.ucp.lookahead_allocate`:
+    :func:`repro.lazy.load_numpy`.  With numpy each hash is one
+    vectorized :meth:`H3Hash.bulk` over the chunk's addresses
+    (zero-copy for the buffer forms); without it every address is
+    hashed one at a time.  Both produce the same int64 column, bit for
+    bit.
     """
-    if _np is None:
+    np = lazy.load_numpy()
+    if np is None:
         pairs = tuple(zip(hashes, offsets))
         return array(
             "q", [h(a) + off for a in chunk[1::2] for h, off in pairs]
         )
-    keys = _np.asarray(chunk, dtype=_np.int64)[1::2]
+    keys = np.asarray(chunk, dtype=np.int64)[1::2]
     if len(hashes) == 1:
         column = hashes[0].bulk(keys) + offsets[0]
     else:
-        column = _np.empty((len(keys), len(hashes)), dtype=_np.int64)
+        column = np.empty((len(keys), len(hashes)), dtype=np.int64)
         for w, h in enumerate(hashes):
             column[:, w] = h.bulk(keys) + offsets[w]
     return array("q", column.tobytes())
+
+
+def __getattr__(name: str):
+    # ``hashing._np``: the loader's numpy or ``None``, for scripts that
+    # check which path the index columns take.
+    if name == "_np":
+        return lazy.load_numpy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

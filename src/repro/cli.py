@@ -10,8 +10,10 @@ Subcommands:
 - ``schemes``: list the registered schemes and array kinds.
 - ``overheads``: Vantage state-overhead accounting.
 - ``traces``: inspect (``--list``, the default) or delete
-  (``--purge``) the on-disk trace-chunk store named by
-  ``REPRO_TRACE_CACHE``.
+  (``--purge``) the shared trace-chunk layer: the on-disk store named
+  by ``REPRO_TRACE_CACHE`` and the ``/dev/shm/repro_trc`` root
+  (``REPRO_TRACE_SHM``), whose traces of dead publishers ``--purge``
+  removes (``--force``: live ones too).
 - ``serve``: run the resident experiment daemon (Unix socket; TCP
   via ``REPRO_SERVICE_ADDR`` or ``--tcp``).
 - ``submit``: run one mix through a running daemon (same output as
@@ -22,6 +24,11 @@ Subcommands:
 - ``fed-submit``: run a mix x scheme sweep through a gateway in one
   batch request.
 - ``fed-status``: a running gateway's membership table and counters.
+
+Each subcommand imports what it runs inside its handler, so ``serve``
+and ``gateway`` load neither the analysis models nor the classifier,
+and the gateway and the client commands never load numpy
+(``tests/harness/test_import_footprint.py``).
 
 Interrupts: Ctrl-C exits with code 130 and SIGTERM with 143, after
 shutting worker pools down quietly (workers ignore SIGINT; only the
@@ -37,12 +44,6 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis import required_unmanaged_fraction, vantage_overheads
-from repro.harness import mpki_curve, classify_curve, run_mix
-from repro.harness.classify import SWEEP_LINES
-from repro.sim import large_system, small_system
-from repro.workloads import APPS, CATEGORY_NAMES, make_mix
-
 
 def _positive_int(value: str) -> int:
     n = int(value)
@@ -52,6 +53,8 @@ def _positive_int(value: str) -> int:
 
 
 def _cmd_list_apps(args) -> int:
+    from repro.workloads import APPS, CATEGORY_NAMES
+
     print(f"{'app':14s} {'category':>20s} {'kind':>12s} {'ws (lines)':>11s} {'gap':>6s}")
     for name, app in sorted(APPS.items()):
         print(
@@ -62,6 +65,9 @@ def _cmd_list_apps(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from repro.harness.classify import SWEEP_LINES, classify_curve, mpki_curve
+    from repro.workloads import APPS, CATEGORY_NAMES
+
     try:
         app = APPS[args.app]
     except KeyError:
@@ -77,6 +83,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_size_unmanaged(args) -> int:
+    from repro.analysis.sizing import required_unmanaged_fraction
+
     u = required_unmanaged_fraction(args.candidates, args.a_max, args.slack, args.pev)
     print(
         f"R={args.candidates}, A_max={args.a_max}, slack={args.slack}, "
@@ -86,6 +94,8 @@ def _cmd_size_unmanaged(args) -> int:
 
 
 def _cmd_overheads(args) -> int:
+    from repro.analysis.overheads import vantage_overheads
+
     o = vantage_overheads(
         cache_bytes=args.cache_mb * 1024 * 1024,
         num_partitions=args.partitions,
@@ -99,7 +109,10 @@ def _cmd_overheads(args) -> int:
 
 
 def _cmd_run_mix(args) -> int:
+    from repro.harness.runner import run_mix
     from repro.harness.schemes import split_scheme
+    from repro.sim import large_system, small_system
+    from repro.workloads import make_mix
 
     system = small_system if args.system == "small" else large_system
     config = system(epoch_cycles=args.epoch_cycles)

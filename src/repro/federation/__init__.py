@@ -23,30 +23,24 @@ through any number of gateway hops is bitwise-identical to a serial
 including across a mid-sweep node kill).
 """
 
-from repro.federation.client import (
-    FederatedClient,
-    resolve_gateway,
-)
-from repro.federation.gateway import (
-    FederationGateway,
-    GatewayConfig,
-    NodePool,
-    default_gateway_socket,
-    parse_node,
-    serve_gateway,
-)
-from repro.federation.ring import HashRing, Membership, NodeInfo
+from repro.lazy import reexport
 
-__all__ = [
-    "FederatedClient",
-    "FederationGateway",
-    "GatewayConfig",
-    "HashRing",
-    "Membership",
-    "NodeInfo",
-    "NodePool",
-    "default_gateway_socket",
-    "parse_node",
-    "resolve_gateway",
-    "serve_gateway",
-]
+# Re-exported lazily (PEP 562), like :mod:`repro.service`.
+__getattr__, __dir__, __all__ = reexport(
+    __name__,
+    {
+        ".client": (
+            "FederatedClient",
+            "default_gateway_socket",
+            "parse_node",
+            "resolve_gateway",
+        ),
+        ".gateway": (
+            "FederationGateway",
+            "GatewayConfig",
+            "NodePool",
+            "serve_gateway",
+        ),
+        ".ring": ("HashRing", "Membership", "NodeInfo"),
+    },
+)

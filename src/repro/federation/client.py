@@ -20,8 +20,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro import options
-from repro.federation.gateway import default_gateway_socket, parse_node
 from repro.service.client import ServiceClient
+from repro.service.protocol import default_gateway_socket, parse_node
 
 
 def resolve_gateway(

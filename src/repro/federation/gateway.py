@@ -41,38 +41,19 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import options
 from repro.federation.ring import ALIVE, Membership, NodeInfo
 from repro.harness import results_cache
 from repro.service import protocol
 from repro.service.jobqueue import QueueClosed
+from repro.service.protocol import default_gateway_socket, parse_node
 from repro.service.server import ExperimentDaemon, ServiceConfig
 from repro.telemetry import StatGroup
 
 #: Seconds to wait for a node to accept a connection or answer a probe.
 CONNECT_TIMEOUT = 10.0
-
-
-def default_gateway_socket() -> Path:
-    """``REPRO_GATEWAY_SOCKET`` or ``results/gateway.sock``."""
-    return options.get("REPRO_GATEWAY_SOCKET")
-
-
-def parse_node(
-    spec: str, what: str = "federation node address"
-) -> tuple[str, int] | Path:
-    """A node address spec: ``host:port`` / ``[v6]:port`` or a Unix
-    socket path (anything with a path separator or no colon)."""
-    text = spec.strip()
-    if not text:
-        raise protocol.ProtocolError(f"empty {what}")
-    if "/" in text or os.sep in text or ":" not in text:
-        return Path(text)
-    return protocol.parse_addr(text, what=what)
 
 
 class NodeUnavailable(Exception):

@@ -1,43 +1,30 @@
-"""Experiment harness: scheme factory, mix runners, scaling, tables."""
+"""Experiment harness: scheme factory, mix runners, scaling, tables.
 
-from repro.harness.classify import classify_app, classify_curve, mpki_curve
-from repro.harness.env import (
-    class_stride,
-    epoch_cycles,
-    instructions_per_app,
-    mixes_per_class,
-)
-from repro.harness.parallel import SimJob, SimOutcome, default_workers, run_jobs
-from repro.harness.runner import MixRun, build_policy, relative_throughputs, run_mix
-from repro.harness.schemes import build_array, build_cache, default_vantage_config
-from repro.harness.tables import (
-    distribution_row,
-    format_curve_table,
-    format_distribution_table,
-    save_results,
-)
+The names below are re-exported lazily (PEP 562): the daemon, the
+gateway and the clients import :mod:`~repro.harness.parallel` for
+``SimJob`` and never load the classifier, the runner or the tables.
+"""
 
-__all__ = [
-    "MixRun",
-    "SimJob",
-    "SimOutcome",
-    "build_array",
-    "build_cache",
-    "build_policy",
-    "class_stride",
-    "classify_app",
-    "classify_curve",
-    "default_vantage_config",
-    "default_workers",
-    "distribution_row",
-    "epoch_cycles",
-    "format_curve_table",
-    "format_distribution_table",
-    "instructions_per_app",
-    "mixes_per_class",
-    "mpki_curve",
-    "relative_throughputs",
-    "run_jobs",
-    "run_mix",
-    "save_results",
-]
+from repro.lazy import reexport
+
+__getattr__, __dir__, __all__ = reexport(
+    __name__,
+    {
+        ".classify": ("classify_app", "classify_curve", "mpki_curve"),
+        ".env": (
+            "class_stride",
+            "epoch_cycles",
+            "instructions_per_app",
+            "mixes_per_class",
+        ),
+        ".parallel": ("SimJob", "SimOutcome", "default_workers", "run_jobs"),
+        ".runner": ("MixRun", "build_policy", "relative_throughputs", "run_mix"),
+        ".schemes": ("build_array", "build_cache", "default_vantage_config"),
+        ".tables": (
+            "distribution_row",
+            "format_curve_table",
+            "format_distribution_table",
+            "save_results",
+        ),
+    },
+)

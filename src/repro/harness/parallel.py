@@ -19,7 +19,8 @@ one baseline simulation across schemes.
 The building blocks are exported separately because the resident
 daemon (:mod:`repro.service`) reuses them: :func:`plan_jobs` performs
 the dedupe/cache split, :func:`execute_job` is the worker-side entry
-point, :func:`publish_traces` writes a job's trace chunks into the
+point, :func:`preload` imports what it runs before a pool forks,
+:func:`publish_traces` writes a job's trace chunks into the
 shared chunk layer (:mod:`repro.traces.store`), and
 :func:`record_outcome` is the telemetry/persistence tail.  ``run_jobs``
 has the pool's failure model (a crashed worker is respawned and its
@@ -39,7 +40,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro import options, traces
+from repro import lazy, options, traces
 from repro.analysis.stats import SizeTimeSeries
 from repro.core import VantageConfig
 from repro.harness import results_cache
@@ -138,8 +139,22 @@ def default_workers() -> int:
     return options.get("REPRO_WORKERS") or os.cpu_count() or 1
 
 
+def preload() -> None:
+    """Import what :func:`execute_job` runs: numpy (through
+    :func:`repro.lazy.load_numpy`) and the runner.
+
+    The worker pool calls this at its fork point, so its workers share
+    these modules' pages with their parent instead of each importing
+    private copies at its first job; a job run inline calls it before
+    building its system rather than part-way into its simulation.
+    """
+    lazy.load_numpy()
+    import repro.harness.runner  # noqa: F401
+
+
 def execute_job(job: SimJob) -> SimOutcome:
     """Run one job (in a worker process or inline)."""
+    preload()
     from repro.harness.runner import run_mix
 
     start = time.perf_counter()

@@ -30,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 from repro import options
+from repro.harness import schemes
 
 #: Bump when simulation behaviour changes (results would differ);
 #: ``tests/harness/test_cache_version.py`` pins it to the goldens.
@@ -91,14 +92,10 @@ def _canonical(value):
 
 def job_key(job) -> str:
     """Stable content hash identifying ``job``'s simulation."""
-    # Imported lazily: this module is imported by repro.harness's
-    # __init__ chain, while schemes.py sits above it.
-    from repro.harness.schemes import scheme_fingerprint
-
     payload = {
         "version": CACHE_VERSION,
         "job": _canonical(job),
-        "registry": scheme_fingerprint(job.scheme),
+        "registry": schemes.scheme_fingerprint(job.scheme),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

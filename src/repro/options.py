@@ -66,7 +66,7 @@ def _addr(name: str, raw: str) -> tuple[str, int]:
 
 
 def _endpoint(name: str, raw: str) -> tuple[str, int] | Path:
-    from repro.federation.gateway import parse_node
+    from repro.service.protocol import parse_node
 
     return parse_node(raw, what=name)
 

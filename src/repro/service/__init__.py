@@ -27,39 +27,22 @@ inputs (``tests/service/`` asserts it), because workers run the
 exact same :func:`~repro.harness.parallel.execute_job` path.
 """
 
-from repro.service.client import (
-    BatchResult,
-    ConnectionLost,
-    ServiceClient,
-    ServiceError,
-)
-from repro.service.jobqueue import JobEntry, JobQueue, QueueClosed, QueueFull
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    VersionMismatch,
-    parse_addr,
-)
-from repro.service.server import ExperimentDaemon, ServiceConfig, serve
-from repro.service.workers import JobTimeout, WorkerCrashed, WorkerPool
+from repro.lazy import reexport
 
-__all__ = [
-    "BatchResult",
-    "ConnectionLost",
-    "ExperimentDaemon",
-    "JobEntry",
-    "JobQueue",
-    "JobTimeout",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "QueueClosed",
-    "QueueFull",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "VersionMismatch",
-    "WorkerCrashed",
-    "WorkerPool",
-    "parse_addr",
-    "serve",
-]
+# Re-exported lazily (PEP 562): a client imports the client and the
+# protocol, not the server, its worker pool or the simulator.
+__getattr__, __dir__, __all__ = reexport(
+    __name__,
+    {
+        ".client": ("BatchResult", "ConnectionLost", "ServiceClient", "ServiceError"),
+        ".jobqueue": ("JobEntry", "JobQueue", "QueueClosed", "QueueFull"),
+        ".protocol": (
+            "PROTOCOL_VERSION",
+            "ProtocolError",
+            "VersionMismatch",
+            "parse_addr",
+        ),
+        ".server": ("ExperimentDaemon", "ServiceConfig", "serve"),
+        ".workers": ("JobTimeout", "WorkerCrashed", "WorkerPool"),
+    },
+)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import pickle
 from pathlib import Path
 
@@ -146,6 +147,25 @@ def parse_addr(raw: str, what: str = "service address") -> tuple[str, int]:
 def tcp_addr() -> tuple[str, int] | None:
     """Optional TCP endpoint from ``REPRO_SERVICE_ADDR`` (host:port)."""
     return options.get("REPRO_SERVICE_ADDR")
+
+
+def parse_node(
+    spec: str, what: str = "federation node address"
+) -> tuple[str, int] | Path:
+    """A node or gateway address spec: ``host:port`` / ``[v6]:port``
+    or a Unix socket path (anything with a path separator or no
+    colon)."""
+    text = spec.strip()
+    if not text:
+        raise ProtocolError(f"empty {what}")
+    if "/" in text or os.sep in text or ":" not in text:
+        return Path(text)
+    return parse_addr(text, what=what)
+
+
+def default_gateway_socket() -> Path:
+    """``REPRO_GATEWAY_SOCKET`` or ``results/gateway.sock``."""
+    return options.get("REPRO_GATEWAY_SOCKET")
 
 
 def encode(msg: dict) -> bytes:

@@ -221,6 +221,9 @@ class WorkerPool:
             # Reclaim chunk files orphaned by crashed runs before
             # workers fork; live publishers' files are never touched.
             traces.scavenge()
+        # The fork point: workers inherit what they run from this
+        # process and share its pages.
+        parallel.preload()
         loop = asyncio.get_running_loop()
         for slot in range(self.workers):
             self._slots[slot] = await loop.run_in_executor(None, WorkerProcess)

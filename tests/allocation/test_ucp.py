@@ -1,9 +1,11 @@
 """Tests for the Lookahead allocation algorithm and the UCP policy."""
 
 import itertools
+import random
 
 import pytest
 
+from repro import lazy
 from repro.allocation import UCPPolicy, UMonitor, lookahead_allocate
 
 
@@ -73,6 +75,116 @@ class TestLookahead:
 
     def test_empty(self):
         assert lookahead_allocate([], 4) == []
+
+
+def _random_curve(rng, points, kind):
+    """A miss curve of ``points`` entries, of one adversarial shape."""
+    if kind == "decreasing":
+        misses, curve = rng.uniform(100.0, 1e6), []
+        for _ in range(points):
+            curve.append(misses)
+            misses -= rng.expovariate(1.0) * misses / points
+        return curve
+    if kind == "noisy":  # non-monotone: negative marginal gains too
+        return [rng.uniform(0.0, 1000.0) for _ in range(points)]
+    if kind == "cliffs":  # plateaus broken by non-convex drops
+        misses, curve = 1000.0, []
+        for _ in range(points):
+            curve.append(misses)
+            if rng.random() < 0.15:
+                misses = max(0.0, misses - rng.choice((50.0, 200.0, 600.0)))
+        return curve
+    if kind == "quantised":  # few distinct values: rate ties, exact
+        # (integers) or decided by rounding (tenths)
+        step = rng.choice((1.0, 4.0, 0.1))
+        top = rng.randrange(4, 40)
+        return sorted(
+            (rng.randrange(top) * step for _ in range(points)), reverse=True
+        )
+    if kind == "linear":  # every window has the same rate
+        slope = float(rng.randrange(1, 8))
+        return [slope * (points - a) for a in range(points)]
+    raise ValueError(kind)
+
+
+_KINDS = ("decreasing", "noisy", "cliffs", "quantised", "linear")
+
+
+class TestLookaheadNumpyParity:
+    """The vectorized window scan and the scalar loop allocate alike.
+
+    ``argmax`` takes the first maximum and the scalar loop updates on a
+    strict ``>``, so exact ties -- inside one curve's windows and
+    across partitions -- must resolve to the same window on both paths.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _needs_numpy(self):
+        if lazy.load_numpy() is None:
+            pytest.skip("numpy not installed")
+
+    @staticmethod
+    def both(monkeypatch, curves, total, min_units=0):
+        vectorized = lookahead_allocate(curves, total, min_units)
+        with monkeypatch.context() as m:
+            m.setattr(lazy, "load_numpy", lambda: None)
+            scalar = lookahead_allocate(curves, total, min_units)
+        return vectorized, scalar
+
+    ADVERSARIAL = [
+        # Equal rates for every window size: k = 1 must win on both.
+        [[12.0, 9.0, 6.0, 3.0, 0.0], [12.0, 9.0, 6.0, 3.0, 0.0]],
+        # A tie between a short window and one past a plateau.
+        [[8.0, 8.0, 4.0, 4.0, 0.0], [8.0, 6.0, 4.0, 2.0, 0.0]],
+        # Plateau, then a cliff; a flat curve that gains nothing.
+        [[100.0] * 5 + [0.0] * 4, [50.0] * 9],
+        # Every curve flat: the round-robin remainder.
+        [[7.0] * 9, [7.0] * 9, [7.0] * 9],
+        # Growing misses: no window has a positive rate.
+        [[1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 1.0, 1.0, 2.0]],
+        # Identical non-convex curves: ties across partitions.
+        [[90.0, 90.0, 10.0, 10.0, 10.0, 10.0]] * 3,
+        # Tenths: windows whose rates tie or part only by rounding, so
+        # taking the last maximal window instead of the first changes
+        # the allocation.
+        [
+            [1.1, 1.1, 1.1, 0.7, 0.3, 0.1, 0.1],
+            [1.1, 1.0, 1.0, 0.7, 0.7, 0.2, 0.1],
+            [1.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0],
+        ],
+        [[1.0, 0.3, 0.1, 0.1, 0.1, 0.1, 0.0], [1.1, 1.1, 1.0, 0.7, 0.3, 0.1, 0.0]],
+        [[0.7, 0.7, 0.3, 0.3, 0.2, 0.2, 0.1], [1.1, 1.0, 1.0, 0.7, 0.3, 0.1, 0.0]],
+        # Rates that a reciprocal multiply, ``x * (1 / k)``, rounds
+        # differently from the true division ``x / k``.
+        [[3.1, 3.0, 2.6, 2.2, 1.8], [1.9, 0.9, 0.7, 0.4, 0.0]],
+    ]
+
+    @pytest.mark.parametrize("case", range(len(ADVERSARIAL)))
+    @pytest.mark.parametrize("min_units", [0, 1])
+    def test_adversarial_curves(self, monkeypatch, case, min_units):
+        curves = self.ADVERSARIAL[case]
+        total = len(curves[0]) - 1
+        if min_units * len(curves) > total:
+            pytest.skip("min_units does not fit")
+        vectorized, scalar = self.both(monkeypatch, curves, total, min_units)
+        assert vectorized == scalar
+        assert sum(vectorized) == total
+
+    @pytest.mark.parametrize("kind", _KINDS + ("mixed",))
+    def test_seeded_random_curves(self, monkeypatch, kind):
+        rng = random.Random(f"ucp-parity-{kind}")
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            total = rng.choice((3, 4, 5, 6, 8, 16, 64, 256))
+            min_units = rng.randint(0, total // n)
+            curves = [
+                _random_curve(
+                    rng, total + 1, rng.choice(_KINDS) if kind == "mixed" else kind
+                )
+                for _ in range(n)
+            ]
+            vectorized, scalar = self.both(monkeypatch, curves, total, min_units)
+            assert vectorized == scalar, (kind, n, total, min_units)
 
 
 class TestUCPPolicy:

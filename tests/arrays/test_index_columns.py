@@ -19,7 +19,7 @@ from repro.arrays import (
     SkewAssociativeArray,
     ZCacheArray,
 )
-from repro.arrays import hashing
+from repro import lazy
 from repro.arrays.hashing import H3Hash, hash_column
 from repro.harness.runner import run_mix
 from repro.sim import SystemConfig
@@ -78,8 +78,8 @@ def _expected(array_, addrs):
 def numpy_mode(request, monkeypatch):
     """Run a test through both branches of ``hash_column``."""
     if not request.param:
-        monkeypatch.setattr(hashing, "_np", None)
-    elif hashing._np is None:
+        monkeypatch.setattr(lazy, "load_numpy", lambda: None)
+    elif lazy.load_numpy() is None:
         pytest.skip("numpy not installed")
     return request.param
 
