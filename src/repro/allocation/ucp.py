@@ -146,21 +146,29 @@ class UCPPolicy:
         self.total_units = total_units
         self.min_units = min_units
         self.granularity = granularity
-        # Bound per-monitor sample filters for observe()'s early exit
-        # (the monitors list never changes after construction).  Every
-        # monitor implements the SampledMonitor interface, so there is
-        # exactly one reporting path -- no capability duck-probing.
-        self._sample_gets = [m.sample_filter() for m in self.monitors]
+        # Per-monitor set-index hashes and sampling periods for
+        # observe()'s early exit (the monitors list never changes after
+        # construction).  Every monitor implements the SampledMonitor
+        # interface, so there is exactly one reporting path.
+        self._hashes = [m._hash for m in self.monitors]
+        self._periods = [m._period for m in self.monitors]
         self.observed = [0] * len(self.monitors)
         self.last_allocation: list[int] = []
 
-    def observe(self, part: int, addr: int) -> None:
-        # The vast majority of addresses fall outside the monitor's
-        # sampled sets; its per-address cache lets us skip the call.
-        if self._sample_gets[part](addr, -1) is None:
+    def observe(self, part: int, addr: int, set_index: int | None = None) -> None:
+        """Report partition ``part``'s access to ``addr``.
+
+        ``set_index`` is the address's entry in the monitor's index
+        column (the kernel lane); without it the address is hashed
+        here (the object lane).  The vast majority of accesses fall
+        outside the sampled sets and skip the monitor call.
+        """
+        if set_index is None:
+            set_index = self._hashes[part](addr)
+        if set_index % self._periods[part]:
             return
         self.observed[part] += 1
-        self.monitors[part].access(addr)
+        self.monitors[part].access(addr, set_index)
 
     def allocate(self) -> list[int]:
         """Compute this epoch's allocation and decay the monitors."""
@@ -191,7 +199,7 @@ class UCPPolicy:
         group.stat(
             "observed",
             lambda: list(self.observed),
-            "per-partition accesses forwarded to the monitors",
+            "per-partition sampled accesses forwarded to the monitors",
         )
         group.stat(
             "last_allocation",
@@ -222,8 +230,9 @@ class ReuseAwareUCPPolicy(UCPPolicy):
     seeds each partition would sample (and classify) a different
     address subset.  Overriding ``observe`` also opts out of the batch
     kernels' exploded sample fast path automatically -- the kernels
-    call this bound method, so the classification order is identical
-    on every execution path.
+    call this bound method, with the set index from the chunk's UMON
+    column, so the classification order is identical on every
+    execution path.
     """
 
     #: First-touch table bound; at the cap the table is cleared
@@ -248,8 +257,10 @@ class ReuseAwareUCPPolicy(UCPPolicy):
         self._first_touch: dict[int, int] = {}
         self.shared_observed = [0] * len(self.monitors)
 
-    def observe(self, part: int, addr: int) -> None:
-        if self._sample_gets[part](addr, -1) is None:
+    def observe(self, part: int, addr: int, set_index: int | None = None) -> None:
+        if set_index is None:
+            set_index = self._hashes[part](addr)
+        if set_index % self._periods[part]:
             return
         self.observed[part] += 1
         ft = self._first_touch
@@ -259,7 +270,7 @@ class ReuseAwareUCPPolicy(UCPPolicy):
         shared = owner != part
         if shared:
             self.shared_observed[part] += 1
-        self.monitors[part].access(addr, shared=shared)
+        self.monitors[part].access(addr, set_index, shared)
 
     def allocate(self) -> list[int]:
         from repro.allocation.umon import interpolate_curve

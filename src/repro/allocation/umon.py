@@ -54,21 +54,16 @@ class UMonitor(SampledMonitor):
         self._period = model_sets // sampled_sets
         self._hash = H3Hash(model_sets, seed)
         # One LRU stack (list of addrs, MRU first) per sampled set.
+        # Sampling is by set index alone (see SampledMonitor), so the
+        # monitor holds no per-address state beyond these stacks.
         self._stacks: dict[int, list[int]] = {}
-        # addr -> sampled set index, or None for the (vast) majority
-        # of addresses that fall outside the sampled sets.  The hash
-        # and the sampling decision are static per address, so this
-        # avoids re-hashing every access.
-        self._sample_cache: dict[int, int | None] = {}
         self.hits = [0] * num_ways
         self.accesses = 0
 
-    def access(self, addr: int) -> None:
-        """Observe one of the core's L2 accesses."""
-        set_index = self._sample_cache.get(addr, -1)
-        if set_index == -1:
-            set_index = self.decide(addr, self._hash(addr))
-        if set_index is None:
+    def access(self, addr: int, set_index: int) -> None:
+        """Observe one of the core's L2 accesses, given its set index
+        (``self._hash(addr)``); only sampled sets are monitored."""
+        if set_index % self._period:
             return
         self.accesses += 1
         stack = self._stacks.get(set_index)
@@ -102,7 +97,6 @@ class UMonitor(SampledMonitor):
         self.hits = [h // 2 for h in self.hits]
 
     def register_stats(self, group) -> None:
-        super().register_stats(group)
         group.stat(
             "sampled_accesses",
             lambda: self.accesses,
@@ -139,11 +133,8 @@ class ReuseUMonitor(UMonitor):
         self.shared_accesses = 0
         self.shared_hits = [0] * num_ways
 
-    def access(self, addr: int, shared: bool = False) -> None:
-        set_index = self._sample_cache.get(addr, -1)
-        if set_index == -1:
-            set_index = self.decide(addr, self._hash(addr))
-        if set_index is None:
+    def access(self, addr: int, set_index: int, shared: bool = False) -> None:
+        if set_index % self._period:
             return
         self.accesses += 1
         if shared:

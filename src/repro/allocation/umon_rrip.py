@@ -97,10 +97,6 @@ class RRIPMonitor(SampledMonitor):
         self._hash = H3Hash(model_sets, seed)
         self._rng = random.Random(seed + 1)
         self._stacks: dict[int, _RRIPStack] = {}
-        # addr -> sampled set index (None outside the sampled sets);
-        # the SampledMonitor contract, shared with UMonitor, which
-        # lets UCP skip non-sampled addresses without a call.
-        self._sample_cache: dict[int, int | None] = {}
         # Separate counters for the SRRIP and BRRIP halves.
         self.hits = {"srrip": [0] * num_ways, "brrip": [0] * num_ways}
         self.accesses = {"srrip": 0, "brrip": 0}
@@ -108,11 +104,8 @@ class RRIPMonitor(SampledMonitor):
     def _half(self, set_index: int) -> str:
         return "srrip" if (set_index // self._period) % 2 == 0 else "brrip"
 
-    def access(self, addr: int) -> None:
-        set_index = self._sample_cache.get(addr, -1)
-        if set_index == -1:
-            set_index = self.decide(addr, self._hash(addr))
-        if set_index is None:
+    def access(self, addr: int, set_index: int) -> None:
+        if set_index % self._period:
             return
         half = self._half(set_index)
         self.accesses[half] += 1
@@ -151,7 +144,6 @@ class RRIPMonitor(SampledMonitor):
             self.hits[half] = [h // 2 for h in self.hits[half]]
 
     def register_stats(self, group) -> None:
-        super().register_stats(group)
         group.stat(
             "sampled_accesses",
             lambda: dict(self.accesses),

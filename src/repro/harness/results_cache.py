@@ -34,7 +34,7 @@ from repro.harness import schemes
 
 #: Bump when simulation behaviour changes (results would differ);
 #: ``tests/harness/test_cache_version.py`` pins it to the goldens.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: Process-wide telemetry counters (read by the harness stats tree).
 HITS = 0

@@ -100,20 +100,20 @@ class BatchContext:
     kernel read and write the same cursors, so control can bounce
     between them mid-run with no hand-off step.
 
-    ``sample_gets``/``observed``/``mon_accesses``/``mon_decides`` are
-    the exploded fast path of :meth:`UCPPolicy.observe` (per-partition
-    sample filters, observation counters and bound monitor accessors
-    and deciders); they are ``None`` when the policy is absent or
-    overrides ``observe``, in which case the kernel falls back to the
-    bound ``observe`` call.
+    ``periods``/``observed``/``mon_accesses`` are the exploded fast
+    path of :meth:`UCPPolicy.observe` (per-partition sampling periods,
+    observation counters and bound monitor accessors); they are
+    ``None`` when the policy is absent or overrides ``observe``, in
+    which case the kernel falls back to the bound ``observe`` call.
 
     ``cols``/``ucols`` are the per-core *index columns* of the chunk
     each core is reading, rebuilt by ``CMPSystem.run`` at every refill
     like ``bufs``: ``cols[cid]`` is the L2 array's
     :meth:`~repro.arrays.base.CacheArray.index_column` (``None`` for
     arrays that hash nothing) and ``ucols[cid]`` the core's UMON
-    :meth:`~repro.telemetry.SampledMonitor.index_column` (built and
-    read only with ``sample_gets``).  The kernel at cursor ``pos`` (just
+    :meth:`~repro.telemetry.SampledMonitor.index_column` (built only
+    for UCP policies; a UCP subclass's bound ``observe`` gets the
+    entry as its ``set_index``).  The kernel at cursor ``pos`` (just
     past a pair) reads that pair's entries at ``(pos >> 1) - 1``
     (times the column width), so no address is hashed on the hot path.
     """
@@ -121,10 +121,9 @@ class BatchContext:
     hit_latency: int
     memory: object
     observe: Callable | None
-    sample_gets: list | None
+    periods: list | None
     observed: list | None
     mon_accesses: list | None
-    mon_decides: list | None
     l1s: list | None
     collect: bool
     l1_hits: list
@@ -165,10 +164,9 @@ def _batch_kernel(cache: PartitionedCache, ctx: BatchContext, hit, miss):
     service_cycles = memory.service_cycles
     free_at = memory._free_at
     observe = ctx.observe
-    sample_gets = ctx.sample_gets
+    periods = ctx.periods
     observed = ctx.observed
     mon_accesses = ctx.mon_accesses
-    mon_decides = ctx.mon_decides
     l1_accesses = [l1.access for l1 in ctx.l1s] if ctx.l1s is not None else None
     collect = ctx.collect
     l1_hits = ctx.l1_hits
@@ -230,13 +228,12 @@ def _batch_kernel(cache: PartitionedCache, ctx: BatchContext, hit, miss):
             count = instructions[cid]
             fin = finished_at[cid] is not None
             l1a = l1_accesses[cid] if l1_accesses is not None else None
-            if sample_gets is not None:
-                sget = sample_gets[cid]
+            ucol = ucols[cid]
+            if periods is not None:
+                period = periods[cid]
                 macc = mon_accesses[cid]
-                mdecide = mon_decides[cid]
-                ucol = ucols[cid]
             else:
-                sget = None
+                period = 0
             reason = 0
             while True:
                 if now >= next_service:
@@ -255,17 +252,16 @@ def _batch_kernel(cache: PartitionedCache, ctx: BatchContext, hit, miss):
                     if collect:
                         l1_hits[cid] += 1
                 else:
-                    if sget is not None:
-                        decision = sget(addr, -1)
-                        if decision is not None:
-                            # First touch (-1): decide from the column.
+                    if period:
+                        s = ucol[(pos >> 1) - 1]
+                        if not s % period:
                             observed[cid] += 1
-                            if decision != -1 or (
-                                mdecide(addr, ucol[(pos >> 1) - 1]) is not None
-                            ):
-                                macc(addr)
+                            macc(addr, s)
                     elif observe is not None:
-                        observe(cid, addr)
+                        if ucol is not None:
+                            observe(cid, addr, ucol[(pos >> 1) - 1])
+                        else:
+                            observe(cid, addr)
                     slot = lookup(addr)
                     st_acc[cid] += 1
                     if slot is not None:

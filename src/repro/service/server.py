@@ -53,7 +53,6 @@ from repro.harness import parallel, results_cache
 from repro.harness.parallel import SimJob, default_workers
 from repro.service import protocol
 from repro.service.jobqueue import JobQueue, QueueClosed, QueueFull
-from repro.service.workers import WorkerPool
 from repro.telemetry import StatGroup
 
 #: Default seconds between the snapshots of an id-less ``watch``.
@@ -139,6 +138,10 @@ class ExperimentDaemon:
             maxsize=self.config.queue_size, on_done=self._record
         )
         if pool is None:
+            # Imported here: the gateway subclasses this server and
+            # never runs a local pool.
+            from repro.service.workers import WorkerPool
+
             pool = WorkerPool(
                 workers=self.config.workers,
                 job_timeout=self.config.job_timeout,

@@ -38,6 +38,7 @@ worker through a thread of the pool's own executor, one per slot
 from __future__ import annotations
 
 import asyncio
+import gc
 import multiprocessing
 import signal
 import time
@@ -210,6 +211,10 @@ class WorkerPool:
         self.restarts = 0
         self.retries = 0
         self.timeouts = 0
+        #: ``gc.get_freeze_count()`` at the fork point (0 before start).
+        self.frozen_objects = 0
+        # Whether stop() unfreezes: only a heap this pool froze.
+        self._thaw = False
         self.job_wall_time = Distribution(
             "job_wall_time", "per-job wall time as measured by workers"
         )
@@ -222,8 +227,14 @@ class WorkerPool:
             # workers fork; live publishers' files are never touched.
             traces.scavenge()
         # The fork point: workers inherit what they run from this
-        # process and share its pages.
+        # process and share its pages.  Freezing the heap moves every
+        # object into the GC's permanent generation, so the workers'
+        # collections never write to the pages they inherited (a
+        # written page is copied and stops being shared).
         parallel.preload()
+        self._thaw = gc.get_freeze_count() == 0
+        gc.freeze()
+        self.frozen_objects = gc.get_freeze_count()
         loop = asyncio.get_running_loop()
         for slot in range(self.workers):
             self._slots[slot] = await loop.run_in_executor(None, WorkerProcess)
@@ -240,6 +251,7 @@ class WorkerPool:
         group.stat("restarts", lambda: self.restarts, "workers respawned after a crash or timeout")
         group.stat("retries", lambda: self.retries, "jobs re-queued after their worker died")
         group.stat("timeouts", lambda: self.timeouts, "jobs killed by the per-job timeout")
+        group.stat("frozen_objects", lambda: self.frozen_objects, "objects in the GC's permanent generation when the workers forked")
         group.stat("job_wall_time", self.job_wall_time.value, "per-job wall time distribution, seconds")
         group.stat("trace_store", self.trace_counters, "workers' trace-chunk store counters, summed")
 
@@ -356,3 +368,9 @@ class WorkerPool:
         # A slot thread still inside ``run`` returns once its worker
         # is gone.
         self._runner.shutdown(wait=False)
+        # Leave the host process's GC as start() found it (run_jobs
+        # and in-process daemons outlive their pool); a heap the
+        # caller froze itself stays frozen.
+        if self._thaw:
+            gc.unfreeze()
+            self._thaw = False

@@ -249,18 +249,18 @@ class CMPSystem:
         *live* scheduler state of this ``run`` invocation (cursors,
         instruction counters, core times), shared by reference.  When
         the policy is a stock :class:`~repro.allocation.ucp.UCPPolicy`,
-        its ``observe`` is exploded into the per-partition sample
-        filters and monitor methods so the kernels can inline the
+        its ``observe`` is exploded into the per-partition sampling
+        periods and monitor methods so the kernels can inline the
         sampled-set early exit (the overwhelmingly common case)
-        without a bound call.
+        without a bound call; a UCP subclass that overrides
+        ``observe`` is called with the set index from the same column.
         """
         from repro.allocation.static import EqualSharePolicy, StaticPolicy
         from repro.allocation.ucp import UCPPolicy
 
         policy = self.policy
         observe = policy.observe if policy is not None else None
-        sample_gets = observed = mon_accesses = mon_decides = None
-        mon_columns = None
+        periods = observed = mon_accesses = mon_columns = None
         if observe is not None and type(policy).observe in (
             StaticPolicy.observe,
             EqualSharePolicy.observe,
@@ -268,21 +268,20 @@ class CMPSystem:
             # Static allocators observe nothing; dropping the no-op
             # call keeps the kernels' per-access path tight.
             observe = None
-        if isinstance(policy, UCPPolicy) and type(policy).observe is UCPPolicy.observe:
-            sample_gets = policy._sample_gets
-            observed = policy.observed
-            mon_accesses = [m.access for m in policy.monitors]
-            mon_decides = [m.decide for m in policy.monitors]
+        if isinstance(policy, UCPPolicy):
             mon_columns = [m.index_column for m in policy.monitors]
-            observe = None
+            if type(policy).observe is UCPPolicy.observe:
+                periods = policy._periods
+                observed = policy.observed
+                mon_accesses = [m.access for m in policy.monitors]
+                observe = None
         ctx = BatchContext(
             hit_latency=self.config.l2_hit_latency,
             memory=self.memory,
             observe=observe,
-            sample_gets=sample_gets,
+            periods=periods,
             observed=observed,
             mon_accesses=mon_accesses,
-            mon_decides=mon_decides,
             l1s=self.l1s,
             collect=self._collect,
             l1_hits=self.l1_hits,

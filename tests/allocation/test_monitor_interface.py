@@ -1,19 +1,28 @@
-"""UMonitor and RRIPMonitor present one telemetry interface
-(:class:`repro.telemetry.SampledMonitor`), so UCP reports through a
-single path with no per-monitor capability probing."""
+"""UMonitor, ReuseUMonitor and RRIPMonitor present one telemetry
+interface (:class:`repro.telemetry.SampledMonitor`), so UCP reports
+through a single path with no per-monitor capability probing.  A
+monitor samples by set index alone (``set_index % period == 0``) and
+keeps no per-address state."""
 
 import random
 
 import pytest
 
-from repro.allocation import UCPPolicy, UMonitor
+from repro.allocation import ReuseUMonitor, UCPPolicy, UMonitor
 from repro.allocation.umon_rrip import RRIPMonitor
 from repro.telemetry import SampledMonitor, StatGroup
 
 MONITORS = [
     lambda: UMonitor(8, 256, sampled_sets=16, seed=3),
     lambda: RRIPMonitor(8, 256, sampled_sets=16, seed=3),
+    lambda: ReuseUMonitor(8, 256, sampled_sets=16, seed=3),
 ]
+
+
+def sampled(mon) -> int:
+    """The monitor's sampled-access count (RRIP: both halves)."""
+    acc = mon.accesses
+    return sum(acc.values()) if isinstance(acc, dict) else acc
 
 
 @pytest.mark.parametrize("factory", MONITORS)
@@ -21,21 +30,19 @@ class TestSampledMonitorContract:
     def test_is_sampled_monitor(self, factory):
         assert isinstance(factory(), SampledMonitor)
 
-    def test_sample_cache_memoises_decisions(self, factory):
+    def test_sampling_is_set_index_mod_period(self, factory):
         mon = factory()
         rng = random.Random(11)
         addrs = [rng.randrange(1 << 30) for _ in range(500)]
+        hits = 0
         for addr in addrs:
+            before = sampled(mon)
             mon.observe(addr)
-        get = mon.sample_filter()
-        sampled = 0
-        for addr in addrs:
-            decision = get(addr, -1)
-            assert decision != -1  # every observed address is decided
-            if decision is not None:
-                assert isinstance(decision, int)
-                sampled += 1
-        assert 0 < sampled < len(addrs)  # both outcomes occur
+            taken = sampled(mon) - before
+            assert taken == (mon._hash(addr) % mon._period == 0)
+            hits += taken
+        assert 0 < hits < len(addrs)  # both outcomes occur
+        assert not hasattr(mon, "_sample_cache")  # no per-address memo
 
     def test_observe_equals_access(self, factory):
         a, b = factory(), factory()
@@ -43,39 +50,46 @@ class TestSampledMonitorContract:
         addrs = [rng.randrange(1 << 30) for _ in range(300)]
         for addr in addrs:
             a.observe(addr)
-            b.access(addr)
+            b.access(addr, b._hash(addr))
         assert a.miss_curve() == b.miss_curve()
-        assert a._sample_cache == b._sample_cache
+        assert sampled(a) == sampled(b) > 0
 
-    def test_register_stats_includes_decided_addresses(self, factory):
+    def test_register_stats_reports_sampled_accesses(self, factory):
         mon = factory()
-        mon.observe(1234)
+        addr = next(a for a in range(1 << 16) if mon._hash(a) % mon._period == 0)
+        mon.observe(addr)
         group = StatGroup("mon")
         mon.register_stats(group)
-        assert group.snapshot()["decided_addresses"] == 1
+        snap = group.snapshot()
+        assert "decided_addresses" not in snap
+        got = snap["sampled_accesses"]
+        assert (sum(got.values()) if isinstance(got, dict) else got) == 1
 
 
 @pytest.mark.parametrize("factory", MONITORS)
 def test_ucp_observe_uses_uniform_path(factory):
-    """UCP's hot-path skip works identically for both monitor kinds:
-    skipped addresses never reach the monitor, forwarded ones do."""
-    monitors = [factory() for _ in range(2)]
-    policy = UCPPolicy(monitors, total_units=16)
+    """UCP's sampled-set skip works identically for every monitor
+    kind: skipped accesses never reach the monitor, sampled ones do,
+    and a caller-supplied set index (the kernel lane's column entry)
+    decides exactly like hashing (the object lane)."""
+    hashed = [factory() for _ in range(2)]
+    indexed = [factory() for _ in range(2)]
+    policy = UCPPolicy(hashed, total_units=16)
+    fed = UCPPolicy(indexed, total_units=16)
     rng = random.Random(13)
     addrs = [rng.randrange(1 << 30) for _ in range(400)]
     for addr in addrs:
-        policy.observe(0, addr)
-        policy.observe(0, addr)  # second sight exercises the skip path
+        for _ in range(2):
+            policy.observe(0, addr)
+            fed.observe(0, addr, indexed[0]._hash(addr))
 
-    get = monitors[0].sample_filter()
-    sampled = sum(1 for a in set(addrs) if get(a, -1) is not None)
-    assert sampled > 0
-    # Every unique address was decided through observe().
-    assert all(get(a, -1) != -1 for a in addrs)
+    mon = hashed[0]
+    expected = 2 * sum(1 for a in addrs if mon._hash(a) % mon._period == 0)
+    assert policy.observed == fed.observed == [expected, 0]
+    assert sampled(mon) == expected > 0
+    assert mon.miss_curve() == indexed[0].miss_curve()
     # The untouched partition's monitor saw nothing.
-    assert len(monitors[1]._sample_cache) == 0
-    assert policy.observed[1] == 0
-    assert policy.observed[0] > 0
+    assert sampled(hashed[1]) == sampled(indexed[1]) == 0
 
 
 def test_ucp_allocate_works_with_rrip_monitors():

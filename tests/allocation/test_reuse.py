@@ -6,7 +6,8 @@ from repro.allocation import ReuseAwareUCPPolicy, ReuseUMonitor
 
 
 def _full_monitor(ways=4):
-    """Fully-sampled monitor: every address lands in the one set."""
+    """Fully-sampled monitor: every address lands in the one set
+    (set index 0, which ``access`` callers pass directly)."""
     return ReuseUMonitor(ways, model_sets=1, sampled_sets=1, seed=0)
 
 
@@ -15,7 +16,7 @@ class TestReuseUMonitor:
         m = _full_monitor()
         stream = [(1, False), (2, True), (1, False), (2, True)]
         for addr, shared in stream:
-            m.access(addr, shared=shared)
+            m.access(addr, 0, shared=shared)
         assert m.accesses == 4
         assert m.shared_accesses == 2
         # Second touch of each address hits at stack distance 1.
@@ -26,7 +27,7 @@ class TestReuseUMonitor:
         """private + shared = total, pointwise."""
         m = _full_monitor()
         for i in range(40):
-            m.access(i % 3, shared=(i % 2 == 0))
+            m.access(i % 3, 0, shared=(i % 2 == 0))
         total = m.miss_curve()
         private = m.private_curve()
         shared = m.shared_curve()
@@ -36,7 +37,7 @@ class TestReuseUMonitor:
     def test_default_is_private(self):
         m = _full_monitor()
         for addr in (1, 2, 1, 2):
-            m.access(addr)
+            m.observe(addr)
         assert m.shared_accesses == 0
         assert m.shared_curve() == [0.0] * (m.num_ways + 1)
         assert m.private_curve() == m.miss_curve()
@@ -44,7 +45,7 @@ class TestReuseUMonitor:
     def test_epoch_reset_halves_shared_counters(self):
         m = _full_monitor()
         for _ in range(10):
-            m.access(7, shared=True)
+            m.access(7, 0, shared=True)
         m.epoch_reset()
         assert m.shared_accesses == 5
         assert m.shared_hits[0] == 4  # 9 hits // 2

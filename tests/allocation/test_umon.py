@@ -14,7 +14,7 @@ class TestShadowTags:
         m = UMonitor(4, model_sets=1, sampled_sets=1, seed=0)
         stream = [1, 2, 3, 1, 2, 3, 1, 2, 3]
         for addr in stream:
-            m.access(addr)
+            m.observe(addr)
         # After warmup, every access hits at stack distance 2 (0-based).
         assert m.hits[2] == 6
         assert m.hits[0] == m.hits[1] == 0
@@ -22,22 +22,22 @@ class TestShadowTags:
 
     def test_mru_hit_position_zero(self):
         m = UMonitor(4, model_sets=1, sampled_sets=1, seed=0)
-        m.access(5)
-        m.access(5)
+        m.observe(5)
+        m.observe(5)
         assert m.hits[0] == 1
 
     def test_capacity_bounded_by_ways(self):
         m = UMonitor(2, model_sets=1, sampled_sets=1, seed=0)
         for addr in (1, 2, 3):  # 3 distinct lines, 2-way stack
-            m.access(addr)
-        m.access(1)  # was evicted from the shadow stack
+            m.observe(addr)
+        m.observe(1)  # was evicted from the shadow stack
         assert sum(m.hits) == 0
 
     def test_miss_curve_shape(self):
         m = UMonitor(4, model_sets=1, sampled_sets=1, seed=0)
         for _ in range(3):
             for addr in (1, 2, 3):
-                m.access(addr)
+                m.observe(addr)
         curve = m.miss_curve()
         assert len(curve) == 5
         assert curve[0] == m.accesses
@@ -51,15 +51,15 @@ class TestShadowTags:
         rng = random.Random(0)
         addrs = [rng.randrange(10_000) for _ in range(5000)]
         for a in addrs:
-            full.access(a)
-            sampled.access(a)
+            full.observe(a)
+            sampled.observe(a)
         assert full.accesses == 5000
         assert 0.05 < sampled.accesses / 5000 < 0.25
 
     def test_epoch_reset_halves(self):
         m = UMonitor(2, model_sets=1, sampled_sets=1, seed=0)
         for _ in range(10):
-            m.access(1)
+            m.observe(1)
         m.epoch_reset()
         assert m.accesses == 5
         assert m.hits[0] == 4  # 9 hits // 2

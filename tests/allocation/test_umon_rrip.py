@@ -25,7 +25,7 @@ class TestRRIPMonitor:
         m = RRIPMonitor(8, 2, sampled_sets=2, seed=0)
         for _ in range(20):
             for a in range(4):
-                m.access(a)
+                m.observe(a)
         curve = m.miss_curve()
         assert curve[0] > curve[-1]  # capacity helps
         assert curve == sorted(curve, reverse=True)
@@ -36,20 +36,20 @@ class TestRRIPMonitor:
         m = RRIPMonitor(4, 2, sampled_sets=2, seed=1)
         for _ in range(300):
             for a in range(12):  # loop 3x the shadow capacity
-                m.access(a)
+                m.observe(a)
         assert m.best_policy() == "brrip"
 
     def test_reuse_friendly_prefers_srrip(self):
         m = RRIPMonitor(4, 2, sampled_sets=2, seed=2)
         for _ in range(200):
             for a in range(3):  # fits: SRRIP keeps everything
-                m.access(a)
+                m.observe(a)
         assert m.best_policy() == "srrip"
 
     def test_epoch_reset_halves_counters(self):
         m = RRIPMonitor(4, 2, sampled_sets=2, seed=3)
         for _ in range(10):
-            m.access(1)
+            m.observe(1)
         m.epoch_reset()
         total = m.accesses["srrip"] + m.accesses["brrip"]
         assert total == 5

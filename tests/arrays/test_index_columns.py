@@ -11,7 +11,7 @@ from array import array
 
 import pytest
 
-from repro.allocation.umon import UMonitor
+from repro.allocation.umon import ReuseUMonitor, UMonitor
 from repro.allocation.umon_rrip import RRIPMonitor
 from repro.arrays import (
     RandomCandidatesArray,
@@ -104,20 +104,33 @@ def test_umon_column_matches_scalar(monitor_cls, form, numpy_mode):
     assert column.tolist() == [monitor._hash(a) for a in addrs]
 
 
-@pytest.mark.parametrize("monitor_cls", [UMonitor, RRIPMonitor])
+@pytest.mark.parametrize("monitor_cls", [UMonitor, RRIPMonitor, ReuseUMonitor])
 def test_decide_from_column_matches_access(monitor_cls):
-    """Deciding first touches from the column memoises exactly what
-    ``access`` decides by hashing."""
+    """The sampling decision fed from the UMON column (the kernel
+    lane) equals the one ``observe`` makes by hashing (the object
+    lane): an access is sampled iff ``hash(addr) % period == 0``, and
+    both lanes end with identical monitor state."""
     addrs = [(2 << 44) + 61 * i for i in range(4000)]
     walked = monitor_cls(16, 2048, sampled_sets=64, seed=9)
-    decided = monitor_cls(16, 2048, sampled_sets=64, seed=9)
-    column = decided.index_column(_pairs(addrs))
+    fed = monitor_cls(16, 2048, sampled_sets=64, seed=9)
+    column = fed.index_column(_pairs(addrs))
+    period = walked._period
+    taken = 0
     for i, a in enumerate(addrs):
-        walked.access(a)
-        if decided.sample_filter()(a, -1) == -1:
-            decided.decide(a, column[i])
-    assert decided._sample_cache == walked._sample_cache
-    assert any(v is not None for v in walked._sample_cache.values())
+        rule = walked._hash(a) % period == 0
+        before = (_sampled(walked), _sampled(fed))
+        walked.observe(a)
+        fed.access(a, column[i])
+        after = (_sampled(walked), _sampled(fed))
+        assert after == (before[0] + rule, before[1] + rule)
+        taken += rule
+    assert 0 < taken < len(addrs)
+    assert fed.miss_curve() == walked.miss_curve()
+
+
+def _sampled(monitor) -> int:
+    acc = monitor.accesses
+    return sum(acc.values()) if isinstance(acc, dict) else acc
 
 
 def test_bulk_matches_scalar_for_each_upper_half_case():

@@ -123,6 +123,19 @@ def test_servers_skip_numpy_models_and_tables(tmp_path, command, package, entry)
     assert not modules & set(MODEL_MODULES), sorted(modules & set(MODEL_MODULES))
 
 
+def test_gateway_does_not_load_the_worker_pool():
+    """The gateway subclasses the daemon's server but never runs a
+    local pool, so it must not import ``repro.service.workers``."""
+    modules = _run(
+        """
+        from repro.federation.gateway import FederationGateway, GatewayConfig
+        FederationGateway(GatewayConfig(nodes=["127.0.0.1:1"]))
+        """
+    )["modules"]
+    assert "repro.service.server" in modules
+    assert "repro.service.workers" not in modules
+
+
 def test_worker_pool_preloads_numpy_at_its_fork_point():
     report = _run(
         """

@@ -208,6 +208,28 @@ def test_worker_pool_used_when_requested(cache_dir):
         assert a.result == b.result
 
 
+def test_run_jobs_leaves_the_callers_gc_as_it_was(cache_dir, monkeypatch):
+    """The pool forks its workers from a frozen heap, and thaws it
+    when it stops: the caller's freeze count and GC switch are
+    unchanged afterwards."""
+    import gc
+
+    from repro.service import workers
+
+    at_fork = []
+
+    class Recording(workers.WorkerProcess):
+        def __init__(self):
+            at_fork.append(gc.get_freeze_count())
+            super().__init__()
+
+    monkeypatch.setattr(workers, "WorkerProcess", Recording)
+    before = (gc.get_freeze_count(), gc.isenabled())
+    run_jobs(_jobs()[:2], workers=2, use_cache=False)
+    assert len(at_fork) == 2 and min(at_fork) > 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
 # -- crash robustness and dedupe ordering (service-era satellites) -----
 
 import multiprocessing

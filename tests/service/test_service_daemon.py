@@ -415,6 +415,13 @@ class TestStatsTree:
         # The harness group mirrors the batch schema roots.
         assert "results_cache" in tree["harness"]
 
+    def test_workers_fork_from_a_frozen_heap(self, daemon):
+        """The pool freezes its heap at the fork point (so the workers'
+        GC passes leave the pages they share alone) and says so."""
+        with daemon.client() as svc:
+            workers = svc.stats()["service"]["workers"]
+        assert workers["frozen_objects"] > 0
+
     def test_stats_tree_names_follow_schema(self, svc_env):
         """Every service stat name passes the tree's [a-z0-9_] rule
         and the schema walk (the golden-format contract)."""
