@@ -24,6 +24,27 @@ from repro import telemetry
 #: the hot path (``addr_at`` still presents ``None`` to callers).
 EMPTY = -1
 
+#: The process-wide slot table: entry ``i`` is *the* int object for
+#: slot ``i``.  Every slot an array keeps in a Python container (the
+#: ``_slot_of`` values, the skew/zcache position tuples, PIPP's
+#: chains) is taken from here, so a 131,072-line array stores pointers
+#: to one shared int per slot instead of a freshly boxed int per entry
+#: (an index column's ``array('q')`` and ``h & mask`` both box a new
+#: object on every read).  Grown by :func:`slot_ints` when an array
+#: is built, never at import; it only ever grows, so the largest
+#: array built so far sizes it.
+_SLOT_INTS: list[int] = []
+
+
+def slot_ints(num_lines: int) -> list[int]:
+    """The slot table (:data:`_SLOT_INTS`), grown to at least
+    ``num_lines`` entries.  Callers keep the returned list: it is the
+    same object for the life of the process."""
+    table = _SLOT_INTS
+    if len(table) < num_lines:
+        table.extend(range(len(table), num_lines))
+    return table
+
 
 class Candidate(namedtuple("Candidate", ("slot", "addr", "path", "way"))):
     """One replacement option returned by :meth:`CacheArray.candidates`.
@@ -88,8 +109,10 @@ class CacheArray(ABC):
         # pointers -- 8 bytes/slot regardless of address magnitude.
         self._tags = array("q", [EMPTY]) * num_lines
         # Bounded address->slot index: one entry per *resident* line,
-        # so its size can never exceed num_lines.
+        # so its size can never exceed num_lines.  Its values come
+        # from the shared slot table.
         self._slot_of: dict[int, int] = {}
+        self._slot_ints = slot_ints(num_lines)
         # Scratch buffer for install_walk's relocation report: flat
         # (src, dst) pairs, overwritten on every call.
         self._install_moves: list[int] = []
@@ -158,8 +181,9 @@ class CacheArray(ABC):
     # ``first``: ``addr``'s own hash result when the caller already has
     # it -- its entry in the array's ``index_column`` (the set index of
     # a set-associative array, the per-way positions tuple of a skew
-    # array or zcache).  Batch kernels pass it; the scalar paths leave
-    # it ``None`` and the array hashes ``addr``.
+    # array or zcache, as slot-table ints since the array stores
+    # them).  Batch kernels pass it; the scalar paths leave it ``None``
+    # and the array hashes ``addr``.
 
     def index_column(self, chunk):
         """The array's hash of every address in a trace chunk, as an
@@ -336,7 +360,7 @@ class CacheArray(ABC):
         if self._tags[slot] >= 0:
             raise ValueError(f"slot {slot} is occupied")
         self._tags[slot] = addr
-        self._slot_of[addr] = slot
+        self._slot_of[addr] = self._slot_ints[slot]
 
     def _remove(self, slot: int) -> None:
         addr = self._tags[slot]
@@ -353,4 +377,4 @@ class CacheArray(ABC):
             raise ValueError(f"cannot move into occupied slot {dst}")
         self._tags[src] = EMPTY
         self._tags[dst] = addr
-        self._slot_of[addr] = dst
+        self._slot_of[addr] = self._slot_ints[dst]

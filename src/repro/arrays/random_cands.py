@@ -35,7 +35,7 @@ class RandomCandidatesArray(CacheArray):
             raise ValueError("candidates_per_miss cannot exceed num_lines")
         self._r = candidates_per_miss
         self._rng = random.Random(seed)
-        self._free = list(range(num_lines - 1, -1, -1))
+        self._free = self._slot_ints[num_lines - 1 :: -1]
 
     @property
     def candidates_per_miss(self) -> int:

@@ -20,7 +20,8 @@ def relocated_positions(
     """The ``_pos_by_slot`` entry of a line moving from ``src`` to
     ``dst``, derived from its entry at ``src`` (``others``: the line's
     positions minus ``src``) with no hashing: put ``src`` back at its
-    way, take ``dst`` out of its way."""
+    way, take ``dst`` out of its way.  ``src`` is a slot-table int (it
+    came out of a positions tuple), so the result holds only those."""
     way = src // num_sets
     full = others[:way] + (src,) + others[way:]
     way = dst // num_sets
@@ -46,7 +47,8 @@ class SkewAssociativeArray(CacheArray):
         # index_column() instead, and relocations derive positions
         # from _pos_by_slot.  Flushed wholesale at the cap like
         # SetAssociativeArray._index_cache (correctness never depends
-        # on an entry being present).
+        # on an entry being present).  Position tuples hold slot-table
+        # ints (repro.arrays.base.slot_ints), on both paths.
         self._position_cache: dict[int, tuple[int, ...]] = {}
         self._position_cache_cap = max(4 * num_lines, 1 << 16)
         # First slot of each way's bank (positions() adds these to the
@@ -82,7 +84,8 @@ class SkewAssociativeArray(CacheArray):
                 cache.clear()
             h = self.hashes.packed(addr) + self._lane_offsets
             mask = self._lane_mask
-            pos = tuple([(h >> shift) & mask for shift in self._lane_shifts])
+            slots = self._slot_ints
+            pos = tuple([slots[(h >> shift) & mask] for shift in self._lane_shifts])
             cache[addr] = pos
         return pos
 
@@ -90,7 +93,10 @@ class SkewAssociativeArray(CacheArray):
         """Every address's positions in a trace chunk, ``num_ways``
         entries per address (see
         :func:`~repro.arrays.hashing.hash_column`): each way's H3 hash
-        plus its bank base, which is exactly :meth:`positions`."""
+        plus its bank base, which is exactly :meth:`positions`.  The
+        entries are plain int64s: a batch kernel maps a missing
+        address's entries through the slot table before it passes
+        them on as ``first``."""
         return hash_column(chunk, self.hashes.functions, self._bank_bases)
 
     def positions_into(self, addr: int, buf: list[int]) -> int:

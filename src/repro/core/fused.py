@@ -61,10 +61,12 @@ def _vantage_bodies(cache, ctx, rrpv):
         num_sets = array.num_sets
         walk_stats = array._collect
     # A miss hands the walk its column entry: the positions tuple of a
-    # skew array or zcache, the set index of a set-associative array
-    # (arrays without a column leave cols[cid] None).
+    # skew array or zcache (mapped through the slot table, since the
+    # walk stores these ints), the set index of a set-associative
+    # array (arrays without a column leave cols[cid] None).
     skew = isinstance(array, SkewAssociativeArray)
     num_ways = array.num_ways
+    slot_ints = array._slot_ints
 
     part_of = cache.part_of
     line_ts = cache.line_ts
@@ -117,7 +119,7 @@ def _vantage_bodies(cache, ctx, rrpv):
             first = None
         elif skew:
             k = i * num_ways
-            first = tuple(col[k : k + num_ways])
+            first = tuple([slot_ints[s] for s in col[k : k + num_ways]])
         else:
             first = col[i]
         landing = -1

@@ -101,6 +101,7 @@ def _sa_lru_miss(cache, array, policy, ctx):
     coarse LRU: the set scan and install inlined."""
     cols = ctx.cols
     slot_of = array._slot_of
+    slot_ints = array._slot_ints
     tags = array._tags
     set_free = array._set_free
     num_ways = array.num_ways
@@ -129,7 +130,7 @@ def _sa_lru_miss(cache, array, policy, ctx):
                 array.stat_walks += 1
                 array.stat_candidates += scanned
             tags[slot] = addr
-            slot_of[addr] = slot
+            slot_of[addr] = slot_ints[slot]
             set_free[si] -= 1
         else:
             if walk_stats:
@@ -148,7 +149,7 @@ def _sa_lru_miss(cache, array, policy, ctx):
                 sizes[owner] -= 1
             del slot_of[tags[slot]]
             tags[slot] = addr
-            slot_of[addr] = slot
+            slot_of[addr] = slot_ints[slot]
         if walk_stats:
             array.stat_installs += 1
         part_of[slot] = cid
@@ -176,10 +177,12 @@ def _generic_miss(cache, array, policy, ctx):
     install_walk = array.install_walk
     moves_buf = array._install_moves
     # A miss hands the walk its column entry: the positions tuple of a
-    # skew array or zcache, the set index of a set-associative array
-    # (arrays without a column leave cols[cid] None).
+    # skew array or zcache (mapped through the slot table, since the
+    # walk stores these ints), the set index of a set-associative
+    # array (arrays without a column leave cols[cid] None).
     skew = isinstance(array, SkewAssociativeArray)
     num_ways = array.num_ways
+    slot_ints = array._slot_ints
     state = policy.state if isinstance(policy, SlotStatePolicy) else None
     pol_cls = type(policy)
     select_index = policy.select_victim_index
@@ -202,7 +205,7 @@ def _generic_miss(cache, array, policy, ctx):
             first = None
         elif skew:
             k = i * num_ways
-            first = tuple(col[k : k + num_ways])
+            first = tuple([slot_ints[s] for s in col[k : k + num_ways]])
         else:
             first = col[i]
         slots, parents, has_empty = candidate_slots(addr, first)
@@ -264,6 +267,7 @@ def build_waypart_bodies(cache: WayPartitionedCache, ctx):
         return None
     cols = ctx.cols
     slot_of = array._slot_of
+    slot_ints = array._slot_ints
     tags = array._tags
     set_free = array._set_free
     num_ways = array.num_ways
@@ -297,7 +301,7 @@ def build_waypart_bodies(cache: WayPartitionedCache, ctx):
         if empty >= 0:
             slot = empty
             tags[slot] = addr
-            slot_of[addr] = slot
+            slot_of[addr] = slot_ints[slot]
             set_free[base // num_ways] -= 1
         else:
             slot = victim
@@ -307,7 +311,7 @@ def build_waypart_bodies(cache: WayPartitionedCache, ctx):
                 sizes[owner] -= 1
             del slot_of[tags[slot]]
             tags[slot] = addr
-            slot_of[addr] = slot
+            slot_of[addr] = slot_ints[slot]
         if walk_stats:
             array.stat_installs += 1
         part_of[slot] = cid
@@ -330,6 +334,7 @@ def build_pipp_bodies(cache: PIPPCache, ctx):
     array = cache.array
     cols = ctx.cols
     slot_of = array._slot_of
+    slot_ints = array._slot_ints
     tags = array._tags
     set_free = array._set_free
     num_ways = array.num_ways
@@ -376,7 +381,7 @@ def build_pipp_bodies(cache: PIPPCache, ctx):
             slot = -1
             for s in range(base, base + num_ways):
                 if tags[s] < 0:
-                    slot = s
+                    slot = slot_ints[s]
                     break
             tags[slot] = addr
             slot_of[addr] = slot

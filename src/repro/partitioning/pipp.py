@@ -64,7 +64,7 @@ class PIPPCache(PartitionedCache):
         self._alloc_ways = [base + (1 if p < extra else 0) for p in range(num_partitions)]
         self.streaming = [False] * num_partitions
         # Per-set LRU chain: chain[s][0] is the LRU slot.  Only
-        # occupied slots appear in a chain.
+        # occupied slots appear in a chain, as slot-table ints.
         self._chains: list[list[int]] = [[] for _ in range(array.num_sets)]
         self._pos_of: list[int] = [-1] * array.num_lines
         # Classification window counters.
@@ -118,7 +118,7 @@ class PIPPCache(PartitionedCache):
 
     def _chain_insert(self, chain: list[int], index: int, slot: int) -> None:
         index = min(index, len(chain))
-        chain.insert(index, slot)
+        chain.insert(index, self.array._slot_ints[slot])
         pos_of = self._pos_of
         for i in range(index, len(chain)):
             pos_of[chain[i]] = i

@@ -41,6 +41,7 @@ import asyncio
 import gc
 import multiprocessing
 import signal
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -49,6 +50,40 @@ from repro.harness import parallel
 from repro.harness.parallel import execute_job
 from repro.service.jobqueue import QueueClosed
 from repro.telemetry import Distribution, StatGroup
+
+
+# -- the shared frozen heap ---------------------------------------------
+#
+# ``gc.freeze`` is process-wide, so two pools alive in one process
+# share one frozen heap: the first pool's stop must not thaw it under
+# the other, whose respawned workers still fork from it.  Pools that
+# froze the heap are counted, and only the last of them to stop thaws
+# it -- and only when the heap was not already frozen (by the caller)
+# when the first of them froze it.
+_freeze_lock = threading.Lock()
+_freeze_holders = 0
+_thaw_on_release = False
+
+
+def _hold_frozen_heap() -> int:
+    """Freeze the heap for one more pool; returns the freeze count."""
+    global _freeze_holders, _thaw_on_release
+    with _freeze_lock:
+        if _freeze_holders == 0:
+            _thaw_on_release = gc.get_freeze_count() == 0
+        _freeze_holders += 1
+        gc.freeze()
+        return gc.get_freeze_count()
+
+
+def _release_frozen_heap() -> None:
+    """One pool is done with the frozen heap; the last one thaws it if
+    the first one froze it."""
+    global _freeze_holders
+    with _freeze_lock:
+        _freeze_holders -= 1
+        if _freeze_holders == 0 and _thaw_on_release:
+            gc.unfreeze()
 
 
 class WorkerCrashed(Exception):
@@ -213,8 +248,9 @@ class WorkerPool:
         self.timeouts = 0
         #: ``gc.get_freeze_count()`` at the fork point (0 before start).
         self.frozen_objects = 0
-        # Whether stop() unfreezes: only a heap this pool froze.
-        self._thaw = False
+        # Whether this pool holds the process's frozen heap (between
+        # start() and stop()).
+        self._holds_heap = False
         self.job_wall_time = Distribution(
             "job_wall_time", "per-job wall time as measured by workers"
         )
@@ -232,9 +268,8 @@ class WorkerPool:
         # collections never write to the pages they inherited (a
         # written page is copied and stops being shared).
         parallel.preload()
-        self._thaw = gc.get_freeze_count() == 0
-        gc.freeze()
-        self.frozen_objects = gc.get_freeze_count()
+        self.frozen_objects = _hold_frozen_heap()
+        self._holds_heap = True
         loop = asyncio.get_running_loop()
         for slot in range(self.workers):
             self._slots[slot] = await loop.run_in_executor(None, WorkerProcess)
@@ -368,9 +403,10 @@ class WorkerPool:
         # A slot thread still inside ``run`` returns once its worker
         # is gone.
         self._runner.shutdown(wait=False)
-        # Leave the host process's GC as start() found it (run_jobs
-        # and in-process daemons outlive their pool); a heap the
+        # Leave the host process's GC as the first pool found it
+        # (run_jobs and in-process daemons outlive their pool) once no
+        # other pool still forks from the frozen heap; a heap the
         # caller froze itself stays frozen.
-        if self._thaw:
-            gc.unfreeze()
-            self._thaw = False
+        if self._holds_heap:
+            self._holds_heap = False
+            _release_frozen_heap()

@@ -347,8 +347,10 @@ class CMPSystem:
         - the *chunk cursor*: cores whose trace factory is a
           :class:`~repro.traces.TraceSpec` read ``(gap, addr)`` pairs
           by index out of flat buffers compiled ahead of time by the
-          trace store, instead of resuming a generator frame per event;
-          refills happen out of the hot loop, once per 4K-pair chunk.
+          trace store -- the store's own ``array('q')`` or mapped
+          ``memoryview('q')``, read in place, not a list copy --
+          instead of resuming a generator frame per event; refills
+          happen out of the hot loop, once per 4K-pair chunk.
           With a batch kernel, each refill also hashes the chunk's
           addresses once, vectorised, into the core's index columns
           (see :class:`BatchContext`), so the kernels look hashes up
@@ -430,7 +432,7 @@ class CMPSystem:
             factory = trace_factories[cid]
             index = next_chunk[cid]
             try:
-                chunk, buf = store.chunk_list(factory, index)
+                buf = store.chunk_list(factory, index)
             except StopIteration:
                 raise ValueError(
                     f"trace for core {cid} is empty: its factory produced "
@@ -442,9 +444,9 @@ class CMPSystem:
             trace_chunks[cid] += 1
             bufs[cid] = buf
             if batch_kernel is not None:
-                cols[cid] = index_column(chunk)
+                cols[cid] = index_column(buf)
                 if mon_columns is not None:
-                    ucols[cid] = mon_columns[cid](chunk)
+                    ucols[cid] = mon_columns[cid](buf)
             limits[cid] = len(buf)
             positions[cid] = 0
             return buf

@@ -50,7 +50,7 @@ def _kind_sources(kind: str) -> tuple:
     # wrap is folded into the wrapper's fingerprint (conservative:
     # editing any private shape invalidates the shared chunks too,
     # which is cheap and always safe).
-    zipf = (gen.zipf_stream, gen.zipf_cdf, gen._permutation)
+    zipf = (gen.zipf_stream, gen.zipf_cdf, gen.zipf_guide, gen._permutation)
     private = zipf + (gen.loop_stream, gen.scan_stream, gen.phased_stream)
     sources = {
         "zipf": zipf,

@@ -63,9 +63,11 @@ from repro.traces.spec import TraceSpec
 
 #: Producers kept alive per store.  A loop/scan producer holds a few
 #: KiB; a Zipf producer adds its rank-to-line map at 8 B per
-#: working-set line (320 KiB for the largest app, 40,960 lines; the
-#: CDF is shared, see ``generators.zipf_cdf``), so the worst case here
-#: is about 40 MiB.  This only bounds sweeps over many distinct traces.
+#: working-set line (320 KiB for the largest app, 40,960 lines), so
+#: the worst case here is about 40 MiB.  Its CDF and guide table (8 B
+#: per line each) are shared by every producer with the same
+#: parameters and bounded separately, see ``generators.zipf_cdf``.
+#: This only bounds sweeps over many distinct traces.
 MAX_PRODUCERS = 128
 
 #: Cap on the spec->key and byte-order-checked memos.  A batch sweep
@@ -392,8 +394,8 @@ class TraceStore:
 
         Returns ``array('q')`` from the compile layer or a
         ``memoryview('q')`` over a mapped chunk file -- interchangeable
-        for every consumer (list cursor, numpy view, ``tolist``) and
-        bitwise-identical by the parity suite.
+        for every consumer (the chunk cursor, numpy view, ``tolist``)
+        and bitwise-identical by the parity suite.
         """
         if index < 0:
             raise ValueError("chunk index must be non-negative")
@@ -424,19 +426,18 @@ class TraceStore:
                 persist = root
         return self._compile_through(spec, key, index, persist)
 
-    def chunk_list(self, spec: TraceSpec, index: int) -> tuple:
-        """The chunk in the two forms the event loop reads, as
-        ``(chunk, items)``: the stored buffer (``array('q')`` or a
-        mapped ``memoryview('q')``, which index columns hash zero-copy)
-        and a plain list (the cursor format: list indexing is the
-        cheapest per-event read Python offers).
+    def chunk_list(self, spec: TraceSpec, index: int):
+        """The chunk the event loop's cursor reads, in place: the stored
+        buffer itself (``array('q')`` or a mapped ``memoryview('q')``),
+        which the index columns also hash zero-copy.
 
-        The list is converted per call and never kept: ``tolist`` of
-        one chunk costs microseconds, and the running core's cursor
-        holds the only list copy.
+        The refill path's one store call (:meth:`get_chunk` plus
+        nothing else, so a profiler wrapping it times exactly the
+        cursor's lookups).  Reading the buffer by index boxes each
+        address as the cursor reaches it; a ``tolist`` copy would keep
+        a whole chunk of boxed ints alive per core instead.
         """
-        chunk = self.get_chunk(spec, index)
-        return chunk, chunk.tolist()
+        return self.get_chunk(spec, index)
 
     # -- memory layer ---------------------------------------------------
 

@@ -43,23 +43,25 @@ Three sharing shapes are provided:
 
 from __future__ import annotations
 
-import bisect
 import random
 from array import array
+from collections import Counter
 from collections.abc import Iterator
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import log as _log
 
 TracePair = tuple[int, int]
 
-#: Zipf tables kept by :func:`zipf_cdf` and :func:`shared_table`.  The
-#: 20 Zipf apps need 20 CDFs, but the experiment daemon's workers are
-#: resident for days, so each memo drops its oldest table once full
-#: rather than keeping one per parameter set it ever saw.
+#: Zipf tables kept by :func:`zipf_cdf`, :func:`zipf_guide` and
+#: :func:`shared_table`.  The 20 Zipf apps need 20 CDFs, but the
+#: experiment daemon's workers are resident for days, so each memo
+#: drops its oldest table once full rather than keeping one per
+#: parameter set it ever saw.
 MAX_ZIPF_TABLES = 32
 
-_cdf_memo: dict[tuple[int, float], tuple[float, ...]] = {}
-_shared_memo: dict[tuple[int, float, int], tuple[tuple[float, ...], memoryview]] = {}
+_cdf_memo: dict[tuple[int, float], memoryview] = {}
+_guide_memo: dict[tuple[int, float], tuple[memoryview, float]] = {}
+_shared_memo: dict[tuple[int, float, int], tuple[memoryview, memoryview]] = {}
 
 
 def _remember(memo: dict, key, value):
@@ -69,22 +71,60 @@ def _remember(memo: dict, key, value):
     return value
 
 
-def zipf_cdf(lines: int, alpha: float) -> tuple[float, ...]:
+def zipf_cdf(lines: int, alpha: float) -> memoryview:
     """Cumulative Zipf(alpha) weights over ranks ``1..lines`` (the last
     one is the total), shared by every generator with these
     parameters.
 
-    A tuple rather than a compact ``array('d')``: ``bisect`` reads a
-    tuple's floats without boxing one per probe, which keeps a Zipf
-    draw as fast as with a private list, and the table is built once
-    per process, not once per generator.
+    A read-only ``memoryview`` over ``array('d')``: 8 B per rank and no
+    float object per entry.  Generators find ranks in it through
+    :func:`zipf_guide`, not ``bisect``, which would box a float per
+    probe.
     """
     key = (lines, alpha)
     cumulative = _cdf_memo.get(key)
     if cumulative is None:
-        weights = (rank**-alpha for rank in range(1, lines + 1))
-        cumulative = _remember(_cdf_memo, key, tuple(accumulate(weights)))
+        weights = map(pow, range(1, lines + 1), repeat(-alpha))
+        cumulative = _remember(
+            _cdf_memo, key, memoryview(array("d", accumulate(weights))).toreadonly()
+        )
     return cumulative
+
+
+def zipf_guide(lines: int, alpha: float) -> tuple[memoryview, float]:
+    """``(guide, scale)``: a bucket index over ``zipf_cdf(lines,
+    alpha)`` that turns the rank search into one table read and a
+    short forward scan.
+
+    A draw ``x`` (``0 <= x <= total``) falls in bucket ``int(x *
+    scale)``, with ``scale = lines / total`` so there are about as
+    many buckets as ranks.  ``guide[j]`` counts the ranks whose CDF
+    value falls in a bucket below ``j``; the rank of ``x`` is then
+    exactly ``bisect_left(cdf, x)`` as::
+
+        rank = guide[int(x * scale)]
+        while cdf[rank] < x:
+            rank += 1
+
+    The guide never overshoots: a rank counted in ``guide[j]`` has
+    ``int(cdf[rank] * scale) < int(x * scale)``, and since rounding a
+    product by a positive constant is monotone, ``cdf[rank] < x``.  So
+    the scan only runs forward, and it stops at the first ``cdf[rank]
+    >= x``, which exists because ``x <= total``.  About half a step on
+    average.  Shared like the CDF (read-only ``array('q')``).
+    """
+    key = (lines, alpha)
+    table = _guide_memo.get(key)
+    if table is None:
+        cumulative = zipf_cdf(lines, alpha)
+        scale = lines / cumulative[-1]
+        buckets = Counter(map(int, map(scale.__mul__, cumulative)))
+        top = int(cumulative[-1] * scale)
+        guide = array(
+            "q", accumulate(map(buckets.get, range(top), repeat(0)), initial=0)
+        )
+        table = _remember(_guide_memo, key, (memoryview(guide).toreadonly(), scale))
+    return table
 
 
 def _permutation(lines: int, rng: random.Random, base: int = 0) -> array:
@@ -114,23 +154,26 @@ def zipf_stream(
         raise ValueError("ws_lines must be positive")
     rng = random.Random(seed)
     cumulative = zipf_cdf(ws_lines, alpha)
+    guide, scale = zipf_guide(ws_lines, alpha)
     total = cumulative[-1]
     # Map popularity ranks to scattered line offsets so the footprint
     # is not contiguous (defeats accidental spatial effects).
     perm = _permutation(ws_lines, rng, base)
     # Hot loop: expovariate is inlined (its body is exactly
-    # ``-log(1 - random()) / lambd``) so each item costs two C-level
-    # RNG draws, one bisect and one log -- no Python calls.
+    # ``-log(1 - random()) / lambd``) and so is the guide-table rank
+    # search (see zipf_guide), so each item costs two C-level RNG
+    # draws, a guide read, a short scan and one log -- no Python calls.
     rnd = rng.random
-    bisect_left = bisect.bisect_left
     lambd = 1.0 / mean_gap if mean_gap > 0 else None
-    if lambd is None:
-        while True:
-            rank = bisect_left(cumulative, rnd() * total)
-            yield 0, perm[rank]
     while True:
-        rank = bisect_left(cumulative, rnd() * total)
-        yield int(-_log(1.0 - rnd()) / lambd), perm[rank]
+        x = rnd() * total
+        rank = guide[int(x * scale)]
+        while cumulative[rank] < x:
+            rank += 1
+        if lambd is None:
+            yield 0, perm[rank]
+        else:
+            yield int(-_log(1.0 - rnd()) / lambd), perm[rank]
 
 
 def loop_stream(
@@ -209,7 +252,7 @@ def producer_consumer_stream(
 
 def shared_table(
     shared_lines: int, alpha: float, shared_seed: int
-) -> tuple[tuple[float, ...], memoryview]:
+) -> tuple[memoryview, memoryview]:
     """``(cumulative, perm)`` of a shared Zipf table: a pure function
     of its arguments, so every core of a mix reads one read-only copy
     (``perm`` holds line offsets within the region)."""
@@ -245,13 +288,16 @@ def shared_table_stream(
     if shared_lines <= 0:
         raise ValueError("shared_lines must be positive")
     cumulative, perm = shared_table(shared_lines, alpha, shared_seed)
+    guide, scale = zipf_guide(shared_lines, alpha)
     total = cumulative[-1]
     rnd = _shared_rng(shared_seed, seed).random
-    bisect_left = bisect.bisect_left
     while True:
         gap, addr = next(private)
         if rnd() < fraction:
-            rank = bisect_left(cumulative, rnd() * total)
+            x = rnd() * total
+            rank = guide[int(x * scale)]
+            while cumulative[rank] < x:
+                rank += 1
             addr = shared_base + perm[rank]
         yield gap, addr
 

@@ -82,3 +82,41 @@ def test_stop_kills_a_busy_worker_at_once(monkeypatch):
     elapsed, proc = asyncio.run(drive())
     assert elapsed < 1.0, f"stop took {elapsed:.2f} s"
     assert not proc.is_alive()
+
+
+def test_two_pools_share_one_frozen_heap(monkeypatch):
+    """``gc.freeze`` is process-wide: stopping one of two live pools
+    leaves the heap frozen, so the other pool's respawned workers
+    still fork from it, and the caller's GC is as it was once both
+    have stopped."""
+    import gc
+
+    at_fork = []
+
+    class Recording(workers.WorkerProcess):
+        def __init__(self):
+            at_fork.append(gc.get_freeze_count())
+            super().__init__()
+
+    monkeypatch.setattr(workers, "WorkerProcess", Recording)
+    before = (gc.get_freeze_count(), gc.isenabled())
+
+    async def drive():
+        first, second = WorkerPool(1), WorkerPool(1)
+        queues = [JobQueue(maxsize=None), JobQueue(maxsize=None)]
+        await first.start(queues[0])
+        await second.start(queues[1])
+        try:
+            queues[0].close()
+            await first.stop()
+            after_first = gc.get_freeze_count()
+            await second._respawn(0)
+            return after_first
+        finally:
+            queues[1].close()
+            await second.stop()
+
+    after_first = asyncio.run(drive())
+    assert after_first > 0
+    assert len(at_fork) == 3 and min(at_fork) > 0, at_fork
+    assert (gc.get_freeze_count(), gc.isenabled()) == before

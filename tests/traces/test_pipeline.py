@@ -28,7 +28,7 @@ def _pairs_via_chunks(store: TraceStore, spec: TraceSpec, count: int):
     pairs = []
     index = 0
     while len(pairs) < count:
-        _, buf = store.chunk_list(spec, index)
+        buf = store.chunk_list(spec, index)
         for pos in range(0, len(buf), 2):
             pairs.append((buf[pos], buf[pos + 1]))
             if len(pairs) == count:
@@ -170,7 +170,7 @@ def test_fingerprint_covers_zipf_table_helpers(kind, monkeypatch):
     from repro.traces import spec as spec_mod
     from repro.workloads import generators
 
-    helpers = [generators.zipf_cdf, generators._permutation]
+    helpers = [generators.zipf_cdf, generators.zipf_guide, generators._permutation]
     if kind == "table-shared":
         helpers.append(generators.shared_table)
     sources = spec_mod._kind_sources(kind)

@@ -1,11 +1,15 @@
 """Tests for the synthetic address-stream generators."""
 
+import bisect
 import hashlib
+import math
 import statistics
 import struct
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads import (
     SharedRegionSpec,
@@ -147,6 +151,11 @@ class TestZipfTables:
         with pytest.raises(TypeError):
             table[1][0] = 1
         assert sorted(table[1]) == list(range(512))
+        guide, scale = generators.zipf_guide(1000, 0.75)
+        assert generators.zipf_guide(1000, 0.75)[0] is guide
+        assert scale == 1000 / cumulative[-1]
+        with pytest.raises(TypeError):
+            guide[0] = 1
 
     def test_memo_bounded_and_streams_unchanged(self):
         from repro.workloads import generators
@@ -158,10 +167,58 @@ class TestZipfTables:
         # evicting the pinned stream's tables on the way.
         for lines in range(1, cap + 10):
             generators.zipf_cdf(lines, 0.5)
+            generators.zipf_guide(lines, 0.5)
             generators.shared_table(lines, 0.5, 99)
             assert len(generators._cdf_memo) <= cap
+            assert len(generators._guide_memo) <= cap
             assert len(generators._shared_memo) <= cap
         assert len(generators._cdf_memo) == cap
+        assert len(generators._guide_memo) == cap
         assert (40_960, 0.75) not in generators._cdf_memo
         for key in sorted(PINNED_DIGESTS):
             assert stream_digest(pinned_spec(*key).generator()) == PINNED_DIGESTS[key]
+
+
+def _guide_rank(lines, alpha, x):
+    """The rank search ``zipf_stream`` and ``shared_table_stream``
+    inline (see ``generators.zipf_guide``)."""
+    from repro.workloads import generators
+
+    cumulative = generators.zipf_cdf(lines, alpha)
+    guide, scale = generators.zipf_guide(lines, alpha)
+    rank = guide[int(x * scale)]
+    while cumulative[rank] < x:
+        rank += 1
+    return rank
+
+
+class TestZipfGuide:
+    """The guide-table search returns exactly ``bisect_left`` over the
+    CDF, so every Zipf draw picks the rank it always picked."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.integers(min_value=1, max_value=5_000),
+        alpha=st.floats(min_value=0.05, max_value=2.5),
+        u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_rank_equals_bisect(self, lines, alpha, u):
+        from repro.workloads import generators
+
+        cumulative = generators.zipf_cdf(lines, alpha)
+        x = u * cumulative[-1]
+        assert _guide_rank(lines, alpha, x) == bisect.bisect_left(cumulative, x)
+
+    @pytest.mark.parametrize(
+        "lines,alpha", [(1, 1.0), (7, 0.3), (1000, 0.75), (40_960, 1.1)]
+    )
+    def test_edges_and_exact_cdf_values(self, lines, alpha):
+        from repro.workloads import generators
+
+        cumulative = generators.zipf_cdf(lines, alpha)
+        total = cumulative[-1]
+        points = [0.0, math.nextafter(total, 0.0), total]
+        points += list(cumulative)
+        points += [math.nextafter(c, 0.0) for c in cumulative]
+        for x in points:
+            assert _guide_rank(lines, alpha, x) == bisect.bisect_left(cumulative, x), x
