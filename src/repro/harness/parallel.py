@@ -265,7 +265,9 @@ def _run_on_workers(
     pending: list[tuple[str, SimJob]], workers: int, use_cache: bool
 ) -> dict[str, SimOutcome]:
     """Run ``pending`` on a :class:`~repro.service.workers.WorkerPool`
-    of ``workers`` processes, the daemon's executor, in this process.
+    of ``workers`` processes, the daemon's executor, in this process,
+    from a sealed queue (so the workers retire the traces the rest of
+    the sweep does not read).
 
     Returns the outcomes of the entries the pool finished (already
     recorded); an entry it failed is missing, for the caller to run
@@ -289,6 +291,10 @@ def _run_on_workers(
             ),
         )
         entries = [queue.submit(job)[0] for _, job in pending]
+        # The whole plan is queued and the workers die with this sweep:
+        # a trace no queued job reads is never read by them again, so
+        # a sealed queue lets each worker drop it between jobs.
+        queue.seal()
         try:
             await pool.start(queue)
             await asyncio.wait([entry.future for entry in entries])

@@ -104,6 +104,7 @@ class JobQueue:
         self._next_seq = 0
         self._front_seq = 0  # decrements: retries jump their priority class
         self._closed = False
+        self._sealed = False
         self._wakeup: asyncio.Event = asyncio.Event()
         # Telemetry counters (pulled by the service stats tree).
         self.submitted = 0
@@ -121,7 +122,7 @@ class JobQueue:
         Returns ``(entry, deduped)``.  Raises :class:`QueueFull` at
         capacity and :class:`QueueClosed` during shutdown.
         """
-        if self._closed:
+        if self._closed or self._sealed:
             raise QueueClosed
         key = results_cache.job_key(job)
         active = self._active.get(key)
@@ -247,6 +248,21 @@ class JobQueue:
             if entry.state == protocol.RUNNING:
                 self.mark_failed(entry, message)
 
+    def seal(self) -> None:
+        """Take no more submissions; what is queued still runs.
+
+        A sealed queue is a closed plan (``run_jobs`` submits its whole
+        sweep, then seals): every job it will ever dispatch is running
+        or in :meth:`queued`, which is what lets a worker drop the
+        traces no such job reads.
+        """
+        self._sealed = True
+
+    @property
+    def sealed(self) -> bool:
+        """Can the queue take no new submissions?"""
+        return self._sealed or self._closed
+
     def close(self, reason: str = "daemon shutting down") -> list[JobEntry]:
         """Stop accepting work; cancel and return queued entries."""
         self._closed = True
@@ -265,11 +281,13 @@ class JobQueue:
 
     def depth(self) -> int:
         """Entries waiting to run (cancelled heap residue excluded)."""
-        return sum(
-            1
-            for e in self._active.values()
-            if e.state == protocol.QUEUED
-        )
+        return len(self.queued())
+
+    def queued(self) -> list[JobEntry]:
+        """The entries waiting to run."""
+        return [
+            e for e in self._active.values() if e.state == protocol.QUEUED
+        ]
 
     def active(self) -> int:
         """Deduplicated entries queued or running."""

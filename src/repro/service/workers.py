@@ -4,11 +4,15 @@ The one worker pool: the daemon keeps a fixed set of worker
 *processes* resident, so each worker's in-process trace-chunk LRU and
 imported modules stay warm across requests from every client, and
 ``run_jobs`` drives the same pool in process for the length of one
-sweep.
+sweep.  A sweep's queue is a closed plan (sealed: it takes no new
+submissions), so there each job goes out with the keys of every trace
+it or a still-queued job reads, and the worker first drops every
+other trace from its store: no job it can still receive reads them.
 
 Each worker is one forked process running :func:`_worker_main`: a
 loop that receives a pickled :class:`~repro.harness.parallel.SimJob`
-over a duplex pipe, runs the exact
+(and that keep set, or ``None`` to keep everything) over a duplex
+pipe, runs the exact
 :func:`~repro.harness.parallel.execute_job` code path that
 ``run_jobs`` runs inline and a serial ``run_mix`` uses, and sends the
 outcome back (with its trace-store counters piggybacked for daemon
@@ -86,6 +90,11 @@ def _release_frozen_heap() -> None:
             gc.unfreeze()
 
 
+def _add_counters(total: dict[str, int], counters: dict[str, int]) -> None:
+    for name, value in counters.items():
+        total[name] = total.get(name, 0) + value
+
+
 class WorkerCrashed(Exception):
     """The worker process died before returning a result."""
 
@@ -109,7 +118,10 @@ def _worker_main(conn) -> None:
             break
         if msg[0] == "stop":
             break
-        job = msg[1]
+        _, job, keep = msg
+        if keep is not None:
+            # Before the job, so its compiles reuse the freed blocks.
+            traces.get_store().retain(keep)
         try:
             outcome = execute_job(job)
         except Exception as exc:  # deterministic job failure
@@ -145,8 +157,10 @@ class WorkerProcess:
     def pid(self) -> int | None:
         return self.proc.pid
 
-    def run(self, job, timeout: float | None):
-        """Execute ``job`` on this worker (blocking; call in a thread).
+    def run(self, job, timeout: float | None, keep=None):
+        """Execute ``job`` on this worker (blocking; call in a thread),
+        after dropping from its trace store every trace whose key is
+        not in ``keep`` (``None`` keeps them all).
 
         Raises :class:`WorkerCrashed` if the process dies and
         :class:`JobTimeout` if ``timeout`` seconds elapse first; the
@@ -155,7 +169,7 @@ class WorkerProcess:
         """
         self.busy = True
         try:
-            self._conn.send(("job", job))
+            self._conn.send(("job", job, keep))
         except (BrokenPipeError, OSError):
             raise WorkerCrashed(f"worker {self.pid} pipe is closed") from None
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -242,6 +256,12 @@ class WorkerPool:
         # prefixes.
         self._publish_lock = asyncio.Lock()
         self._published_traces: dict[str, int] = {}
+        # Trace keys per job key, for the keep sets of a sealed queue
+        # (one sweep's jobs, so bounded by its plan).
+        self._job_traces: dict[str, frozenset[str]] = {}
+        # Last trace-store counters of workers replaced or stopped, so
+        # the pool's totals never go backwards.
+        self._gone_counters: dict[str, int] = {}
         # Telemetry (pulled by the daemon's service stats group).
         self.restarts = 0
         self.retries = 0
@@ -295,13 +315,13 @@ class WorkerPool:
         return {"workers_alive": self.alive()}
 
     def trace_counters(self) -> dict[str, int]:
-        """Workers' trace-store counters, summed across slots."""
-        total: dict[str, int] = {}
+        """Trace-store counters summed over every worker this pool
+        has run: the live slots' latest reports plus the last reports
+        of the workers it replaced or stopped."""
+        total = dict(self._gone_counters)
         for worker in self._slots.values():
-            if worker is None:
-                continue
-            for name, value in worker.trace_counters.items():
-                total[name] = total.get(name, 0) + value
+            if worker is not None:
+                _add_counters(total, worker.trace_counters)
         return total
 
     def alive(self) -> int:
@@ -316,6 +336,7 @@ class WorkerPool:
         old = self._slots[slot]
         if old is not None:
             await loop.run_in_executor(None, old.kill)
+            _add_counters(self._gone_counters, old.trace_counters)
         self.restarts += 1
         worker = await loop.run_in_executor(None, WorkerProcess)
         self._slots[slot] = worker
@@ -340,6 +361,43 @@ class WorkerPool:
                 None, parallel.publish_traces, [job], self._published_traces
             )
 
+    def _trace_keys(self, entry) -> frozenset[str]:
+        """The store keys of the traces ``entry``'s job reads (memoised
+        per job key).  Factories that are not trace specs never reach
+        the store, so they have no key to keep."""
+        keys = self._job_traces.get(entry.key)
+        if keys is None:
+            store = traces.get_store()
+            job = entry.job
+            try:
+                factories = job.mix.trace_factories(job.seed)
+            except Exception:
+                # The job fails in the worker and reads nothing.
+                factories = ()
+            keys = frozenset(
+                store.key_of(spec)
+                for spec in factories
+                if isinstance(spec, traces.TraceSpec)
+            )
+            self._job_traces[entry.key] = keys
+        return keys
+
+    def _trace_keep(self, entry) -> frozenset[str] | None:
+        """The traces a worker keeps before running ``entry``: those
+        of ``entry`` and of every still-queued entry; ``None`` (keep
+        everything) unless the queue is sealed.
+
+        Only a sealed queue knows every job it will dispatch.  The
+        daemon's queue stays open: its clients submit a mix's sibling
+        schemes one by one, so its workers keep their LRU warm.
+        """
+        if not self.queue.sealed:
+            return None
+        keep = set(self._trace_keys(entry))
+        for queued in self.queue.queued():
+            keep |= self._trace_keys(queued)
+        return frozenset(keep)
+
     async def _supervise(self, slot: int) -> None:
         loop = asyncio.get_running_loop()
         worker = self._slots[slot]
@@ -350,9 +408,10 @@ class WorkerPool:
                 break
             self.queue.mark_running(entry)
             try:
+                keep = self._trace_keep(entry)
                 await self._publish_job_traces(entry.job)
                 outcome = await loop.run_in_executor(
-                    self._runner, worker.run, entry.job, self.job_timeout
+                    self._runner, worker.run, entry.job, self.job_timeout, keep
                 )
             except (WorkerCrashed, JobTimeout) as exc:
                 if isinstance(exc, JobTimeout):
@@ -394,11 +453,12 @@ class WorkerPool:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         loop = asyncio.get_running_loop()
+        stopped = [w for w in self._slots.values() if w is not None]
         await asyncio.gather(*(
-            loop.run_in_executor(None, worker.stop)
-            for worker in self._slots.values()
-            if worker is not None
+            loop.run_in_executor(None, worker.stop) for worker in stopped
         ))
+        for worker in stopped:
+            _add_counters(self._gone_counters, worker.trace_counters)
         self._slots = dict.fromkeys(self._slots)
         # A slot thread still inside ``run`` returns once its worker
         # is gone.

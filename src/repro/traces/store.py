@@ -10,7 +10,9 @@ instead of re-running the Python generators item by item.
 Layers, cheapest first:
 
 1. **memory**: an LRU of at most ``max_chunks`` buffers (default
-   128 MiB worth of chunks);
+   128 MiB worth of chunks), from which a sweep's pool worker also
+   retires every trace the rest of its sweep does not read
+   (:meth:`TraceStore.retain`);
 2. **shared**: chunk files under one root, mapped read-only with
    :mod:`mmap` and served as ``memoryview('q')``, so every process
    reading a chunk shares the same page-cache pages.  The root is
@@ -67,7 +69,11 @@ from repro.traces.spec import TraceSpec
 #: the worst case here is about 40 MiB.  Its CDF and guide table (8 B
 #: per line each) are shared by every producer with the same
 #: parameters and bounded separately, see ``generators.zipf_cdf``.
-#: This only bounds sweeps over many distinct traces.
+#: This only bounds the daemon's resident workers and inline sweeps
+#: over many distinct traces: a ``run_jobs`` pool worker drops the
+#: producers (and chunks) of every trace the rest of its sweep does
+#: not read (:meth:`TraceStore.retain`), so it holds one or two
+#: mixes' worth, not one per mix it has simulated.
 MAX_PRODUCERS = 128
 
 #: Cap on the spec->key and byte-order-checked memos.  A batch sweep
@@ -98,6 +104,7 @@ COUNTERS = {
     "disk_hits": "chunks mapped from the REPRO_TRACE_CACHE directory",
     "compiles": "chunks compiled from generators",
     "evictions": "chunks dropped by the LRU",
+    "retired": "chunks dropped because the sweep no longer reads their trace",
     "bytes_compiled": "bytes produced by the compile layer",
     "bytes_read": "bytes mapped from the REPRO_TRACE_CACHE directory",
     "bytes_written": "bytes written to the shared chunk layer",
@@ -359,6 +366,7 @@ class TraceStore:
         self.disk_hits = 0
         self.compiles = 0
         self.evictions = 0
+        self.retired = 0
         self.bytes_compiled = 0
         self.bytes_read = 0
         self.bytes_written = 0
@@ -451,6 +459,28 @@ class TraceStore:
         while len(chunks) > self.max_chunks:
             chunks.popitem(last=False)
             self.evictions += 1
+
+    def retain(self, keys) -> int:
+        """Drop the chunks and producers of every trace whose key is
+        not in ``keys``; returns the number of chunks dropped.
+
+        A sweep's pool worker calls this between jobs with the keys of
+        every trace its next job or a still-queued job of the sweep
+        reads: the rest will never be read again by that worker, so
+        its memory follows the mixes in flight instead of every mix it
+        has simulated.  A dropped trace read anyway is recompiled
+        from item zero, bitwise-identical.
+        """
+        keys = frozenset(keys)
+        chunks = self._chunks
+        dropped = [mem_key for mem_key in chunks if mem_key[0] not in keys]
+        for mem_key in dropped:
+            del chunks[mem_key]
+        producers = self._producers
+        for key in [key for key in producers if key not in keys]:
+            del producers[key]
+        self.retired += len(dropped)
+        return len(dropped)
 
     # -- shared layer ---------------------------------------------------
 

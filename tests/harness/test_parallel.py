@@ -471,3 +471,80 @@ def test_worker_ignores_sigint():
     finally:
         worker.stop()
     assert first.result == again.result == _serial_result(job)
+
+
+# -- trace retirement in the sweep's pool -------------------------------
+
+
+def _trace_keys(job) -> set:
+    from repro import traces
+
+    store = traces.get_store()
+    return {store.key_of(spec) for spec in job.mix.trace_factories(job.seed)}
+
+
+def test_pool_workers_retire_traces_the_sweep_no_longer_reads(
+    cache_dir, monkeypatch
+):
+    """A 2-worker sweep over two mixes that share one trace: each job
+    goes out with the traces it and every still-queued job read, so
+    the shared trace is never retired while a queued job reads it,
+    the other mix's traces are, no retired trace is recompiled, and
+    the outcomes are those of a serial ``run_mix``."""
+    import dataclasses
+
+    from repro import traces
+    from repro.service import workers
+
+    first = make_mix("sftn", 1)
+    other = make_mix("ttnn", 1)
+    second = dataclasses.replace(
+        other, name="shared0", apps=(first.apps[0], *other.apps[1:])
+    )
+    config = small_system()
+    jobs = [
+        SimJob(mix, scheme, config, INSTRUCTIONS, seed=3)
+        for mix in (first, second)
+        for scheme in SCHEMES
+    ]
+    (shared,) = _trace_keys(jobs[0]) & _trace_keys(jobs[2])
+    assert _trace_keys(jobs[0]) != _trace_keys(jobs[2])
+
+    dispatched = []
+    pools = []
+
+    class Recording(workers.WorkerPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+        def _trace_keep(self, entry):
+            keep = super()._trace_keep(entry)
+            dispatched.append((entry.job, keep))
+            return keep
+
+    monkeypatch.setattr(workers, "WorkerPool", Recording)
+    traces.reset_store()  # the workers fork with an empty store
+    pooled = run_jobs(jobs, workers=2, use_cache=False)
+    traces.reset_store()
+    run_jobs(jobs, workers=1, use_cache=False)
+    inline_compiles = traces.get_store().compiles
+
+    for job, outcome in zip(jobs, pooled):
+        assert outcome.result == _serial_result(job)
+    # Dispatch is FIFO, so every later job was queued at each dispatch.
+    assert [job for job, _ in dispatched] == jobs
+    for i, (job, keep) in enumerate(dispatched):
+        assert shared in keep
+        assert keep == set().union(*(_trace_keys(j) for j in jobs[i:]))
+    (pool,) = pools
+    counters = pool.trace_counters()
+    assert counters["retired"] > 0
+    assert counters["compiles"] <= 2 * inline_compiles
+
+
+def test_inline_sweep_never_retires(cache_dir):
+    """Only a sealed queue's workers retire: an inline sweep, whose
+    store outlives the call, keeps every trace."""
+    outcome, = run_jobs(_jobs()[:1], workers=1, use_cache=False)
+    assert outcome.trace_counters["retired"] == 0

@@ -158,6 +158,22 @@ class TestResults:
         )
         assert outcome.result == serial.result
 
+    def test_sibling_scheme_reads_the_warm_trace_lru(self, single_worker_daemon):
+        """The daemon's queue stays open, so its worker keeps every
+        trace: a sibling scheme of a finished mix is served from the
+        worker's LRU and nothing is ever retired."""
+        job = _job(seed=12)
+        sibling = replace(job, scheme="srrip-sa16")
+        with single_worker_daemon.client() as svc:
+            first = svc.submit(job)
+            second = svc.submit(sibling)
+            store = svc.stats()["service"]["workers"]["trace_store"]
+        assert first.trace_counters["compiles"] > 0
+        assert second.trace_counters["compiles"] == first.trace_counters["compiles"]
+        assert second.trace_counters["mem_hits"] > first.trace_counters["mem_hits"]
+        assert first.trace_counters["retired"] == second.trace_counters["retired"] == 0
+        assert store["retired"] == 0
+
     def test_second_submission_served_from_results_cache(self, daemon):
         job = _job(seed=4)
         with daemon.client() as svc:
@@ -411,7 +427,7 @@ class TestStatsTree:
         assert {"count", "total", "mean", "min", "max"} <= set(wall)
         assert wall["count"] >= 1
         # Workers piggyback their trace-store counters.
-        assert workers["trace_store"].get("compiles", 0) >= 0
+        assert workers["trace_store"]["compiles"] > 0
         # The harness group mirrors the batch schema roots.
         assert "results_cache" in tree["harness"]
 

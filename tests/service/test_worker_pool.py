@@ -120,3 +120,36 @@ def test_two_pools_share_one_frozen_heap(monkeypatch):
     assert after_first > 0
     assert len(at_fork) == 3 and min(at_fork) > 0, at_fork
     assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_pool_trace_counters_survive_a_killed_worker():
+    """A worker SIGKILLed after a job is respawned; the pool folds its
+    last trace-store counters into its totals, so ``compiles`` never
+    goes backwards in the daemon's stats."""
+    import signal
+
+    config = small_system()
+    big = SimJob(make_mix("sftn", 1), "lru-sa16", config, 150_000, seed=1)
+    small = SimJob(make_mix("sftn", 1), "lru-sa16", config, 2_000, seed=2)
+
+    async def drive():
+        queue = JobQueue(maxsize=None)
+        pool = WorkerPool(1)
+        await pool.start(queue)
+        try:
+            await queue.submit(big)[0].future
+            before = pool.trace_counters()["compiles"]
+            victim = pool._slots[0].proc
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(10)
+            outcome = await queue.submit(small)[0].future
+            after = pool.trace_counters()["compiles"]
+            return before, outcome, after, pool.restarts
+        finally:
+            queue.close()
+            await pool.stop()
+
+    before, outcome, after, restarts = asyncio.run(drive())
+    assert restarts == 1
+    assert 0 < outcome.trace_counters["compiles"] < before
+    assert after == before + outcome.trace_counters["compiles"]

@@ -101,6 +101,35 @@ def test_random_chunk_access_after_eviction_is_consistent():
     assert store.evictions > 0
 
 
+def test_retain_drops_other_traces_and_recompiles_identically():
+    """``retain`` drops every other trace's chunks and producer and
+    keeps the listed ones; a dropped trace read again is recompiled
+    from item zero, bitwise-identical."""
+    kept = APPS["mcf"].trace_spec(base=0, seed=1)
+    dropped = APPS["soplex"].trace_spec(base=1 << 44, seed=2)
+    store = TraceStore(chunk_pairs=64)
+    for spec in (kept, dropped):
+        for index in range(3):
+            store.get_chunk(spec, index)
+    before = [list(store.get_chunk(dropped, index)) for index in range(3)]
+    kept_key, dropped_key = store.key_of(kept), store.key_of(dropped)
+
+    assert store.retain({kept_key}) == 3
+    assert store.retired == 3
+    assert {key for key, _ in store._chunks} == {kept_key}
+    assert set(store._producers) == {kept_key}
+
+    compiles, hits = store.compiles, store.mem_hits
+    for index in range(3):
+        store.get_chunk(kept, index)
+    assert (store.compiles, store.mem_hits) == (compiles, hits + 3)
+    assert list(store.get_chunk(dropped, 2)) == before[2]
+    assert store.compiles == compiles + 3  # its producer went too
+    assert [list(store.get_chunk(dropped, i)) for i in range(3)] == before
+    assert store.retain({kept_key, dropped_key}) == 0
+    assert store.counters()["retired"] == 3
+
+
 def test_lru_bounds_memory():
     spec = APPS["mcf"].trace_spec(base=0, seed=2)
     store = TraceStore(chunk_pairs=32, max_chunks=3)
